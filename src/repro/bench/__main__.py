@@ -11,8 +11,8 @@ Usage::
 
 Writes ``BENCH_repro.json``: per-kernel wall-clock times (best of N),
 deterministic work counters, and speedups against the kept reference
-implementations (the legacy ``np.intersect1d`` match loop and the exact
-per-operation hash table).
+implementations (the legacy ``np.intersect1d`` match loop, the exact
+per-operation hash table and the multi-column ``np.add.at`` scatter).
 
 The baseline gate is machine-independent by construction: it pins the
 seeded *work counters* exactly (any drift is a behavioral change) and
@@ -30,6 +30,9 @@ import platform
 import sys
 
 from repro.bench.kernels import KERNELS, REFERENCE_SIZES, SIZES
+
+#: Record keys holding a fast-path speedup over a kept reference.
+SPEEDUP_KEYS = ("speedup_vs_legacy", "speedup_vs_exact", "speedup_vs_add_at")
 
 
 def run_bench(kernels=None, quick: bool = False, medium: bool = False,
@@ -90,8 +93,7 @@ def flatten_bench(doc: dict) -> dict:
         prefix = f"{record['kernel']}/{record['size']}"
         flat[f"{prefix}:best_s"] = float(record["best_s"])
         flat[f"{prefix}:mean_s"] = float(record["mean_s"])
-        for key in ("speedup_vs_legacy", "speedup_vs_exact",
-                    "legacy_s", "exact_s"):
+        for key in SPEEDUP_KEYS + ("legacy_s", "exact_s", "add_at_s"):
             if key in record:
                 flat[f"{prefix}:{key}"] = float(record[key])
         for key, value in record.get("work", {}).items():
@@ -190,8 +192,8 @@ def _print_table(doc: dict) -> None:
     print(header)
     print("-" * len(header))
     for record in doc["kernels"]:
-        speedup = record.get("speedup_vs_legacy",
-                             record.get("speedup_vs_exact"))
+        speedup = next((record[key] for key in SPEEDUP_KEYS
+                        if key in record), None)
         speedup_text = f"{speedup:8.1f}x" if speedup else f"{'-':>9s}"
         print(f"{record['kernel']:24s} {record['size']:6s} "
               f"{record['best_s']:10.4f} {record['mean_s']:10.4f} "

@@ -7,7 +7,7 @@ exists — the reference time and speedup. Wall-clock numbers vary by
 machine; the work counters are seeded and bit-stable, which is what the
 baseline gate pins (see :mod:`repro.bench.__main__`).
 
-The eight kernels cover the per-batch hot path end to end:
+The nine kernels cover the per-batch hot path end to end:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
   product (vs the legacy O(n^2) ``np.intersect1d`` loop);
@@ -23,11 +23,15 @@ The eight kernels cover the per-batch hot path end to end:
 * ``neighbor_sampling`` — k-hop uniform sampling with the fused ID map;
 * ``feature_gather`` — the memory-IO phase's host-side feature copy;
 * ``halo_gather`` — the cluster tier's owner-grouping of a sampled
-  frontier plus the per-peer feature-row gather (:mod:`repro.cluster`).
+  frontier plus the per-peer feature-row gather (:mod:`repro.cluster`);
+* ``a3_aggregate`` — the A3 aggregation's forward scatter and its
+  ``dL/dx`` backward scatter over a sampled block (vs the multi-column
+  ``np.add.at`` formula), output bits asserted identical.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -40,6 +44,7 @@ from repro.core.reorder import (
 )
 from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
 from repro.graph.features import MaterializedFeatureStore
+from repro.nn import Tensor, a3_aggregate
 from repro.sampling import FusedIdMap, NeighborSampler
 from repro.sampling.idmap.hash_table import (
     ExactOpenAddressTable,
@@ -91,6 +96,15 @@ SIZES = {
                   "rows": 20_000, "batches": 8},
         "large": {"num_nodes": 400_000, "dim": 128, "parts": 16,
                   "rows": 100_000, "batches": 8},
+    },
+    # A sampled block at two row widths: one GAT head (8), on a block
+    # large enough to time stably, and the products feature width (200),
+    # which train-dgl's first GCN layer aggregates.
+    "a3_aggregate": {
+        "small": {"num_nodes": 50_000, "batch_size": 4096,
+                  "fanouts": (10, 15), "width": 8},
+        "medium": {"num_nodes": 50_000, "batch_size": 1024,
+                   "fanouts": (10, 15), "width": 200},
     },
 }
 
@@ -425,6 +439,64 @@ def bench_halo_gather(size: str, repeats: int, seed: int) -> dict:
     return _record("halo_gather", size, params, times, work)
 
 
+def bench_a3_aggregate(size: str, repeats: int, seed: int) -> dict:
+    """Forward scatter plus ``dL/dx`` backward scatter of
+    :func:`repro.nn.a3_aggregate` on the deepest block of a sampled
+    subgraph, against the multi-column ``np.add.at`` formula it replaced.
+    Output and gradient bits must be identical, or the record refuses to
+    report a speedup at all."""
+    params = SIZES["a3_aggregate"][size]
+    dataset = _bench_dataset(params["num_nodes"], seed)
+    batch = np.random.default_rng(seed + 1).choice(
+        dataset.train_ids, size=params["batch_size"], replace=False)
+    block = NeighborSampler(
+        dataset.graph, params["fanouts"],
+        rng=np.random.default_rng(seed + 2),
+    ).sample(batch).layers[-1]
+    src, dst = block.edge_src, block.edge_dst
+    rng = np.random.default_rng(seed + 3)
+    x = rng.standard_normal(
+        (block.num_src, params["width"])).astype(np.float32)
+    grad = rng.standard_normal(
+        (block.num_dst, params["width"])).astype(np.float32)
+    weight = rng.random(len(src)).astype(np.float32)
+
+    def run():
+        x_t = Tensor(x, requires_grad=True)
+        out = a3_aggregate(x_t, src, dst, Tensor(weight), block.num_dst)
+        out.backward(grad)
+        return out.data, x_t.grad
+
+    def run_add_at():
+        out = np.zeros((block.num_dst, params["width"]), dtype=np.float32)
+        np.add.at(out, dst, x[src] * weight[:, None])
+        gx = np.zeros_like(x)
+        np.add.at(gx, src, grad[dst] * weight[:, None])
+        return out, gx
+
+    got, want = run(), run_add_at()
+    if any(a.tobytes() != b.tobytes()
+           for a, b in zip(got, want)):  # pragma: no cover - pinned by tests
+        raise AssertionError("flat scatter diverged from np.add.at")
+    # Interleaved, so a slow spell of the machine hits both sides.
+    times, add_at_times = [], []
+    for _ in range(max(1, repeats)):
+        times += _time(run, 1)
+        add_at_times += _time(run_add_at, 1)
+    digest = hashlib.sha256(got[0].tobytes() + got[1].tobytes())
+    work = {
+        "edges": len(src),
+        "rows": block.num_dst,
+        # 48 bits, so the float the baseline gate compares stays exact.
+        "bits_checksum": int(digest.hexdigest()[:12], 16),
+    }
+    reference = {
+        "add_at_s": min(add_at_times),
+        "speedup_vs_add_at": min(add_at_times) / min(times),
+    }
+    return _record("a3_aggregate", size, params, times, work, reference)
+
+
 #: Kernel name -> callable(size, repeats, seed) in report order.
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
@@ -435,4 +507,5 @@ KERNELS = {
     "neighbor_sampling": bench_neighbor_sampling,
     "feature_gather": bench_feature_gather,
     "halo_gather": bench_halo_gather,
+    "a3_aggregate": bench_a3_aggregate,
 }

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import assert_grad_close, numerical_gradient
+from repro.core.memory_aware import A3
+from repro.nn import Adam, build_model
+from repro.nn import functional
 from repro.nn.functional import (
     a3_aggregate,
     cross_entropy,
@@ -17,6 +21,7 @@ from repro.nn.functional import (
     segment_sum,
 )
 from repro.nn.tensor import Tensor
+from repro.sampling import NeighborSampler
 
 
 class TestGatherSegment:
@@ -90,6 +95,185 @@ class TestA3Aggregate:
         w = Tensor(np.ones(1, dtype=np.float32))
         out = a3_aggregate(x, np.array([0]), np.array([0]), w, num_dst=3)
         np.testing.assert_allclose(out.data[1:], 0.0)
+
+    @pytest.mark.parametrize("edge_src,edge_dst", [
+        ([-1], [0]),   # numpy would read x[-1], the last source
+        ([0], [-1]),   # numpy would write the last target
+        ([2], [0]),    # one past num_src
+        ([0], [2]),    # one past num_dst
+    ])
+    def test_out_of_range_endpoint_rejected(self, edge_src, edge_dst):
+        x = Tensor(np.ones((2, 2), dtype=np.float32))
+        w = Tensor(np.ones(1, dtype=np.float32))
+        with pytest.raises(ValueError, match="must lie in"):
+            a3_aggregate(x, np.array(edge_src), np.array(edge_dst), w, 2)
+        with pytest.raises(ValueError, match="must lie in"):
+            A3().forward(x, np.array(edge_src), np.array(edge_dst), w, 2)
+
+
+def _oracle_scatter(num_rows, index, rows, gather=None, scale=None):
+    """The multi-column ``np.add.at`` formula the flat scatter replaces."""
+    out = np.zeros((num_rows,) + rows.shape[1:], dtype=np.float32)
+    values = rows if gather is None else rows[gather]
+    if scale is not None:
+        values = values * scale[:, None]
+    np.add.at(out, index, values)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+#: Memory layouts of a grad-requiring input: C-ordered, Fortran-ordered,
+#: and the transpose of a C-ordered leaf (Fortran-ordered data too).
+LAYOUTS = st.sampled_from(["C", "F", "T"])
+
+
+def as_layout(x, layout):
+    """``x`` as a grad-requiring tensor whose data has ``layout``, plus a
+    callable that returns the leaf's gradient in ``x``'s orientation."""
+    if layout == "T":
+        leaf = Tensor(np.ascontiguousarray(x.T), requires_grad=True)
+        return leaf.transpose(), lambda: leaf.grad.T
+    leaf = Tensor(np.asarray(x, order=layout), requires_grad=True)
+    return leaf, lambda: leaf.grad
+
+
+@st.composite
+def scatter_cases(draw):
+    """Random edge lists for the scatter ops.
+
+    Edge counts straddle the scatter's chunk boundary at every width, and
+    include empty lists. Edges are drawn from ``distinct`` base pairs, so
+    ``(src, dst)`` pairs repeat, and only from the first ``used_dst``
+    targets, so the remaining targets get no edges. Feature magnitudes
+    span six decades, so a different summation order changes the bits.
+    """
+    width = draw(st.sampled_from([1, 8, 64, 200]))
+    step = max(1, functional._SCATTER_CHUNK // width)
+    num_edges = draw(st.one_of(
+        st.integers(0, 40),
+        st.sampled_from([step - 1, step, step + 1, 2 * step + 7]),
+    ))
+    num_src = draw(st.integers(1, 40))
+    num_dst = draw(st.integers(1, 40))
+    used_dst = draw(st.integers(1, num_dst))
+    distinct = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base_src = rng.integers(0, num_src, distinct)
+    base_dst = rng.integers(0, used_dst, distinct)
+    pick = rng.integers(0, distinct, num_edges)
+    scale = 10.0 ** rng.integers(-3, 4, size=(num_src, 1))
+    x = (rng.standard_normal((num_src, width)) * scale).astype(np.float32)
+    return {
+        "x": x,
+        "edge_src": base_src[pick],
+        "edge_dst": base_dst[pick],
+        "weight": rng.random(num_edges).astype(np.float32),
+        "grad_dst": rng.standard_normal((num_dst, width)).astype(np.float32),
+        "grad_edges": rng.standard_normal(
+            (num_edges, width)).astype(np.float32),
+        "num_dst": num_dst,
+    }
+
+
+class TestScatterBitExact:
+    """The flat 1-D scatter reproduces multi-column ``np.add.at`` bit for
+    bit: same float32 additions, same edge order, per output element."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scatter_cases(), LAYOUTS)
+    def test_a3_aggregate_output_and_grads(self, case, layout):
+        x, w = case["x"], case["weight"]
+        src, dst = case["edge_src"], case["edge_dst"]
+        grad = case["grad_dst"]
+        x_t, x_grad = as_layout(x, layout)
+        w_t = Tensor(w, requires_grad=True)
+        out = a3_aggregate(x_t, src, dst, w_t, case["num_dst"])
+        out.backward(grad)
+
+        want_out = np.zeros_like(out.data)
+        np.add.at(want_out, dst, x[src] * w[:, None])
+        want_gx = np.zeros_like(x)
+        np.add.at(want_gx, src, grad[dst] * w[:, None])
+        want_gw = (grad[dst] * x[src]).sum(axis=1)
+        assert_same_bits(out.data, want_out)
+        assert_same_bits(x_grad(), want_gx)
+        assert_same_bits(w_t.grad, want_gw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scatter_cases(), st.booleans())
+    def test_segment_sum(self, case, flat):
+        rows = case["grad_edges"]
+        if flat and rows.shape[1] == 1:
+            rows = rows[:, 0]
+        out = segment_sum(Tensor(rows), case["edge_dst"], case["num_dst"])
+        want = np.zeros((case["num_dst"],) + rows.shape[1:],
+                        dtype=np.float32)
+        np.add.at(want, case["edge_dst"], rows)
+        assert_same_bits(out.data, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scatter_cases(), st.booleans(), LAYOUTS)
+    def test_gather_rows_backward(self, case, flat, layout):
+        x, grad = case["x"], case["grad_edges"]
+        if flat and x.shape[1] == 1:
+            x, grad = x[:, 0], grad[:, 0]
+        x_t, x_grad = as_layout(x, layout)
+        gather_rows(x_t, case["edge_src"]).backward(grad)
+        want = np.zeros_like(x)
+        np.add.at(want, case["edge_src"], grad)
+        assert_same_bits(x_grad(), want)
+
+    @pytest.mark.parametrize("layout", ["F", "T"])
+    @pytest.mark.parametrize("op", ["gather_rows", "a3_aggregate", "A3"])
+    def test_fortran_ordered_input_gets_gradient(self, op, layout):
+        """Flattening a Fortran-ordered array copies it, so a scatter into
+        a buffer shaped like such an input must not lose its writes."""
+        x = np.arange(12, dtype=np.float32).reshape(4, 3)
+        index = np.array([3, 0, 3])
+        x_t, x_grad = as_layout(x, layout)
+        if op == "gather_rows":
+            out = gather_rows(x_t, index)
+        else:
+            aggregate = A3().forward if op == "A3" else a3_aggregate
+            out = aggregate(x_t, index, np.array([0, 1, 1]),
+                            Tensor(np.ones(3, dtype=np.float32)), 2)
+        out.sum().backward()
+        want = np.zeros((4, 3), dtype=np.float32)
+        want[[0, 3]] = [[1, 1, 1], [2, 2, 2]]
+        assert_same_bits(x_grad(), want)
+
+    @pytest.mark.parametrize("model", ["gcn", "gin", "gat"])
+    def test_training_params_match_oracle(self, model, tiny_dataset,
+                                          monkeypatch):
+        sampler = NeighborSampler(tiny_dataset.graph, (3, 4, 5), rng=0)
+        seeds = tiny_dataset.train_ids[:64]
+        subgraph = sampler.sample(seeds)
+        features = tiny_dataset.features.gather(subgraph.input_nodes)
+        labels = tiny_dataset.labels[seeds]
+
+        def train():
+            net = build_model(model, tiny_dataset.feature_dim,
+                              tiny_dataset.num_classes, hidden_dim=16,
+                              seed=1)
+            opt = Adam(net.parameters(), lr=5e-3)
+            for _ in range(2):
+                loss = cross_entropy(net(subgraph, Tensor(features)),
+                                     labels)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            return [p.data.copy() for p in net.parameters()]
+
+        fast = train()
+        monkeypatch.setattr(functional, "_scatter_add_rows", _oracle_scatter)
+        oracle = train()
+        assert len(fast) == len(oracle)
+        for got, want in zip(fast, oracle):
+            assert_same_bits(got, want)
 
 
 class TestEdgeSoftmax:
