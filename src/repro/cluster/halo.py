@@ -188,22 +188,26 @@ class HaloExchange:
         report.requested_rows = int(remote.size)
         if remote.size == 0:
             return report
-        sorted_ids, _counts = group_by_owner(remote, self.assignment,
-                                             self.num_nodes)
+        # Without a cache every remote row is fetched from its owner.
+        sorted_ids, fetched_by_peer = group_by_owner(
+            remote, self.assignment, self.num_nodes)
         cache = self._caches[node]
-        misses_by_peer: dict = {}
-        for node_id in sorted_ids.tolist():
-            if cache is not None and cache.lookup(node_id) is not MISS:
-                report.cache_hits += 1
-                continue
-            owner = int(self.assignment[node_id])
-            misses_by_peer[owner] = misses_by_peer.get(owner, 0) + 1
-            if cache is not None:
-                cache.insert(node_id, _RESIDENT)
+        if cache is not None:
+            misses = []
+            for node_id in sorted_ids.tolist():
+                if cache.lookup(node_id) is MISS:
+                    misses.append(node_id)
+                    cache.insert(node_id, _RESIDENT)
+            report.cache_hits = report.requested_rows - len(misses)
+            fetched_by_peer = np.bincount(
+                self.assignment[np.asarray(misses, dtype=np.int64)],
+                minlength=self.num_nodes,
+            )
         report.fetched_rows = report.requested_rows - report.cache_hits
+        # Ascending peer order: it fixes the net_stall fault-key sequence.
         report.bytes_by_peer = {
             peer: rows * self.bytes_per_row
-            for peer, rows in sorted(misses_by_peer.items())
+            for peer, rows in enumerate(fetched_by_peer.tolist()) if rows
         }
         for peer, num_bytes in report.bytes_by_peer.items():
             self.traffic[peer, node] += num_bytes

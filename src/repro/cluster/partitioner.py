@@ -18,16 +18,21 @@ Three strategies, all returning a validated dense node→part assignment
   so the stream order gives the greedy pass the same locality signal a
   multilevel METIS would recover.
 
-The greedy pass is vectorized over blocks of the stream: affinity
-counts for a whole block are one ``np.add.at`` over the block's
-adjacency slice (blocks are contiguous in ID order, so the slice is a
-single range of the CSR arrays); only the final argmax-and-place runs
-per node, keeping the pass O(E) with small constants.
+The greedy pass counts affinity over blocks of the stream: a whole
+block's counts are one flat ``np.bincount`` of ``row * parts + part``
+over the block's adjacency slice (blocks are contiguous in ID order, so
+the slice is a single range of the CSR arrays). Only the score-and-place
+step runs per node, on Python lists: with a handful of partitions, a few
+float operations per node cost less than numpy calls on arrays that
+small. The scores are the same float64 operations, and the first
+maximum wins as with ``np.argmax``, so the assignment is the one a
+vectorized score would give. The pass stays O(E) with small constants.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -80,23 +85,17 @@ def greedy_partition(graph, num_parts: int, balance_slack: float = 0.05,
     indptr = graph.indptr
     indices = graph.indices
     assignment = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(num_parts, dtype=np.int64)
+    fill = _Fill(num_parts, capacity)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        block = stop - start
-        lo, hi = int(indptr[start]), int(indptr[stop])
-        neigh_parts = assignment[indices[lo:hi]]
-        degs = np.diff(indptr[start:stop + 1])
-        rows = np.repeat(np.arange(block), degs)
-        placed = neigh_parts >= 0
-        affinity = np.zeros((block, num_parts), dtype=np.float64)
-        np.add.at(affinity, (rows[placed], neigh_parts[placed]), 1.0)
-        for i in range(block):
-            score = affinity[i] * (1.0 - sizes / capacity)
-            score[sizes >= capacity] = -np.inf
-            best = int(np.argmax(score))
-            assignment[start + i] = best
-            sizes[best] += 1
+        placed = []
+        for row in _block_affinity(indptr, indices, assignment, start, stop,
+                                   num_parts):
+            score = fill.scores(row)
+            best = score.index(max(score))
+            placed.append(best)
+            fill.resize(best, 1)
+        assignment[start:stop] = placed
     # Second-chance pass over intra-block edges: the blockwise affinity
     # above ignores edges between nodes of the same block, which matters
     # for tightly clustered ID ranges. One refinement sweep (still
@@ -104,27 +103,71 @@ def greedy_partition(graph, num_parts: int, balance_slack: float = 0.05,
     # full neighbor knowledge.
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        block = stop - start
-        lo, hi = int(indptr[start]), int(indptr[stop])
-        neigh_parts = assignment[indices[lo:hi]]
-        degs = np.diff(indptr[start:stop + 1])
-        rows = np.repeat(np.arange(block), degs)
-        affinity = np.zeros((block, num_parts), dtype=np.float64)
-        np.add.at(affinity, (rows, neigh_parts), 1.0)
-        for i in range(block):
-            node = start + i
-            current = int(assignment[node])
-            score = affinity[i] * (1.0 - sizes / capacity)
-            score[sizes >= capacity] = -np.inf
-            score[current] = affinity[i][current] * (
-                1.0 - (sizes[current] - 1) / capacity
+        affinity = _block_affinity(indptr, indices, assignment, start, stop,
+                                   num_parts)
+        parts = assignment[start:stop].tolist()
+        for i, row in enumerate(affinity):
+            current = parts[i]
+            score = fill.scores(row)
+            score[current] = row[current] * (
+                1.0 - (fill.sizes[current] - 1) / capacity
             )
-            best = int(np.argmax(score))
+            best = score.index(max(score))
             if best != current:
-                assignment[node] = best
-                sizes[current] -= 1
-                sizes[best] += 1
+                parts[i] = best
+                fill.resize(current, -1)
+                fill.resize(best, 1)
+        assignment[start:stop] = parts
     return assignment
+
+
+def _block_affinity(indptr, indices, assignment, start: int, stop: int,
+                    num_parts: int) -> list:
+    """Placed-neighbor counts per partition of nodes ``start..stop-1``,
+    as one list of ``num_parts`` ints per node (one flat bincount over
+    the block's contiguous CSR slice)."""
+    block = stop - start
+    lo, hi = int(indptr[start]), int(indptr[stop])
+    neigh_parts = assignment[indices[lo:hi]]
+    rows = np.repeat(np.arange(block), np.diff(indptr[start:stop + 1]))
+    placed = neigh_parts >= 0
+    counts = np.bincount(rows[placed] * num_parts + neigh_parts[placed],
+                         minlength=block * num_parts)
+    return counts.reshape(block, num_parts).tolist()
+
+
+class _Fill:
+    """Partition sizes during a greedy pass, with each partition's
+    capacity factor ``1 - size/capacity`` refreshed whenever its size
+    changes.
+
+    :meth:`scores` is ``affinity * factor`` per partition and ``-inf``
+    for full ones: the float64 operations of the vectorized score, one by
+    one, so ``score.index(max(score))`` picks what ``np.argmax`` would
+    (the lowest index among equal maxima).
+    """
+
+    __slots__ = ("capacity", "sizes", "factor", "full")
+
+    def __init__(self, num_parts: int, capacity: int) -> None:
+        self.capacity = capacity
+        self.sizes = [0] * num_parts
+        self.factor = [1.0] * num_parts
+        self.full: set = set()
+
+    def scores(self, affinity: list) -> list:
+        score = list(map(mul, affinity, self.factor))
+        for part in self.full:
+            score[part] = -math.inf
+        return score
+
+    def resize(self, part: int, delta: int) -> None:
+        size = self.sizes[part] = self.sizes[part] + delta
+        self.factor[part] = 1.0 - size / self.capacity
+        if size >= self.capacity:
+            self.full.add(part)
+        else:
+            self.full.discard(part)
 
 
 def partition_graph(graph, num_parts: int, method: str = "greedy",

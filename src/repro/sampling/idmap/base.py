@@ -109,6 +109,14 @@ class MapResult:
     report: IdMapReport
 
 
+#: :func:`first_occurrence_unique` addresses a scratch array by ID when the
+#: largest ID is below this multiple of the number of input IDs, and sorts
+#: otherwise. The bound caps the scratch at 16 int64 slots per input ID.
+#: Far above it, a large scratch is mapped fresh on every call and mostly
+#: left untouched, and the sort is faster (``docs/performance.md`` §6).
+DENSE_ID_RATIO = 16
+
+
 def first_occurrence_unique(ids: np.ndarray) -> tuple:
     """``(unique, inverse)`` with unique ordered by first occurrence.
 
@@ -116,8 +124,35 @@ def first_occurrence_unique(ids: np.ndarray) -> tuple:
     variants here emit the same mapping (the concurrency harness in
     :mod:`repro.sampling.idmap.fused` demonstrates that *any* interleaving
     yields a valid bijection, merely a permuted one).
+
+    Raises ``ValueError`` on a negative ID: ``-1`` is the hash table's
+    EMPTY sentinel, and the device maps reject it the same way.
     """
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.size == 0:
+        return _sorted_first_occurrence(ids)
+    if ids.min() < 0:
+        raise ValueError("global IDs must be non-negative (-1 is EMPTY)")
+    high = int(ids.max())
+    if high < DENSE_ID_RATIO * ids.size:
+        return _dense_first_occurrence(ids, high)
+    return _sorted_first_occurrence(ids)
+
+
+def _dense_first_occurrence(ids: np.ndarray, high: int) -> tuple:
+    """O(n) first occurrences through a scratch array indexed by ID."""
+    position = np.arange(ids.size)
+    scratch = np.empty(high + 1, dtype=np.int64)
+    scratch[ids] = ids.size
+    np.minimum.at(scratch, ids, position)
+    unique = ids[scratch[ids] == position]
+    # The first positions are consumed; reuse the scratch for local IDs.
+    scratch[unique] = np.arange(unique.size)
+    return unique, scratch[ids]
+
+
+def _sorted_first_occurrence(ids: np.ndarray) -> tuple:
+    """First occurrences through a stable sort; any ID range."""
     unique_sorted, first_idx, inverse_sorted = np.unique(
         ids, return_index=True, return_inverse=True
     )

@@ -219,6 +219,12 @@ class FrequencyPageCache(PageCache):
         # victim selection stays the exact (count, id) minimum, but in
         # O(log n) amortized instead of a full scan per admission.
         self._heap: list = []
+        # Admission floor: the count of the last coldest resident seen by
+        # a full-cache admission. Counts only grow and an admission only
+        # replaces the coldest page by a hotter one, so once the cache is
+        # full its coldest count never decreases; a miss counted at or
+        # below the floor would lose to the coldest resident anyway.
+        self._floor = -1
 
     @property
     def num_resident(self) -> int:
@@ -256,18 +262,20 @@ class FrequencyPageCache(PageCache):
         if page_id in self._frames:
             self._frames[page_id] = frame
             return
+        count = self._counts.get(page_id, 0)
         if len(self._frames) < self.capacity_pages:
             self._frames[page_id] = frame
-            heapq.heappush(self._heap,
-                           (self._counts.get(page_id, 0), page_id))
+            heapq.heappush(self._heap, (count, page_id))
+            return
+        if count <= self._floor:
             return
         victim = self._pop_coldest()
-        if self._counts.get(page_id, 0) > victim[0]:
+        self._floor = victim[0]
+        if count > victim[0]:
             del self._frames[victim[1]]
             self.evictions += 1
             self._frames[page_id] = frame
-            heapq.heappush(self._heap,
-                           (self._counts.get(page_id, 0), page_id))
+            heapq.heappush(self._heap, (count, page_id))
         else:
             heapq.heappush(self._heap, victim)
 

@@ -1,16 +1,21 @@
 """Tests for the cluster tier: spec, fabric, halo exchange, run wiring."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.cluster import ClusterSpec, HaloExchange, NetworkFabric
+from repro.cluster.halo import HaloReport, group_by_owner
 from repro.cluster.fabric import NetworkFabric as Fabric
 from repro.cluster.partitioner import random_partition
 from repro.config import RunConfig
 from repro.errors import ConfigError, NetworkStallError
 from repro.faults import FaultPlan, FaultSpec, fault_scope
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.graph.datasets import Dataset
 from repro.storage.cache import MISS, FrequencyPageCache
 
@@ -162,14 +167,159 @@ class TestFrequencyCache:
             assert set(cache._frames) == set(shadow_frames)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=32),
+        universe=st.integers(min_value=1, max_value=256),
+        hot_share=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_admission_floor_matches_reference(self, capacity, universe,
+                                               hot_share, seed):
+        """Rejecting at the admission floor leaves the same residents and
+        counters as popping the coldest resident on every full miss."""
+        rng = np.random.default_rng(seed)
+        cache = FrequencyPageCache(capacity)
+        reference = FrequencyCacheReference(capacity)
+        hot_pages = max(1, capacity // 2)
+        for _ in range(600):
+            bound = hot_pages if rng.random() < hot_share else universe
+            page = int(rng.integers(0, bound))
+            action = rng.random()
+            if action < 0.1:  # admission without a prior lookup
+                cache.insert(page, page)
+                reference.insert(page, page)
+                continue
+            missed = cache.lookup(page) is MISS
+            assert missed == (reference.lookup(page) is MISS)
+            if missed and action < 0.95:
+                cache.insert(page, page)
+                reference.insert(page, page)
+        assert cache._frames == reference._frames
+        assert cache._counts == reference._counts
+        assert ((cache.hits, cache.misses, cache.evictions)
+                == (reference.hits, reference.misses, reference.evictions))
+
+
+class FrequencyCacheReference(FrequencyPageCache):
+    """The frequency cache with no admission floor: every full-cache miss
+    pops the coldest resident and pushes it back if the newcomer loses."""
+
+    def insert(self, page_id, frame):
+        if self.capacity_pages == 0:
+            return
+        if page_id in self._frames:
+            self._frames[page_id] = frame
+            return
+        if len(self._frames) < self.capacity_pages:
+            self._frames[page_id] = frame
+            heapq.heappush(self._heap,
+                           (self._counts.get(page_id, 0), page_id))
+            return
+        victim = self._pop_coldest()
+        if self._counts.get(page_id, 0) > victim[0]:
+            del self._frames[victim[1]]
+            self.evictions += 1
+            self._frames[page_id] = frame
+            heapq.heappush(self._heap,
+                           (self._counts.get(page_id, 0), page_id))
+        else:
+            heapq.heappush(self._heap, victim)
+
+
+class PerRowHaloReference(HaloExchange):
+    """The halo exchange with per-row miss accounting: one dict update per
+    missed row, peers sorted at the end."""
+
+    def exchange(self, node, input_nodes):
+        report = HaloReport(node=node)
+        if self.num_nodes <= 1:
+            return report
+        ids = np.unique(np.asarray(input_nodes, dtype=np.int64))
+        remote = ids[self.assignment[ids] != node]
+        report.requested_rows = int(remote.size)
+        if remote.size == 0:
+            return report
+        sorted_ids, _counts = group_by_owner(remote, self.assignment,
+                                             self.num_nodes)
+        cache = self._caches[node]
+        misses_by_peer: dict = {}
+        for node_id in sorted_ids.tolist():
+            if cache is not None and cache.lookup(node_id) is not MISS:
+                report.cache_hits += 1
+                continue
+            owner = int(self.assignment[node_id])
+            misses_by_peer[owner] = misses_by_peer.get(owner, 0) + 1
+            if cache is not None:
+                cache.insert(node_id, True)
+        report.fetched_rows = report.requested_rows - report.cache_hits
+        report.bytes_by_peer = {
+            peer: rows * self.bytes_per_row
+            for peer, rows in sorted(misses_by_peer.items())
+        }
+        for peer, num_bytes in report.bytes_by_peer.items():
+            self.traffic[peer, node] += num_bytes
+            key = self.next_fault_key()
+            _, stats = call_with_faults(
+                lambda: None,
+                site="net_stall",
+                policy=self.retry_policy,
+                key=key,
+                exc_factory=lambda attempts, src=peer: NetworkStallError(
+                    src=src, dst=node, attempts=attempts
+                ),
+            )
+            report.retry_delay_s += stats.delay_s
+            report.retries += stats.num_retries
+        report.exchange_s = (
+            self.fabric.gather_time(report.bytes_by_peer, node)
+            + report.retry_delay_s
+        )
+        self._accumulate(report)
+        return report
+
+
 def _exchange(num_graph_nodes=400, num_cluster_nodes=4, seed=0,
-              cache="freq", retry_policy=None) -> HaloExchange:
+              cache="freq", retry_policy=None,
+              engine=HaloExchange) -> HaloExchange:
     spec = ClusterSpec(num_nodes=num_cluster_nodes, remote_cache=cache)
     assignment = random_partition(num_graph_nodes, num_cluster_nodes,
                                   seed=seed)
     fabric = NetworkFabric.from_spec(spec)
-    return HaloExchange(assignment, fabric, spec, bytes_per_row=64,
-                        retry_policy=retry_policy)
+    return engine(assignment, fabric, spec, bytes_per_row=64,
+                  retry_policy=retry_policy)
+
+
+class TestHaloMatchesPerRowReference:
+    @pytest.mark.parametrize("cache", ["freq", "lru", "partition", "none"])
+    @pytest.mark.parametrize("num_cluster_nodes", [2, 4, 7])
+    def test_identical_reports(self, cache, num_cluster_nodes):
+        def run(engine):
+            plan = FaultPlan(seed=3, sites={
+                "net_stall": FaultSpec(probability=0.5, max_failures=2),
+            })
+            rng = np.random.default_rng(num_cluster_nodes)
+            with fault_scope(plan):
+                halo = _exchange(num_cluster_nodes=num_cluster_nodes,
+                                 cache=cache, engine=engine)
+                reports = [
+                    halo.exchange(batch % num_cluster_nodes,
+                                  rng.integers(0, 400, size=90))
+                    for batch in range(40)
+                ]
+            return halo, reports
+
+        halo, reports = run(HaloExchange)
+        reference, want = run(PerRowHaloReference)
+        assert reports == want
+        # The exchange draws one net_stall key per peer in the dict's
+        # order, so equal item order means the same key went to each peer.
+        assert ([list(r.bytes_by_peer.items()) for r in reports]
+                == [list(r.bytes_by_peer.items()) for r in want])
+        assert halo._fault_seq == reference._fault_seq
+        np.testing.assert_array_equal(halo.traffic, reference.traffic)
+        assert halo.summary() == reference.summary()
+        assert sum(report.retries for report in reports) > 0
 
 
 class TestHaloConservation:

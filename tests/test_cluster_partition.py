@@ -1,5 +1,8 @@
 """Property tests for the cluster partitioners and partition accounting."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.cluster.partitioner import (
 )
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
+from repro.graph.datasets import DATASETS, Dataset
 from repro.graph.generators import community_graph
 from repro.graph.partition import partition_stats, validate_assignment
 
@@ -65,6 +69,95 @@ class TestPartitionerProperties:
             graph, random_partition(graph.num_nodes, num_parts, seed=seed),
             num_parts)
         assert greedy.edge_cut <= random.edge_cut
+
+
+def greedy_partition_reference(graph, num_parts, balance_slack=0.05,
+                               block_size=64):
+    """The greedy partitioner as a per-node numpy loop: a 2-D
+    ``np.add.at`` affinity per block and a masked ``np.argmax`` per node.
+    ``greedy_partition`` must return exactly its assignment."""
+    n = graph.num_nodes
+    if num_parts == 1:
+        return np.zeros(n, dtype=np.int64)
+    capacity = max(
+        math.ceil(n / num_parts),
+        math.ceil(n / num_parts * (1.0 + balance_slack)),
+    )
+    indptr = graph.indptr
+    indices = graph.indices
+    assignment = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(num_parts, dtype=np.int64)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = stop - start
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        neigh_parts = assignment[indices[lo:hi]]
+        degs = np.diff(indptr[start:stop + 1])
+        rows = np.repeat(np.arange(block), degs)
+        placed = neigh_parts >= 0
+        affinity = np.zeros((block, num_parts), dtype=np.float64)
+        np.add.at(affinity, (rows[placed], neigh_parts[placed]), 1.0)
+        for i in range(block):
+            score = affinity[i] * (1.0 - sizes / capacity)
+            score[sizes >= capacity] = -np.inf
+            best = int(np.argmax(score))
+            assignment[start + i] = best
+            sizes[best] += 1
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = stop - start
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        neigh_parts = assignment[indices[lo:hi]]
+        degs = np.diff(indptr[start:stop + 1])
+        rows = np.repeat(np.arange(block), degs)
+        affinity = np.zeros((block, num_parts), dtype=np.float64)
+        np.add.at(affinity, (rows, neigh_parts), 1.0)
+        for i in range(block):
+            node = start + i
+            current = int(assignment[node])
+            score = affinity[i] * (1.0 - sizes / capacity)
+            score[sizes >= capacity] = -np.inf
+            score[current] = affinity[i][current] * (
+                1.0 - (sizes[current] - 1) / capacity
+            )
+            best = int(np.argmax(score))
+            if best != current:
+                assignment[node] = best
+                sizes[current] -= 1
+                sizes[best] += 1
+    return assignment
+
+
+class TestGreedyMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_nodes=st.integers(min_value=1, max_value=400),
+        avg_degree=st.floats(min_value=1.0, max_value=12.0),
+        num_parts=st.integers(min_value=2, max_value=16),
+        balance_slack=st.floats(min_value=0.0, max_value=0.5),
+        block_size=st.sampled_from([1, 7, 64]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_identical_assignment(self, num_nodes, avg_degree, num_parts,
+                                  balance_slack, block_size, seed):
+        graph, _ = community_graph(num_nodes, avg_degree,
+                                   num_communities=num_parts, rng=seed)
+        got = greedy_partition(graph, num_parts,
+                               balance_slack=balance_slack,
+                               block_size=block_size)
+        want = greedy_partition_reference(graph, num_parts,
+                                          balance_slack=balance_slack,
+                                          block_size=block_size)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_identical_on_papers100m_recipe(self):
+        spec = replace(DATASETS["papers100m"], num_nodes=20_000)
+        graph = Dataset(spec, seed=0).graph
+        np.testing.assert_array_equal(
+            greedy_partition(graph, 4),
+            greedy_partition_reference(graph, 4),
+        )
 
 
 class TestBaselinePartitioners:

@@ -13,7 +13,10 @@ from repro.sampling.idmap import (
     FusedIdMap,
     IdMapReport,
 )
-from repro.sampling.idmap.base import first_occurrence_unique
+from repro.sampling.idmap.base import (
+    DENSE_ID_RATIO,
+    first_occurrence_unique,
+)
 from repro.sampling.idmap.fused import simulate_concurrent_fused_map
 
 ALL_MAPS = [BaselineIdMap(), FusedIdMap(), CpuIdMap()]
@@ -31,6 +34,79 @@ class TestFirstOccurrenceUnique:
         unique, inverse = first_occurrence_unique(ids)
         np.testing.assert_array_equal(unique, ids)
         np.testing.assert_array_equal(inverse, [0, 1, 2])
+
+
+def sorted_first_occurrence_reference(ids):
+    """The sort-based formulation: ``np.unique``, then unique reordered
+    by first index and the inverse ranked to match. It handles any ID
+    range; the dense path must reproduce it exactly."""
+    ids = np.asarray(ids, dtype=np.int64)
+    unique_sorted, first_idx, inverse_sorted = np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return unique_sorted[order], rank[inverse_sorted]
+
+
+@st.composite
+def ids_around_dense_threshold(draw):
+    """IDs whose largest value sits below, exactly at, or above the
+    dense/sort threshold ``DENSE_ID_RATIO * len(ids)``, optionally offset
+    by 2**40 (always the sort path)."""
+    n = draw(st.integers(1, 200))
+    edge = DENSE_ID_RATIO * n
+    high = draw(st.sampled_from([0, n - 1, edge - 1, edge, edge + 1,
+                                 4 * edge]))
+    ids = draw(st.lists(st.integers(0, high), min_size=n - 1,
+                        max_size=n - 1))
+    ids.insert(draw(st.integers(0, n - 1)), high)
+    offset = draw(st.sampled_from([0, 2**40]))
+    return np.array(ids, dtype=np.int64) + offset
+
+
+class TestFirstOccurrenceIdentity:
+    """Both paths of ``first_occurrence_unique`` against the sort-based
+    reference: equal arrays, equal dtypes."""
+
+    @staticmethod
+    def assert_identical(ids):
+        got = first_occurrence_unique(ids)
+        want = sorted_first_occurrence_reference(ids)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids_around_dense_threshold())
+    def test_matches_sort_reference(self, ids):
+        self.assert_identical(ids)
+
+    @pytest.mark.parametrize("ids", [
+        np.array([], dtype=np.int64),
+        np.array([0]),
+        np.array([12345]),
+        np.full(50, 7),
+        np.full(50, 2**40 + 7),
+        np.array([2**40 + 5, 2**40 + 9, 2**40 + 5, 2**40 + 123456789]),
+        [3, 1, 3, 2],
+        np.array([4, 0, 4, 1], dtype=np.int32),
+    ], ids=["empty", "zero", "single", "all-duplicate",
+            "all-duplicate-2**40", "offset-2**40", "list", "int32"])
+    def test_edge_cases(self, ids):
+        self.assert_identical(ids)
+
+
+@pytest.mark.parametrize("idmap", ALL_MAPS, ids=lambda m: type(m).__name__)
+class TestNegativeIdsRejected:
+    """-1 is the hash table's EMPTY sentinel; every map rejects negative
+    IDs the way the exact and vectorized tables do."""
+
+    @pytest.mark.parametrize("ids", [[-1, 3, -1], [5, -2], [-(2**40)]])
+    def test_negative_id_raises(self, idmap, ids):
+        with pytest.raises(ValueError, match="non-negative"):
+            idmap.map(np.array(ids, dtype=np.int64))
 
 
 @pytest.mark.parametrize("idmap", ALL_MAPS, ids=lambda m: type(m).__name__)
