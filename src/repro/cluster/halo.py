@@ -36,6 +36,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.errors import NetworkStallError
 from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.obs import get_registry
+from repro.sampling.idmap.base import sorted_unique
 from repro.storage.cache import (
     MISS,
     FrequencyPageCache,
@@ -183,7 +184,7 @@ class HaloExchange:
         report = HaloReport(node=node)
         if self.num_nodes <= 1:
             return report
-        ids = np.unique(np.asarray(input_nodes, dtype=np.int64))
+        ids = sorted_unique(np.asarray(input_nodes, dtype=np.int64))
         remote = ids[self.assignment[ids] != node]
         report.requested_rows = int(remote.size)
         if remote.size == 0:

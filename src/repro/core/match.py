@@ -13,18 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sampling.idmap.base import sorted_unique
+
 
 def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
     """The paper's match degree ``M_ij = N_o / min(N_i, N_j)``.
 
     Inputs are node-ID arrays (duplicates tolerated; uniqued internally).
+    The overlap ``N_o`` counts the smaller unique set's members found in
+    the larger one.
     """
-    a = np.unique(np.asarray(nodes_a, dtype=np.int64))
-    b = np.unique(np.asarray(nodes_b, dtype=np.int64))
+    a = sorted_unique(np.asarray(nodes_a, dtype=np.int64))
+    b = sorted_unique(np.asarray(nodes_b, dtype=np.int64))
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    overlap = len(np.intersect1d(a, b, assume_unique=True))
-    return overlap / min(len(a), len(b))
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    overlap = int(np.count_nonzero(_in_sorted(small, large)))
+    return overlap / len(small)
+
+
+def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``values`` occur in the ascending ``sorted_set``."""
+    if len(sorted_set) == 0:
+        return np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
+    return sorted_set[pos] == values
 
 
 @dataclass
@@ -59,14 +72,7 @@ def match_split(resident: np.ndarray, wanted: np.ndarray) -> MatchResult:
     which is what the ID map produces for a subgraph's input nodes.
     """
     wanted = np.asarray(wanted, dtype=np.int64)
-    resident = np.asarray(resident, dtype=np.int64)
-    if len(resident) == 0:
-        return MatchResult(
-            overlap_ids=np.empty(0, dtype=np.int64), load_ids=wanted.copy()
-        )
-    pos = np.searchsorted(resident, wanted)
-    pos_clipped = np.minimum(pos, len(resident) - 1)
-    is_resident = resident[pos_clipped] == wanted
+    is_resident = _in_sorted(wanted, np.asarray(resident, dtype=np.int64))
     return MatchResult(
         overlap_ids=wanted[is_resident],
         load_ids=wanted[~is_resident],
@@ -110,9 +116,8 @@ class MatchState:
         if ids is None:
             self.reset()
             return
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
-        self._resident = np.setdiff1d(self._resident, ids,
-                                      assume_unique=True)
+        ids = sorted_unique(np.asarray(ids, dtype=np.int64))
+        self._resident = self._resident[~_in_sorted(self._resident, ids)]
         self._last_load_ids = np.empty(0, dtype=np.int64)
 
     def invalidate_pending(self) -> None:

@@ -139,6 +139,26 @@ def first_occurrence_unique(ids: np.ndarray) -> tuple:
     return _sorted_first_occurrence(ids)
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` for integer IDs: same values, same dtype.
+
+    numpy 2.x routes ``np.unique`` of integers through a hash table and
+    then sorts its output, which costs more than one ``np.sort`` plus an
+    adjacent-difference mask; input that is already strictly increasing
+    (the common case on the serving path) is returned after an O(n)
+    check. The result may be ``ids`` itself or a view of it, so callers
+    must not mutate it.
+    """
+    ids = np.asarray(ids).ravel()
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return ids
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def _dense_first_occurrence(ids: np.ndarray, high: int) -> tuple:
     """O(n) first occurrences through a scratch array indexed by ID."""
     position = np.arange(ids.size)

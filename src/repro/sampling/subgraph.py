@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sampling.idmap.base import IdMapReport
+from repro.sampling.idmap.base import IdMapReport, sorted_unique
 
 
 @dataclass
@@ -81,7 +81,8 @@ class SampledSubgraph:
     #: Total neighbor draws performed by the sampler (cost-model input).
     num_sampled_edges: int = 0
     extras: dict = field(default_factory=dict)
-    #: Memoized ``np.unique(input_nodes)`` (see :meth:`unique_input_nodes`).
+    #: Memoized sorted unique ``input_nodes`` (see
+    #: :meth:`unique_input_nodes`).
     _unique_input_cache: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -102,12 +103,12 @@ class SampledSubgraph:
         """Sorted unique ``input_nodes``, computed once and cached.
 
         The match/reorder/cache paths all need the sorted-unique view of
-        the same frontier; caching it here means the ``np.unique`` pass
+        the same frontier; caching it here means the dedup pass
         runs once per subgraph instead of once per consumer. Callers must
         not mutate the returned array.
         """
         if self._unique_input_cache is None:
-            self._unique_input_cache = np.unique(
+            self._unique_input_cache = sorted_unique(
                 np.asarray(self.input_nodes, dtype=np.int64)
             )
         return self._unique_input_cache

@@ -9,10 +9,14 @@ cost); a row found **stale** counts separately — it must be re-fetched,
 which is exactly the consistency price a TTL cache pays for embeddings
 that retrain underneath it.
 
-The row index lives in ordinary process memory; the row *payload* lives
-in a :class:`repro.parallel.shm.SharedArena` slab (one slot per cached
-row) when shared memory is available, with a plain ``numpy`` slab as
-the fallback — same observable behavior either way, which the tests
+The row index lives in ordinary process memory: a dense insertion-stamp
+array by node ID (NaN where the tier holds no row) that lookups read in
+one vectorized pass, plus an insertion-ordered map of node ID to slot for
+FIFO eviction. The stamp array grows by doubling to the largest node ID
+ever inserted, 8 bytes per ID. The row *payload* lives in a
+:class:`repro.parallel.shm.SharedArena` slab (one slot per cached row)
+when shared memory is available, with a plain ``numpy`` slab as the
+fallback — same observable behavior either way, which the tests
 pin. Eviction is deterministic FIFO by insertion order (slot reuse in
 arrival order), so fleet runs replay bit-identically.
 """
@@ -68,6 +72,14 @@ class CacheTierStats:
         return self.stale / self.lookups if self.lookups else 0.0
 
 
+def _node_ids(nodes: np.ndarray) -> np.ndarray:
+    """``nodes`` as int64; a negative ID has no stamp row to address."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and nodes.min() < 0:
+        raise ValueError("node IDs must be non-negative")
+    return nodes
+
+
 class CacheTier:
     """Shared-memory embedding row cache with TTL freshness.
 
@@ -80,8 +92,10 @@ class CacheTier:
     def __init__(self, config: CacheTierConfig, arena=None) -> None:
         self.config = config
         self.stats = CacheTierStats()
-        #: node id -> (slot, inserted_at); OrderedDict gives FIFO age.
+        #: node id -> slot; OrderedDict gives FIFO age.
         self._index: OrderedDict = OrderedDict()
+        #: node id -> insertion time; NaN where no row is held.
+        self._stamp = np.full(1, np.nan)
         self._free_slots = list(range(config.capacity_rows - 1, -1, -1))
         self._owns_arena = False
         nbytes = config.capacity_rows * config.row_bytes
@@ -115,47 +129,51 @@ class CacheTier:
                               buffer=self._arena.buf, offset=offset)
         return self._slab[offset:offset + self.config.row_bytes]
 
-    def _fresh(self, inserted_at: float, now: float) -> bool:
-        ttl = self.config.ttl_s
-        return ttl <= 0 or (now - inserted_at) <= ttl
-
     def lookup(self, nodes: np.ndarray, now: float):
-        """Partition ``nodes`` into ``(fresh_hits, stale, misses)``.
+        """Partition ``nodes`` into ``(fresh_hits, stale, misses)``, each in
+        input order.
 
         Stale rows stay indexed (their slot is reused on re-insert);
         only the counters distinguish them from fresh hits.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        hits, stale, misses = [], [], []
-        for node in nodes.tolist():
-            entry = self._index.get(node)
-            if entry is None:
-                misses.append(node)
-            elif self._fresh(entry[1], now):
-                hits.append(node)
-            else:
-                stale.append(node)
+        nodes = _node_ids(nodes)
+        stamp = np.take(self._stamp, nodes, mode="clip")
+        stamp[nodes >= self._stamp.size] = np.nan
+        present = ~np.isnan(stamp)
+        ttl = self.config.ttl_s
+        # NaN stamps compare False, so absent rows are never fresh.
+        fresh = present if ttl <= 0 else (now - stamp) <= ttl
+        hits = nodes[fresh]
+        stale = nodes[present & ~fresh]
+        misses = nodes[~present]
         self.stats.lookups += len(nodes)
         self.stats.hits += len(hits)
         self.stats.stale += len(stale)
         self.stats.misses += len(misses)
-        return (np.asarray(hits, dtype=np.int64),
-                np.asarray(stale, dtype=np.int64),
-                np.asarray(misses, dtype=np.int64))
+        return hits, stale, misses
 
     def insert(self, nodes: np.ndarray, now: float) -> int:
         """(Re)fill rows for ``nodes`` at time ``now``; returns how many
         evictions that cost. Re-inserting a present row refreshes its
         timestamp in place (no eviction)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = _node_ids(nodes)
+        if np.isnan(now):
+            raise ValueError("now must not be NaN (NaN marks an absent row)")
+        high = int(nodes.max()) if nodes.size else -1
+        if high >= self._stamp.size:
+            size = self._stamp.size
+            while size <= high:
+                size *= 2
+            grown = np.full(size, np.nan)
+            grown[:self._stamp.size] = self._stamp
+            self._stamp = grown
         evicted = 0
         for node in nodes.tolist():
-            entry = self._index.pop(node, None)
-            if entry is not None:
-                slot = entry[0]
-            else:
+            slot = self._index.pop(node, None)
+            if slot is None:
                 if not self._free_slots:
-                    _, (slot, _) = self._index.popitem(last=False)
+                    victim, slot = self._index.popitem(last=False)
+                    self._stamp[victim] = np.nan
                     evicted += 1
                 else:
                     slot = self._free_slots.pop()
@@ -165,8 +183,9 @@ class CacheTier:
                                     dtype=np.uint8)
                 width = min(len(tag), self.config.row_bytes)
                 self._row(slot)[:width] = tag[:width]
-            self._index[node] = (slot, now)
-            self.stats.inserts += 1
+            self._index[node] = slot
+            self._stamp[node] = now
+        self.stats.inserts += len(nodes)
         self.stats.evictions += evicted
         return evicted
 

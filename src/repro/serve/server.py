@@ -27,6 +27,7 @@ from repro.config import RunConfig
 from repro.faults import get_fault_plan
 from repro.obs import get_registry
 from repro.obs.trace import Tracer
+from repro.sampling.idmap.base import sorted_unique
 from repro.serve.batcher import MicroBatcher, select_next_batch
 from repro.serve.profiles import ServiceTimes, ServingProfile
 from repro.serve.request import RequestQueue, build_schedule
@@ -516,7 +517,7 @@ class ReplicaEngine:
                     self._exit(request, loop.now)
             if not live:
                 continue
-            seeds = np.unique(np.concatenate(
+            seeds = sorted_unique(np.concatenate(
                 [r.seeds for r in live]))
             times, subgraph, transfer = profile.service(seeds)
             if self.transfer_total is None:

@@ -137,6 +137,30 @@ def test_cache_tier_fifo_eviction_is_deterministic():
     tier.close()
 
 
+@pytest.mark.parametrize("method", ["lookup", "insert"])
+@pytest.mark.parametrize("ids", [[-1], [2, -1], [-(2**40), 3]])
+def test_cache_tier_rejects_negative_ids(method, ids):
+    """A negative ID would wrap to the stamp array's last row; the tier
+    rejects it the way the ID maps do, and the call changes nothing."""
+    with CacheTier(CacheTierConfig(enabled=True, capacity_rows=4,
+                                   row_bytes=16, ttl_s=1.0)) as tier:
+        tier.insert(np.array([3]), now=0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            getattr(tier, method)(np.array(ids, dtype=np.int64), now=0.1)
+        assert len(tier) == 1
+        assert tier.stats.lookups == 0 and tier.stats.inserts == 1
+        hits, _, missed = tier.lookup(np.array([3, 2]), now=0.1)
+        assert hits.tolist() == [3] and missed.tolist() == [2]
+
+
+def test_cache_tier_rejects_nan_insert_time():
+    with CacheTier(CacheTierConfig(enabled=True, capacity_rows=4,
+                                   row_bytes=16)) as tier:
+        with pytest.raises(ValueError, match="NaN"):
+            tier.insert(np.array([1]), now=float("nan"))
+        assert len(tier) == 0
+
+
 def test_cache_tier_shm_and_fallback_agree():
     cfg = CacheTierConfig(enabled=True, capacity_rows=4, row_bytes=16,
                           ttl_s=0.5)
