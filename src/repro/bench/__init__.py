@@ -1,8 +1,8 @@
 """Wall-clock benchmarks of the hot kernels (``python -m repro.bench``).
 
-:mod:`repro.bench.kernels` defines the five named kernels;
-:mod:`repro.bench.__main__` is the CLI that times them, writes
-``BENCH_repro.json`` and gates against
+:mod:`repro.bench.kernels` defines the named kernels and the runner;
+:mod:`repro.bench.__main__` is the CLI that times them and writes
+``BENCH_repro.json``. ``python -m repro.gate bench`` gates them against
 ``benchmarks/results/bench_baseline.json``.
 """
 

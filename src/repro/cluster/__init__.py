@@ -9,10 +9,12 @@ sync — intra-node NCCL plus an inter-node ring or tree allreduce over a
 contended fabric model. All of it lands in the ``network`` lane of the
 epoch timeline, which still reconciles to the epoch time.
 
-Entry points: pass ``cluster=ClusterSpec(...)`` to
-:func:`repro.api.run` / :meth:`Framework.run_epoch`, or run the scaling
-experiment (``python -m repro.experiments ext_cluster_strong``) and the
-CI smoke gate (``python -m repro.cluster --check-baseline ...``).
+Entry points: pass ``ExecutionSpec(cluster=ClusterSpec(...))`` to
+:func:`repro.api.run` (``exec=``) / :meth:`Framework.run_epoch`
+(``execution=``), or run the scaling experiment (``python -m
+repro.experiments ext_cluster_strong``), the partitioner comparison
+(``ext_cluster_part``) and the regression gate (``python -m repro.gate
+cluster``).
 """
 
 from repro.cluster.engine import ClusterState

@@ -34,7 +34,6 @@ from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
-from repro.frameworks.registry import warn_deprecated
 from repro.graph.partition import MinibatchPlan
 from repro.nn import Adam, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
@@ -46,7 +45,6 @@ from repro.sampling import (
     SampledSubgraph,
 )
 from repro.sampling.base import Sampler
-from repro.sim.pipeline import two_stage_makespan
 from repro.transfer.loader import FeatureLoader, NaiveLoader, TransferReport
 from repro.utils.rng import RngFactory
 
@@ -420,8 +418,6 @@ class Framework:
         model_name: str = "gcn",
         sampler: Sampler | None = None,
         execution: ExecutionSpec | None = None,
-        jobs: int | None = None,
-        cluster=None,
     ) -> EpochReport:
         """Execute one epoch and return its full report.
 
@@ -456,26 +452,9 @@ class Framework:
           overlap across rounds. Model state (losses, parameters) is
           identical in both modes — the pipeline only reschedules
           modeled time.
-
-        The bare ``jobs=`` / ``cluster=`` keyword arguments remain as
-        warn-once deprecation shims for pre-``ExecutionSpec`` callers.
         """
-        if jobs is not None:
-            warn_deprecated("Framework.run_epoch(jobs=...)",
-                            "execution=ExecutionSpec(jobs=...)")
-        if cluster is not None:
-            warn_deprecated("Framework.run_epoch(cluster=...)",
-                            "execution=ExecutionSpec(cluster=...)")
         if execution is None:
-            execution = ExecutionSpec(
-                jobs=jobs if jobs is not None else 1,
-                cluster=cluster,
-            )
-        elif jobs is not None or cluster is not None:
-            raise TypeError(
-                "pass jobs/cluster through the ExecutionSpec, not as "
-                "separate keyword arguments"
-            )
+            execution = ExecutionSpec()
         with ExitStack() as stack:
             if execution.faults is not None:
                 from repro.faults import fault_scope
@@ -1045,11 +1024,3 @@ def _profile_param_bytes(profile) -> int:
         if profile.attention_heads:
             total += 2 * profile.attention_heads * d_out
     return total * 4
-
-
-def pipeline_epoch_time(
-    produce_times: list,
-    consume_times: list,
-) -> float:
-    """Helper for pipelined frameworks (re-exported for GNNLab)."""
-    return two_stage_makespan(produce_times, consume_times)

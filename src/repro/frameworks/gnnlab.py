@@ -83,14 +83,15 @@ class GNNLabFramework(Framework):
         """Producer/consumer pipeline: sampler GPU(s) produce rounds, the
         trainer GPUs consume them in lockstep.
 
-        The layout replays the same recurrence :func:`pipeline_epoch_time`
-        computes — round ``r``'s consumption begins at
-        ``max(produced_r, consumer_free)`` — so the trainer lanes' final
-        spans end exactly at the pipelined epoch time instead of the
-        serial sum the old trace showed. Cluster runs scale the sampler
-        pool (every simulated node factors its own sampler GPUs) and add
-        the halo exchange to each consumer lane plus the inter-node
-        gradient hop to the round barrier.
+        The layout replays the recurrence of
+        :func:`repro.sim.pipeline.two_stage_makespan` — round ``r``'s
+        consumption begins at ``max(produced_r, consumer_free)`` — so
+        the trainer lanes' final spans end exactly at the pipelined
+        epoch time instead of the serial sum the old trace showed.
+        Cluster runs scale the sampler pool (every simulated node
+        factors its own sampler GPUs) and add the halo exchange to each
+        consumer lane plus the inter-node gradient hop to the round
+        barrier.
         """
         samplers = self.num_sampler_gpus(config)
         if network is not None:

@@ -15,11 +15,12 @@ nothing until someone calls :func:`enable` (or scopes a registry with
 
     python -m repro.obs dump --framework fastgl --dataset reddit
     python -m repro.obs compare before.json after.json
-    python -m repro.obs.regress --baseline benchmarks/results/baseline.json
+    python -m repro.gate obs
 
-``repro.obs.regress`` is the perf-regression gate: it replays a
-deterministic instrumented suite and fails when any tracked metric
-drifts past its tolerance against the committed baseline.
+``python -m repro.gate obs`` replays a deterministic instrumented suite
+and fails when any tracked metric drifts past its tolerance against the
+committed baseline; :func:`repro.obs.regress.check` is the checker
+behind every gate scenario.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""Perf-regression gate over the observability metrics.
+"""Perf-regression checker over the observability metrics.
 
-Replays a small, fully deterministic instrumented suite — one epoch each
-of the DGL baseline, FastGL, and out-of-core FastGL on a self-contained
-synthetic dataset — and compares every collected metric against a
-committed baseline snapshot. All tracked values are *modeled* (counted
-work converted to seconds under the fixed cost model) or pure counts, so
-the suite produces bit-identical numbers across runs and platforms; any
-drift is a real behavioral change in sampling, caching, transfer
-planning, or the cost model, not noise.
+:func:`check` compares flat ``name -> value`` metrics against a
+committed baseline document; every gate in :mod:`repro.gate` goes
+through it. This module also holds the ``obs`` scenario's suite: one
+epoch each of the DGL baseline, FastGL, and out-of-core FastGL on a
+self-contained synthetic dataset. All tracked values are *modeled*
+(counted work converted to seconds under the fixed cost model) or pure
+counts, so the suite produces bit-identical numbers across runs and
+platforms; any drift is a real behavioral change in sampling, caching,
+transfer planning, or the cost model, not noise.
 
 Usage::
 
-    python -m repro.obs.regress --baseline benchmarks/results/baseline.json
-    python -m repro.obs.regress --baseline ... --write   # refresh baseline
-
-Exit status is nonzero when any metric is missing or drifts past its
-tolerance.
+    python -m repro.gate obs          # check benchmarks/results/baseline.json
+    python -m repro.gate obs --write  # refresh it
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import sys
 
 from repro.obs import flatten_snapshot, instrumented, to_snapshot
 
@@ -76,124 +70,75 @@ def collect_benchmark_metrics():
         return to_snapshot(registry)
 
 
-def build_baseline(snapshot: dict,
-                   default_tolerance: float = DEFAULT_TOLERANCE) -> dict:
-    """Baseline document from a snapshot: flat metric values + tolerance."""
+def build_baseline(metrics: dict,
+                   default_tolerance: float = DEFAULT_TOLERANCE,
+                   suite=()) -> dict:
+    """Baseline document from flat metrics: values + tolerance + the
+    suite label (what produced them)."""
     return {
-        "suite": list(SUITE_FRAMEWORKS),
+        "suite": list(suite),
         "default_tolerance": default_tolerance,
         "metrics": {
-            name: {"value": value}
-            for name, value in sorted(flatten_snapshot(snapshot).items())
+            name: {"value": value} for name, value in sorted(metrics.items())
         },
     }
 
 
-def check(snapshot: dict, baseline: dict) -> list:
-    """Compare ``snapshot`` against ``baseline``; returns violations.
+def check(metrics: dict, baseline: dict) -> list:
+    """Compare flat ``metrics`` against ``baseline``; returns violations.
 
     Each violation is a dict with ``metric``, ``reason`` and the values
-    involved. A metric violates when it is absent from the snapshot or
-    its relative drift from the baseline value exceeds the metric's
-    tolerance (``tolerance`` per metric, else the baseline's
-    ``default_tolerance``). Metrics present only in the snapshot are
-    new, not regressions, and are ignored.
+    involved. A baseline entry may hold a ``min`` floor, a ``max``
+    ceiling and a ``value``; a metric violates when it is absent, falls
+    below its floor, rises above its ceiling, or drifts from its value
+    by more than its relative tolerance (``tolerance`` per metric, else
+    the baseline's ``default_tolerance``). Metrics present only in
+    ``metrics`` are new, not regressions, and are ignored.
     """
-    current = flatten_snapshot(snapshot)
     default_tol = float(baseline.get("default_tolerance", DEFAULT_TOLERANCE))
     violations = []
     for name, entry in baseline.get("metrics", {}).items():
-        expected = float(entry["value"])
-        tolerance = float(entry.get("tolerance", default_tol))
-        if name not in current:
-            violations.append({
-                "metric": name,
-                "reason": "missing",
-                "expected": expected,
-            })
+        if name not in metrics:
+            violations.append({"metric": name, "reason": "missing",
+                               "expected": entry.get("value")})
             continue
-        actual = float(current[name])
-        drift = abs(actual - expected) / max(abs(expected), 1e-12)
-        if drift > tolerance:
-            violations.append({
-                "metric": name,
-                "reason": "drift",
-                "expected": expected,
-                "actual": actual,
-                "drift": drift,
-                "tolerance": tolerance,
-            })
+        actual = float(metrics[name])
+        if "min" in entry and actual < float(entry["min"]):
+            violations.append({"metric": name, "reason": "below-min",
+                               "actual": actual, "min": float(entry["min"])})
+        if "max" in entry and actual > float(entry["max"]):
+            violations.append({"metric": name, "reason": "above-max",
+                               "actual": actual, "max": float(entry["max"])})
+        if "value" in entry:
+            expected = float(entry["value"])
+            tolerance = float(entry.get("tolerance", default_tol))
+            drift = abs(actual - expected) / max(abs(expected), 1e-12)
+            if drift > tolerance:
+                violations.append({
+                    "metric": name,
+                    "reason": "drift",
+                    "expected": expected,
+                    "actual": actual,
+                    "drift": drift,
+                    "tolerance": tolerance,
+                })
     return violations
 
 
 def format_violation(violation: dict) -> str:
-    if violation["reason"] == "missing":
+    reason = violation["reason"]
+    if reason == "missing":
+        if violation["expected"] is None:
+            return f"MISSING {violation['metric']}"
         return (f"MISSING {violation['metric']} "
                 f"(baseline {violation['expected']:g})")
+    if reason == "below-min":
+        return (f"BELOW   {violation['metric']}: {violation['actual']:g} "
+                f"< min {violation['min']:g}")
+    if reason == "above-max":
+        return (f"ABOVE   {violation['metric']}: {violation['actual']:g} "
+                f"> max {violation['max']:g}")
     return (f"DRIFT   {violation['metric']}: "
             f"{violation['expected']:g} -> {violation['actual']:g} "
             f"({violation['drift']:+.1%} vs tolerance "
             f"{violation['tolerance']:.1%})")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.regress",
-        description="Run the deterministic metrics suite and gate on drift "
-                    "against a committed baseline.",
-    )
-    parser.add_argument(
-        "--baseline", default="benchmarks/results/baseline.json",
-        help="baseline JSON path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--write", action="store_true",
-        help="write/refresh the baseline from this run instead of checking",
-    )
-    parser.add_argument(
-        "--snapshot", default=None, metavar="PATH",
-        help="also write the raw metrics snapshot JSON to PATH",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="default relative tolerance when writing a baseline "
-             "(default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    snapshot = collect_benchmark_metrics()
-    if args.snapshot:
-        with open(args.snapshot, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-        print(f"wrote snapshot: {args.snapshot}")
-
-    if args.write:
-        baseline = build_baseline(snapshot, default_tolerance=args.tolerance)
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote baseline: {args.baseline} "
-              f"({len(baseline['metrics'])} metrics)")
-        return 0
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"no baseline at {args.baseline}; create one with --write",
-              file=sys.stderr)
-        return 2
-
-    violations = check(snapshot, baseline)
-    checked = len(baseline.get("metrics", {}))
-    if violations:
-        print(f"{len(violations)} of {checked} metrics regressed:")
-        for violation in violations:
-            print("  " + format_violation(violation))
-        return 1
-    print(f"ok: {checked} metrics within tolerance")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

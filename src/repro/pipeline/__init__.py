@@ -13,8 +13,10 @@ Three pieces:
   that graph, returning a reconciling timeline with per-stage stall
   spans.
 
-``python -m repro.pipeline`` runs the deterministic overlap smoke suite
-and gates it against ``benchmarks/results/pipeline_baseline.json``.
+``python -m repro.experiments ext_pipe_overlap`` compares sequential and
+pipelined epochs; ``python -m repro.gate pipeline`` gates a
+deterministic overlap suite against
+``benchmarks/results/pipeline_baseline.json``.
 """
 
 from repro.pipeline.epoch import pipelined_epoch_layout, sync_round_flags

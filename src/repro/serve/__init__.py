@@ -21,6 +21,7 @@ Quickstart::
 or from the command line::
 
     python -m repro.serve --framework fastgl --framework dgl --rate 800
+    python -m repro.gate serve fleet    # the regression gate
 """
 
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig, ScaleEvent

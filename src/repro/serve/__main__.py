@@ -4,16 +4,14 @@ Usage::
 
     python -m repro.serve --framework fastgl --framework dgl --rate 800
     python -m repro.serve --dataset smoke --rate 50000 --requests 400
-    python -m repro.serve --dataset smoke --check-baseline \\
-        benchmarks/results/serve_baseline.json          # the CI smoke gate
+    python -m repro.serve --fleet --dataset fleet-smoke --replicas 4
 
 Each selected framework serves the *same* deterministic request
 schedule; the report compares p50/p95/p99 latency, throughput, shed and
 deadline-drop counts, and GPU occupancy. Every run verifies that the
-exported serving timeline reconciles with the event-loop makespan; the
-``--check-baseline`` mode additionally gates the instrumented metrics
-(including the latency summary) against a committed snapshot via
-:mod:`repro.obs.regress`.
+exported serving timeline reconciles with the event-loop makespan.
+``python -m repro.gate serve fleet`` gates the deterministic serving and
+fleet workloads against their committed baselines.
 """
 
 from __future__ import annotations
@@ -24,49 +22,25 @@ import pathlib
 import sys
 
 from repro.config import RunConfig
-from repro.obs import instrumented, to_snapshot
-from repro.obs.regress import build_baseline, check, format_violation
+from repro.gate import RECONCILE_TOL, serve_smoke_dataset
 from repro.serve.autoscale import AutoscalerConfig
 from repro.serve.cache_tier import CacheTierConfig
-from repro.serve.fleet import FleetReport, FleetSpec, simulate_fleet
+from repro.serve.fleet import (
+    FleetReport,
+    FleetSpec,
+    fleet_demo_dataset,
+    simulate_fleet,
+)
 from repro.serve.routing import ROUTER_POLICIES
 from repro.serve.server import ServeConfig, ServeReport, simulate
 from repro.utils.format import ascii_table
 
-#: Reconciliation tolerance between timeline extent and makespan.
-RECONCILE_TOL = 1e-6
-
-
-def smoke_dataset():
-    """A tiny self-contained dataset for the CI smoke gate (never reads
-    the named dataset registry; mirrors ``repro.obs.regress``)."""
-    from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
-
-    spec = DatasetSpec(
-        name="serve-smoke",
-        num_nodes=3000,
-        avg_degree=10.0,
-        feature_dim=32,
-        num_classes=8,
-        train_fraction=0.3,
-        paper=PaperScale(300_000, 3_000_000, 1 << 30),
-    )
-    return Dataset(spec, seed=0)
-
-
-def fleet_smoke_dataset():
-    """The fleet gate's dataset (see
-    :func:`repro.serve.fleet.fleet_demo_dataset`)."""
-    from repro.serve.fleet import fleet_demo_dataset
-
-    return fleet_demo_dataset()
-
 
 def _get_dataset(name: str, seed: int):
     if name == "smoke":
-        return smoke_dataset()
+        return serve_smoke_dataset()
     if name == "fleet-smoke":
-        return fleet_smoke_dataset()
+        return fleet_demo_dataset()
     from repro.graph.datasets import get_dataset
 
     return get_dataset(name, seed=seed)
@@ -87,20 +61,6 @@ def _report_row(report: ServeReport) -> list:
     ]
 
 
-def _publish_summary(registry, report: ServeReport) -> None:
-    """Expose the latency summary as gauges so the baseline gate diffs
-    p50/p95/p99/throughput directly, not only histogram aggregates."""
-    for metric, value in (
-        ("repro_serve_p50_seconds", report.p50),
-        ("repro_serve_p95_seconds", report.p95),
-        ("repro_serve_p99_seconds", report.p99),
-        ("repro_serve_throughput_rps", report.throughput),
-        ("repro_serve_makespan_seconds", report.makespan),
-    ):
-        registry.gauge(metric, "Serving summary statistic").labels(
-            framework=report.framework).set(float(value))
-
-
 def _fleet_row(policy: str, report: FleetReport) -> list:
     return [
         policy,
@@ -116,21 +76,19 @@ def _fleet_row(policy: str, report: FleetReport) -> list:
     ]
 
 
-def _publish_fleet_summary(registry, policy: str,
-                           report: FleetReport) -> None:
-    for metric, value in (
-        ("repro_fleet_p50_seconds", report.p50),
-        ("repro_fleet_p99_seconds", report.p99),
-        ("repro_fleet_throughput_rps", report.throughput),
-        ("repro_fleet_device_hit_rate", report.device_hit_rate),
-        ("repro_fleet_tier_hit_rate", report.tier_hit_rate),
-        ("repro_fleet_replicas", float(len(report.replicas))),
-    ):
-        registry.gauge(metric, "Fleet summary statistic").labels(
-            policy=policy).set(float(value))
+def _reconciles(label: str, report) -> bool:
+    """Print whether ``report``'s timeline ends at its makespan."""
+    if report.reconciles(RECONCILE_TOL):
+        delta = abs(report.timeline_extent - report.makespan)
+        print(f"{label}: timeline reconciles with makespan "
+              f"({report.makespan:.6f}s, |delta| = {delta:.2e})")
+        return True
+    print(f"{label}: TIMELINE MISMATCH: extent {report.timeline_extent!r} "
+          f"vs makespan {report.makespan!r}", file=sys.stderr)
+    return False
 
 
-def run_fleet(args, parser) -> tuple:
+def run_fleet(args, parser) -> int:
     """The ``--fleet`` mode: one framework, every requested router."""
     framework = (args.framework or ["fastgl"])[0]
     policies = args.router or list(ROUTER_POLICIES)
@@ -155,22 +113,18 @@ def run_fleet(args, parser) -> tuple:
     dataset = _get_dataset(args.dataset, args.seed)
 
     reports: dict = {}
-    with instrumented() as registry:
-        for policy in policies:
-            fleet = FleetSpec(
-                num_replicas=args.replicas,
-                router=policy,
-                match_threshold=args.match_threshold,
-                autoscaler=AutoscalerConfig(enabled=args.autoscale),
-                cache=CacheTierConfig(enabled=args.cache_tier),
-            )
-            report = simulate_fleet(framework, dataset,
-                                    run_config=run_config,
-                                    serve_config=serve_config,
-                                    fleet=fleet)
-            reports[policy] = report
-            _publish_fleet_summary(registry, policy, report)
-        snapshot = to_snapshot(registry)
+    for policy in policies:
+        fleet = FleetSpec(
+            num_replicas=args.replicas,
+            router=policy,
+            match_threshold=args.match_threshold,
+            autoscaler=AutoscalerConfig(enabled=args.autoscale),
+            cache=CacheTierConfig(enabled=args.cache_tier),
+        )
+        reports[policy] = simulate_fleet(framework, dataset,
+                                         run_config=run_config,
+                                         serve_config=serve_config,
+                                         fleet=fleet)
 
     print(ascii_table(
         ["router", "replicas", "p50_ms", "p99_ms", "req/s", "avail",
@@ -178,17 +132,8 @@ def run_fleet(args, parser) -> tuple:
         [_fleet_row(policy, reports[policy]) for policy in policies],
     ))
 
-    failures = 0
-    for policy, report in reports.items():
-        delta = abs(report.timeline_extent - report.makespan)
-        if report.reconciles(RECONCILE_TOL):
-            print(f"{policy}: fleet timeline reconciles with makespan "
-                  f"({report.makespan:.6f}s, |delta| = {delta:.2e})")
-        else:
-            print(f"{policy}: FLEET TIMELINE MISMATCH: extent "
-                  f"{report.timeline_extent!r} vs makespan "
-                  f"{report.makespan!r}", file=sys.stderr)
-            failures += 1
+    failures = [policy for policy, report in reports.items()
+                if not _reconciles(policy, report)]
 
     if "round-robin" in reports and "match-affinity" in reports:
         rr, ma = reports["round-robin"], reports["match-affinity"]
@@ -196,7 +141,7 @@ def run_fleet(args, parser) -> tuple:
             print(f"match-affinity over round-robin: "
                   f"p99 {rr.p99 / ma.p99:.2f}x, device hit "
                   f"{rr.device_hit_rate:.1%} -> {ma.device_hit_rate:.1%}")
-    return reports, snapshot, failures
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -234,14 +179,6 @@ def main(argv=None) -> int:
                         help="write per-framework Chrome traces here")
     parser.add_argument("--json", type=pathlib.Path, default=None,
                         metavar="PATH", help="write the summary as JSON")
-    parser.add_argument("--check-baseline", metavar="PATH", default=None,
-                        help="gate instrumented serve metrics against a "
-                             "committed baseline (repro.obs.regress)")
-    parser.add_argument("--write-baseline", metavar="PATH", default=None,
-                        help="write/refresh the baseline from this run")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="default relative tolerance when writing a "
-                             "baseline (default: %(default)s)")
     parser.add_argument("--fleet", action="store_true",
                         help="fleet mode: run one framework behind each "
                              "requested --router and compare policies")
@@ -264,35 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.fleet:
-        reports, snapshot, failures = run_fleet(args, parser)
-        if args.write_baseline:
-            baseline = build_baseline(snapshot,
-                                      default_tolerance=args.tolerance)
-            baseline["suite"] = sorted(reports)
-            with open(args.write_baseline, "w") as handle:
-                json.dump(baseline, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote baseline: {args.write_baseline} "
-                  f"({len(baseline['metrics'])} metrics)")
-            return 0
-        if args.check_baseline:
-            try:
-                with open(args.check_baseline) as handle:
-                    baseline = json.load(handle)
-            except FileNotFoundError:
-                print(f"no baseline at {args.check_baseline}; create one "
-                      "with --write-baseline", file=sys.stderr)
-                return 2
-            violations = check(snapshot, baseline)
-            checked = len(baseline.get("metrics", {}))
-            if violations:
-                print(f"{len(violations)} of {checked} fleet metrics "
-                      "regressed:")
-                for violation in violations:
-                    print("  " + format_violation(violation))
-                return 1
-            print(f"ok: {checked} fleet metrics within tolerance")
-        return 1 if failures else 0
+        return run_fleet(args, parser)
 
     frameworks = args.framework or ["dgl", "fastgl"]
     from repro.frameworks import available_frameworks
@@ -316,14 +225,11 @@ def main(argv=None) -> int:
     )
     dataset = _get_dataset(args.dataset, args.seed)
 
-    reports: dict = {}
-    with instrumented() as registry:
-        for name in frameworks:
-            report = simulate(name, dataset, run_config=run_config,
-                              serve_config=serve_config)
-            reports[name] = report
-            _publish_summary(registry, report)
-        snapshot = to_snapshot(registry)
+    reports = {
+        name: simulate(name, dataset, run_config=run_config,
+                       serve_config=serve_config)
+        for name in frameworks
+    }
 
     rows = [_report_row(reports[name]) for name in frameworks]
     print(ascii_table(
@@ -332,18 +238,8 @@ def main(argv=None) -> int:
         rows,
     ))
 
-    failures = 0
-    for name in frameworks:
-        report = reports[name]
-        delta = abs(report.timeline_extent - report.makespan)
-        if report.reconciles(RECONCILE_TOL):
-            print(f"{name}: timeline reconciles with makespan "
-                  f"({report.makespan:.6f}s, |delta| = {delta:.2e})")
-        else:
-            print(f"{name}: TIMELINE MISMATCH: extent "
-                  f"{report.timeline_extent!r} vs makespan "
-                  f"{report.makespan!r}", file=sys.stderr)
-            failures += 1
+    failures = [name for name, report in reports.items()
+                if not _reconciles(name, report)]
 
     if "dgl" in reports and "fastgl" in reports:
         dgl, fast = reports["dgl"], reports["fastgl"]
@@ -375,34 +271,6 @@ def main(argv=None) -> int:
         args.json.write_text(json.dumps(payload, indent=2, sort_keys=True)
                              + "\n")
         print(f"wrote {args.json}")
-
-    if args.write_baseline:
-        baseline = build_baseline(snapshot,
-                                  default_tolerance=args.tolerance)
-        baseline["suite"] = list(frameworks)
-        with open(args.write_baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote baseline: {args.write_baseline} "
-              f"({len(baseline['metrics'])} metrics)")
-        return 0
-
-    if args.check_baseline:
-        try:
-            with open(args.check_baseline) as handle:
-                baseline = json.load(handle)
-        except FileNotFoundError:
-            print(f"no baseline at {args.check_baseline}; create one with "
-                  "--write-baseline", file=sys.stderr)
-            return 2
-        violations = check(snapshot, baseline)
-        checked = len(baseline.get("metrics", {}))
-        if violations:
-            print(f"{len(violations)} of {checked} serve metrics regressed:")
-            for violation in violations:
-                print("  " + format_violation(violation))
-            return 1
-        print(f"ok: {checked} serve metrics within tolerance")
 
     return 1 if failures else 0
 

@@ -425,8 +425,8 @@ class FleetSim:
 def fleet_demo_dataset(name: str = "fleet-smoke", seed: int = 0):
     """The fleet gate's self-contained dataset: wide feature rows so
     memory IO dominates modeled service time and routing locality is
-    visible in p99 (shared by the CLI smoke gate and the ext_fleet
-    experiments)."""
+    visible in p99 (shared by the ``fleet`` gate scenario, the serve
+    CLI and the ext_fleet experiments)."""
     from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
 
     spec = DatasetSpec(

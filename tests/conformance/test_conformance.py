@@ -15,7 +15,7 @@ modeled epoch time (retry spans are nested inside the memory-IO
 intervals, never extending them).
 
 ``REPRO_CHAOS_SEED`` selects the fault seed (CI pins it; the default
-matches the chaos-smoke job).
+matches CI's chaos job).
 """
 
 from __future__ import annotations

@@ -1,21 +1,26 @@
-"""Tests for the perf-regression gate (repro.obs.regress)."""
+"""Tests for the regression checker (repro.obs.regress) and the gate
+CLI that drives it (repro.gate)."""
 
 import copy
+import dataclasses
 import json
-import pathlib
 
 import pytest
 
+from repro import gate
 from repro.obs import regress
-
-BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent
-                 / "benchmarks" / "results" / "baseline.json")
 
 
 @pytest.fixture(scope="module")
 def snapshot():
     """One run of the deterministic suite, shared by all tests here."""
     return regress.collect_benchmark_metrics()
+
+
+@pytest.fixture(scope="module")
+def metrics(snapshot):
+    """The suite's flat ``name -> value`` metrics."""
+    return regress.flatten_snapshot(snapshot)
 
 
 class TestSuite:
@@ -33,106 +38,124 @@ class TestSuite:
                 == regress.flatten_snapshot(snapshot))
 
 
-class TestCommittedBaseline:
-    def test_current_run_passes_committed_baseline(self, snapshot):
-        """The gate itself: HEAD must match benchmarks/results/baseline.json."""
-        with open(BASELINE_PATH) as handle:
-            baseline = json.load(handle)
-        violations = regress.check(snapshot, baseline)
-        assert violations == [], "\n".join(
-            regress.format_violation(v) for v in violations)
-
-
 class TestCheck:
-    def test_fresh_baseline_has_no_violations(self, snapshot):
-        baseline = regress.build_baseline(snapshot)
+    def test_fresh_baseline_has_no_violations(self, metrics):
+        baseline = regress.build_baseline(metrics)
         assert baseline["metrics"]
-        assert regress.check(snapshot, baseline) == []
+        assert regress.check(metrics, baseline) == []
 
-    def test_perturbation_beyond_tolerance_fails(self, snapshot):
-        baseline = regress.build_baseline(snapshot, default_tolerance=0.05)
+    def test_perturbation_beyond_tolerance_fails(self, metrics):
+        baseline = regress.build_baseline(metrics, default_tolerance=0.05)
         name, entry = next(
             (n, e) for n, e in baseline["metrics"].items()
             if e["value"] > 0)
         tampered = copy.deepcopy(baseline)
         tampered["metrics"][name]["value"] = entry["value"] * 1.5
-        violations = regress.check(snapshot, tampered)
+        violations = regress.check(metrics, tampered)
         assert len(violations) == 1
         assert violations[0]["metric"] == name
         assert violations[0]["reason"] == "drift"
         assert "DRIFT" in regress.format_violation(violations[0])
 
-    def test_perturbation_within_tolerance_passes(self, snapshot):
-        baseline = regress.build_baseline(snapshot, default_tolerance=0.05)
+    def test_perturbation_within_tolerance_passes(self, metrics):
+        baseline = regress.build_baseline(metrics, default_tolerance=0.05)
         name, entry = next(
             (n, e) for n, e in baseline["metrics"].items()
             if e["value"] > 0)
         baseline["metrics"][name]["value"] = entry["value"] * 1.01
-        assert regress.check(snapshot, baseline) == []
+        assert regress.check(metrics, baseline) == []
 
-    def test_per_metric_tolerance_overrides_default(self, snapshot):
-        baseline = regress.build_baseline(snapshot, default_tolerance=0.05)
+    def test_per_metric_tolerance_overrides_default(self, metrics):
+        baseline = regress.build_baseline(metrics, default_tolerance=0.05)
         name, entry = next(
             (n, e) for n, e in baseline["metrics"].items()
             if e["value"] > 0)
         entry["value"] *= 1.2
         entry["tolerance"] = 0.5
-        assert regress.check(snapshot, baseline) == []
+        assert regress.check(metrics, baseline) == []
 
-    def test_missing_metric_is_a_violation(self, snapshot):
-        baseline = regress.build_baseline(snapshot)
+    def test_missing_metric_is_a_violation(self, metrics):
+        baseline = regress.build_baseline(metrics)
         baseline["metrics"]["made_up_metric_total"] = {"value": 42.0}
-        violations = regress.check(snapshot, baseline)
+        violations = regress.check(metrics, baseline)
         assert len(violations) == 1
         assert violations[0]["reason"] == "missing"
         assert "MISSING" in regress.format_violation(violations[0])
 
-    def test_new_metrics_in_snapshot_are_not_violations(self, snapshot):
-        baseline = regress.build_baseline(snapshot)
+    def test_new_metrics_in_snapshot_are_not_violations(self, metrics):
+        baseline = regress.build_baseline(metrics)
         del baseline["metrics"][next(iter(baseline["metrics"]))]
-        assert regress.check(snapshot, baseline) == []
+        assert regress.check(metrics, baseline) == []
+
+    def test_missing_floor_only_metric_formats_without_value(self):
+        baseline = {"metrics": {"k:speedup": {"min": 1.5}}}
+        violations = regress.check({}, baseline)
+        assert [v["reason"] for v in violations] == ["missing"]
+        assert regress.format_violation(violations[0]) == "MISSING k:speedup"
+
+    def test_below_min_floor_fails(self):
+        baseline = {"metrics": {"k:speedup": {"min": 1.5}}}
+        assert regress.check({"k:speedup": 1.5}, baseline) == []
+        violations = regress.check({"k:speedup": 1.2}, baseline)
+        assert [v["reason"] for v in violations] == ["below-min"]
+        assert "BELOW" in regress.format_violation(violations[0])
+
+    def test_above_max_ceiling_fails(self):
+        baseline = {"metrics": {"k:bytes": {"max": 100.0}}}
+        assert regress.check({"k:bytes": 100.0}, baseline) == []
+        violations = regress.check({"k:bytes": 101.0}, baseline)
+        assert [v["reason"] for v in violations] == ["above-max"]
+        assert "ABOVE" in regress.format_violation(violations[0])
+
+    def test_zero_default_tolerance_pins_value_exactly(self):
+        baseline = {"default_tolerance": 0.0,
+                    "metrics": {"k:work.edges": {"value": 77563.0}}}
+        assert regress.check({"k:work.edges": 77563.0}, baseline) == []
+        violations = regress.check({"k:work.edges": 77564.0}, baseline)
+        assert [v["reason"] for v in violations] == ["drift"]
+        assert violations[0]["tolerance"] == 0.0
 
 
 class TestCli:
     @pytest.fixture(autouse=True)
-    def _stub_suite(self, snapshot, monkeypatch):
-        # The CLI re-runs the suite; reuse the module fixture's result.
+    def baseline_path(self, snapshot, tmp_path, monkeypatch):
+        # The CLI re-runs the suite; reuse the module fixture's result and
+        # point the obs scenario at a scratch baseline.
         monkeypatch.setattr(regress, "collect_benchmark_metrics",
                             lambda: copy.deepcopy(snapshot))
+        monkeypatch.setitem(gate.SCENARIOS, "obs", dataclasses.replace(
+            gate.SCENARIOS["obs"], baseline=tmp_path / "baseline.json"))
+        return tmp_path / "baseline.json"
 
-    def test_write_then_check(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert regress.main(["--baseline", str(baseline), "--write"]) == 0
-        assert baseline.exists()
-        assert regress.main(["--baseline", str(baseline)]) == 0
+    def test_write_then_check(self, baseline_path, capsys):
+        assert gate.main(["obs", "--write"]) == 0
+        assert baseline_path.exists()
+        assert gate.main(["obs"]) == 0
         out = capsys.readouterr().out
         assert "within tolerance" in out
 
-    def test_check_fails_on_drift(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        regress.main(["--baseline", str(baseline_path), "--write"])
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
+    def test_check_fails_on_drift(self, baseline_path, capsys):
+        gate.main(["obs", "--write"])
+        baseline = json.loads(baseline_path.read_text())
         name, entry = next(
             (n, e) for n, e in baseline["metrics"].items()
             if e["value"] > 0)
         entry["value"] *= 2
-        with open(baseline_path, "w") as handle:
-            json.dump(baseline, handle)
-        assert regress.main(["--baseline", str(baseline_path)]) == 1
+        baseline_path.write_text(json.dumps(baseline))
+        assert gate.main(["obs"]) == 1
         assert "DRIFT" in capsys.readouterr().out
 
-    def test_missing_baseline_file(self, tmp_path, capsys):
-        assert regress.main(
-            ["--baseline", str(tmp_path / "nope.json")]) == 2
+    def test_missing_baseline_file(self, capsys):
+        assert gate.main(["obs"]) == 2
         assert "--write" in capsys.readouterr().err
 
-    def test_snapshot_side_output(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        out = tmp_path / "snap.json"
-        code = regress.main(["--baseline", str(baseline), "--write",
-                             "--snapshot", str(out)])
-        assert code == 0
-        with open(out) as handle:
-            written = json.load(handle)
-        assert written["metrics"]
+    def test_write_refuses_failing_run(self, baseline_path, metrics,
+                                       monkeypatch, capsys):
+        assert gate.main(["obs", "--write"]) == 0
+        before = baseline_path.read_bytes()
+        monkeypatch.setitem(gate.SCENARIOS, "obs", dataclasses.replace(
+            gate.SCENARIOS["obs"],
+            run=lambda: ({**metrics, "new_metric": 1.0}, ["claim failed"])))
+        assert gate.main(["obs", "--write"]) == 1
+        assert baseline_path.read_bytes() == before
+        assert "claim failed" in capsys.readouterr().err
