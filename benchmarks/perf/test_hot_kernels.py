@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.bench.kernels import SIZES, _bench_dataset, _node_sets
-from repro.core.reorder import (
-    greedy_reorder,
-    match_degree_matrix,
-    match_degree_matrix_legacy,
-)
+from repro.bench.oracles import match_degree_matrix_legacy
+from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.graph.features import MaterializedFeatureStore
 from repro.sampling import FusedIdMap, NeighborSampler
 from repro.sampling.idmap.hash_table import (

@@ -8,7 +8,8 @@ machine; the work counters are seeded and bit-stable, which is what the
 ``bench`` gate pins (:func:`build_bench_baseline`, checked by
 ``python -m repro.gate bench``).
 
-The nine kernels cover the per-batch hot path end to end:
+The first nine kernels cover the per-batch hot path end to end, and the
+tenth the dataset build that runs before it:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
   product (vs the legacy O(n^2) ``np.intersect1d`` loop);
@@ -27,7 +28,11 @@ The nine kernels cover the per-batch hot path end to end:
   frontier plus the per-peer feature-row gather (:mod:`repro.cluster`);
 * ``a3_aggregate`` — the A3 aggregation's forward scatter and its
   ``dL/dx`` backward scatter over a sampled block (vs the multi-column
-  ``np.add.at`` formula), output bits asserted identical.
+  ``np.add.at`` formula), output bits asserted identical;
+* ``graph_build`` — :meth:`repro.graph.csr.CSRGraph.from_edges` on a
+  power-law edge list the size of the 30k-node ``products`` build (vs
+  the kept ``np.unique`` + ``np.lexsort`` + ``np.add.at`` build),
+  ``indptr`` and ``indices`` asserted identical.
 """
 
 from __future__ import annotations
@@ -38,14 +43,16 @@ import time
 
 import numpy as np
 
-from repro.core.reorder import (
-    greedy_reorder,
+from repro.bench.oracles import (
+    from_edges_legacy,
     greedy_reorder_legacy,
-    match_degree_matrix,
     match_degree_matrix_legacy,
 )
+from repro.core.reorder import greedy_reorder, match_degree_matrix
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import Dataset, DatasetSpec, PaperScale
 from repro.graph.features import MaterializedFeatureStore
+from repro.graph.generators import power_law_degrees
 from repro.nn import Tensor, a3_aggregate
 from repro.sampling import FusedIdMap, NeighborSampler
 from repro.sampling.idmap.hash_table import (
@@ -107,6 +114,11 @@ SIZES = {
                   "fanouts": (10, 15), "width": 8},
         "medium": {"num_nodes": 50_000, "batch_size": 1024,
                    "fanouts": (10, 15), "width": 200},
+    },
+    # The edge list train-dgl's 30k-node products instance is built
+    # from: ~0.6M drawn edges, ~1.2M once symmetrized.
+    "graph_build": {
+        "small": {"num_nodes": 30_000, "avg_degree": 40.0},
     },
 }
 
@@ -499,6 +511,47 @@ def bench_a3_aggregate(size: str, repeats: int, seed: int) -> dict:
     return _record("a3_aggregate", size, params, times, work, reference)
 
 
+def bench_graph_build(size: str, repeats: int, seed: int) -> dict:
+    """Symmetrized, deduplicated, loop-free CSR build from a Chung-Lu
+    style edge list (the draw :func:`repro.graph.generators.chung_lu_graph`
+    makes), against :func:`repro.bench.oracles.from_edges_legacy`.
+    ``indptr`` and ``indices`` must be identical, or the record refuses
+    to report a speedup at all."""
+    params = SIZES["graph_build"][size]
+    num_nodes = params["num_nodes"]
+    rng = np.random.default_rng(seed)
+    weights = power_law_degrees(num_nodes, params["avg_degree"], rng=rng)
+    src = np.repeat(np.arange(num_nodes, dtype=np.int64),
+                    rng.poisson(weights / 2.0))
+    dst = rng.choice(num_nodes, size=len(src), p=weights / weights.sum())
+
+    def run():
+        return CSRGraph.from_edges(src, dst, num_nodes, symmetrize=True)
+
+    def run_legacy():
+        return from_edges_legacy(src, dst, num_nodes, symmetrize=True)
+
+    graph, want = run(), run_legacy()
+    if not (np.array_equal(graph.indptr, want.indptr)
+            and np.array_equal(graph.indices, want.indices)):
+        raise AssertionError(  # pragma: no cover - pinned by tests
+            "from_edges diverged from the legacy build")
+    times = _time(run, repeats)
+    legacy_times = _time(run_legacy, min(repeats, 2))
+    digest = hashlib.sha256(graph.indptr.tobytes() + graph.indices.tobytes())
+    work = {
+        "edges_in": len(src),
+        "edges_out": graph.num_edges,
+        # 48 bits of indptr + indices, so the gated float stays exact.
+        "indices_checksum": int(digest.hexdigest()[:12], 16),
+    }
+    reference = {
+        "legacy_s": min(legacy_times),
+        "speedup_vs_legacy": min(legacy_times) / min(times),
+    }
+    return _record("graph_build", size, params, times, work, reference)
+
+
 #: Kernel name -> callable(size, repeats, seed) in report order.
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
@@ -510,6 +563,7 @@ KERNELS = {
     "feature_gather": bench_feature_gather,
     "halo_gather": bench_halo_gather,
     "a3_aggregate": bench_a3_aggregate,
+    "graph_build": bench_graph_build,
 }
 
 

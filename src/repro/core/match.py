@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sampling.idmap.base import sorted_unique
+from repro.sampling.idmap.base import in_sorted, sorted_unique
 
 
 def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
@@ -28,16 +28,8 @@ def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
     if len(a) == 0 or len(b) == 0:
         return 0.0
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    overlap = int(np.count_nonzero(_in_sorted(small, large)))
+    overlap = int(np.count_nonzero(in_sorted(small, large)))
     return overlap / len(small)
-
-
-def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Boolean mask: which ``values`` occur in the ascending ``sorted_set``."""
-    if len(sorted_set) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
-    return sorted_set[pos] == values
 
 
 @dataclass
@@ -72,7 +64,7 @@ def match_split(resident: np.ndarray, wanted: np.ndarray) -> MatchResult:
     which is what the ID map produces for a subgraph's input nodes.
     """
     wanted = np.asarray(wanted, dtype=np.int64)
-    is_resident = _in_sorted(wanted, np.asarray(resident, dtype=np.int64))
+    is_resident = in_sorted(wanted, np.asarray(resident, dtype=np.int64))
     return MatchResult(
         overlap_ids=wanted[is_resident],
         load_ids=wanted[~is_resident],
@@ -117,7 +109,7 @@ class MatchState:
             self.reset()
             return
         ids = sorted_unique(np.asarray(ids, dtype=np.int64))
-        self._resident = self._resident[~_in_sorted(self._resident, ids)]
+        self._resident = self._resident[~in_sorted(self._resident, ids)]
         self._last_load_ids = np.empty(0, dtype=np.int64)
 
     def invalidate_pending(self) -> None:

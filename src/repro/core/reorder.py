@@ -14,8 +14,8 @@ of ``m`` owning batches contributes its ``C(m, 2)`` batch pairs to a
 single flat ``bincount`` over the ``n * n`` overlap cells. That is
 exactly the non-zero work a sparse ``M @ M.T`` incidence product would
 do, without materialising the incidence matrix (or needing scipy).
-:func:`match_degree_matrix_legacy` keeps the original O(n^2)
-``np.intersect1d`` loop as the reference implementation
+:func:`repro.bench.oracles.match_degree_matrix_legacy` keeps the
+original O(n^2) ``np.intersect1d`` loop as the reference implementation
 (``python -m repro.bench`` times both and reports the speedup).
 
 The greedy chain itself walks precomputed blocked top-k candidate lists
@@ -23,8 +23,9 @@ The greedy chain itself walks precomputed blocked top-k candidate lists
 then ascending index) and falls back to a full row scan only when a
 block is exhausted or the winner is ambiguous at the block boundary, so
 the common step is O(k) instead of O(n). The order is bit-identical to
-the kept :func:`greedy_reorder_legacy` argmax sweep, including ties:
-**the lowest batch index wins every tie**, exactly like ``np.argmax``.
+the kept :func:`repro.bench.oracles.greedy_reorder_legacy` argmax sweep,
+including ties: **the lowest batch index wins every tie**, exactly like
+``np.argmax``.
 
 Note on fidelity: Algorithm 1 as printed sets ``h = argmax m_zk`` and later
 ``z = k`` — an obvious typo for ``z = h``; this implementation follows the
@@ -38,6 +39,8 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
+
+from repro.sampling.idmap.base import sorted_unique
 
 #: Default candidate-block width of the blocked top-k greedy chain.
 #: Each batch precomputes this many best match partners; a step only
@@ -101,7 +104,7 @@ def _overlap_paircount(batch: np.ndarray, values: np.ndarray, n: int,
     starts = np.flatnonzero(new_run)
     run_len = np.diff(np.append(starts, len(ids)))
     key_blocks = []
-    for m in np.unique(run_len):
+    for m in sorted_unique(run_len):
         m = int(m)
         if m < 2:  # IDs private to one batch contribute no pair
             continue
@@ -130,8 +133,8 @@ def match_degree_matrix(node_sets, assume_unique: bool = False) -> np.ndarray:
     already duplicate-free (true for ID-map outputs; pass
     ``SampledSubgraph.unique_input_nodes()`` to reuse the cached unique
     pass). Entries are bit-identical to
-    :func:`match_degree_matrix_legacy` — same integer overlap, same
-    ``overlap / min(|a|, |b|)`` division.
+    :func:`repro.bench.oracles.match_degree_matrix_legacy` — same
+    integer overlap, same ``overlap / min(|a|, |b|)`` division.
     """
     arrays = [np.asarray(s, dtype=np.int64).ravel() for s in node_sets]
     n = len(arrays)
@@ -149,26 +152,6 @@ def match_degree_matrix(node_sets, assume_unique: bool = False) -> np.ndarray:
     valid = min_sizes > 0
     np.divide(overlap, min_sizes, out=matrix, where=valid)
     np.fill_diagonal(matrix, 0.0)
-    return matrix
-
-
-def match_degree_matrix_legacy(node_sets) -> np.ndarray:
-    """Reference O(n^2) pairwise-``np.intersect1d`` implementation.
-
-    Kept as the oracle for the vectorized fast path (property tests) and
-    as the ``--legacy`` reference timing in ``python -m repro.bench``.
-    """
-    unique_sets = [np.unique(np.asarray(s, dtype=np.int64)) for s in node_sets]
-    n = len(unique_sets)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        a = unique_sets[i]
-        for j in range(i + 1, n):
-            b = unique_sets[j]
-            if len(a) == 0 or len(b) == 0:
-                continue
-            overlap = len(np.intersect1d(a, b, assume_unique=True))
-            matrix[i, j] = matrix[j, i] = overlap / min(len(a), len(b))
     return matrix
 
 
@@ -211,8 +194,8 @@ def _chain_blocked(matrix: np.ndarray, block: int) -> list:
     value (every out-of-block entry is <= the boundary). On boundary
     ambiguity or an exhausted block, the step falls back to an exact
     full-row scan identical to the legacy sweep. Order is therefore
-    bit-identical to :func:`greedy_reorder_legacy` for every input,
-    which the property suite pins.
+    bit-identical to :func:`repro.bench.oracles.greedy_reorder_legacy`
+    for every input, which the property suite pins.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -277,44 +260,13 @@ def greedy_reorder(matrix_or_node_sets, assume_unique: bool = False,
     the remaining batch with the highest match degree to its predecessor.
     **Tie-breaking is pinned: the lowest batch index wins**, matching
     ``np.argmax``'s first-maximum rule, so the order is bit-identical to
-    :func:`greedy_reorder_legacy` (the kept reference sweep). ``block``
-    overrides the top-k candidate width (default ``min(n - 1, 32)``); it
-    is a throughput knob only and never changes the order.
+    :func:`repro.bench.oracles.greedy_reorder_legacy` (the kept
+    reference sweep). ``block`` overrides the top-k candidate width
+    (default ``min(n - 1, 32)``); it is a throughput knob only and never
+    changes the order.
     """
     matrix = _as_match_matrix(matrix_or_node_sets, assume_unique)
     return _chain_blocked(matrix, block if block else _TOPK_BLOCK)
-
-
-def greedy_reorder_legacy(matrix_or_node_sets,
-                          assume_unique: bool = False) -> list:
-    """Kept reference chain: the O(n^2) full-matrix argmax sweep.
-
-    Node-set inputs go through :func:`match_degree_matrix_legacy` so the
-    whole path is the paper-faithful pairwise formulation — this is the
-    reference timing behind ``reorder_blocked`` in ``python -m
-    repro.bench`` and the oracle the blocked chain is pinned against.
-    Ties resolve to the lowest index (``np.argmax`` scans forward).
-    """
-    x = matrix_or_node_sets
-    if not isinstance(x, np.ndarray) and any(
-            isinstance(entry, np.ndarray) for entry in x):
-        matrix = match_degree_matrix_legacy(x)
-    else:
-        matrix = _as_match_matrix(x, assume_unique)
-    n = matrix.shape[0]
-    if n == 0:
-        return []
-    work = matrix.copy()
-    np.fill_diagonal(work, -np.inf)
-    order = [0]
-    work[:, 0] = -np.inf  # batch 0 is placed
-    z = 0
-    for _ in range(n - 1):
-        h = int(np.argmax(work[z]))
-        order.append(h)
-        work[:, h] = -np.inf
-        z = h
-    return order
 
 
 def chain_match_score(matrix: np.ndarray, order) -> float:

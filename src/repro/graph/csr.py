@@ -13,6 +13,10 @@ import numpy as np
 
 from repro.errors import GraphError
 
+#: Largest ``num_nodes`` whose edge keys ``src * num_nodes + dst`` (at
+#: most ``num_nodes**2 - 1``) fit in int64.
+_MAX_KEYED_NODES = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -101,32 +105,44 @@ class CSRGraph:
         """Build a CSR graph from an edge list ``src[i] -> dst[i]``.
 
         ``symmetrize`` adds the reversed edges; ``dedup`` removes parallel
-        edges. Rows come out sorted by neighbor ID.
+        edges. Rows come out sorted by neighbor ID. Equal-shape 2-D
+        ``src``/``dst`` are read as flat edge lists.
+
+        Each edge becomes one int64 key ``src * num_nodes + dst``. Sorted
+        keys are in ``(src, dst)`` order, and equal keys are identical
+        edges, so one in-place sort orders the rows and puts parallel
+        edges next to each other for an adjacent-difference dedup.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise GraphError("src and dst must have the same shape")
-        if len(src) and (
+        if src.size and (
             min(src.min(), dst.min()) < 0
             or max(src.max(), dst.max()) >= num_nodes
         ):
             raise GraphError("edge endpoints out of range")
+        if num_nodes > _MAX_KEYED_NODES:
+            raise GraphError(f"num_nodes above {_MAX_KEYED_NODES} would "
+                             "overflow the int64 edge key")
+        src, dst = src.ravel(), dst.ravel()
         if symmetrize:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         if drop_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if dedup and len(src):
-            key = src * np.int64(num_nodes) + dst
-            key = np.unique(key)
-            src, dst = key // num_nodes, key % num_nodes
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        key = src * np.int64(num_nodes)
+        key += dst
+        key.sort()
+        if dedup and len(key):
+            keep = np.empty(len(key), dtype=bool)
+            keep[0] = True
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key = key[keep]
+        rows = key // num_nodes
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr=indptr, indices=dst)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        return cls(indptr=indptr, indices=key - rows * num_nodes)
 
     def to_edges(self) -> tuple:
         """Return the (src, dst) edge list of this graph."""

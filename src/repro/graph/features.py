@@ -53,9 +53,12 @@ class FeatureStore(ABC):
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Return the ``(len(ids), dim)`` feature rows for ``ids``."""
 
-    def materialize(self, chunk: int = 65536) -> "MaterializedFeatureStore":
+    def materialize(self, chunk: int = 4096) -> "MaterializedFeatureStore":
         """Realize the full table in memory (fast repeated gathers for
-        training experiments). Chunked to bound peak temporary memory."""
+        training experiments). Gathers ``chunk`` rows at a time, which
+        bounds the temporaries and keeps them near cache size."""
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
         table = np.empty((self.num_nodes, self.dim), dtype=self.dtype)
         for start in range(0, self.num_nodes, chunk):
             ids = np.arange(start, min(start + chunk, self.num_nodes))
@@ -78,8 +81,8 @@ class HashFeatureStore(FeatureStore):
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        out = np.empty((len(ids), self.dim), dtype=self.dtype)
-        # A cheap splitmix-style hash expanded across dimensions.
+        # A cheap splitmix-style hash expanded across dimensions, mixed in
+        # place through one scratch array.
         base = (ids.astype(np.uint64) + np.uint64(self.seed)) * np.uint64(
             0x9E3779B97F4A7C15
         )
@@ -87,11 +90,19 @@ class HashFeatureStore(FeatureStore):
             0xBF58476D1CE4E5B9
         )
         mixed = base[:, None] ^ dims[None, :]
-        mixed ^= mixed >> np.uint64(31)
+        scratch = np.empty_like(mixed)
+        mixed ^= np.right_shift(mixed, np.uint64(31), out=scratch)
         mixed *= np.uint64(0x94D049BB133111EB)
-        mixed ^= mixed >> np.uint64(29)
-        out[:] = (mixed >> np.uint64(40)).astype(np.float64) / 2**24 - 0.5
-        return out
+        mixed ^= np.right_shift(mixed, np.uint64(29), out=scratch)
+        mixed >>= np.uint64(40)
+        # k = mixed < 2**24, so k * 2**-24 - 0.5 = (k - 2**23) / 2**24 is
+        # exact in float32. Other dtypes take that exact value and round
+        # once; rounding k * 2**-24 to float16 before subtracting would
+        # round twice.
+        rows = mixed.astype(np.float32)
+        rows *= np.float32(2**-24)
+        rows -= np.float32(0.5)
+        return rows if self.dtype == np.float32 else rows.astype(self.dtype)
 
 
 class MaterializedFeatureStore(FeatureStore):
@@ -139,7 +150,9 @@ class PlantedFeatureStore(FeatureStore):
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
         ids = self._check_ids(ids)
-        noise = self._noise_store.gather(ids) * (self.noise * 3.46)
+        rows = self._noise_store.gather(ids)
         # HashFeatureStore rows are ~U(-0.5, 0.5): std ~0.289, so the 3.46
         # factor makes the noise term ~unit-variance before scaling.
-        return self.centroids[self.labels[ids]] + noise
+        rows *= self.noise * 3.46
+        rows += self.centroids[self.labels[ids]]
+        return rows

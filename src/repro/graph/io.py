@@ -1,7 +1,9 @@
 """Dataset/graph serialization.
 
-Generating the larger synthetic datasets takes several seconds; saving
-them to a single ``.npz`` lets benchmark reruns and external tools skip
+Building one of the full-size synthetic datasets takes about a second
+(0.5–1.3 s for the five recipes in ``DATASETS`` on a 2-vCPU x86 machine),
+and realizing a wide feature table can take longer; saving both to a
+single ``.npz`` lets benchmark reruns and external tools skip
 regeneration. Features are stored materialized (lazy stores are realized
 on save).
 """

@@ -159,6 +159,17 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
+def in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``values`` occur in the ascending ``sorted_set``.
+
+    One clipped ``np.searchsorted``; an empty set gives an all-false mask.
+    """
+    if len(sorted_set) == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
+    return sorted_set[pos] == values
+
+
 def _dense_first_occurrence(ids: np.ndarray, high: int) -> tuple:
     """O(n) first occurrences through a scratch array indexed by ID."""
     position = np.arange(ids.size)

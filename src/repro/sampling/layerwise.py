@@ -16,6 +16,7 @@ from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
+from repro.sampling.idmap.base import in_sorted, sorted_unique
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 from repro.utils.rng import ensure_rng
 
@@ -56,16 +57,13 @@ class LayerWiseSampler(Sampler):
     def _edges_into(self, frontier: np.ndarray, candidates: np.ndarray):
         """(edge_dst_pos, edge_src_global): candidate->frontier edges that
         exist in the graph."""
-        candidate_set = np.sort(np.unique(candidates))
+        candidate_set = sorted_unique(candidates)
         edge_dst, edge_src = [], []
         for position, node in enumerate(frontier):
             neighbors = self.graph.neighbors(int(node))
             if len(neighbors) == 0:
                 continue
-            found = np.searchsorted(candidate_set, neighbors)
-            found = np.minimum(found, len(candidate_set) - 1)
-            keep = candidate_set[found] == neighbors
-            kept = neighbors[keep]
+            kept = neighbors[in_sorted(neighbors, candidate_set)]
             if len(kept):
                 edge_dst.append(np.full(len(kept), position,
                                         dtype=np.int64))
@@ -78,7 +76,7 @@ class LayerWiseSampler(Sampler):
         seeds = np.asarray(seeds, dtype=np.int64)
         if len(seeds) == 0:
             raise SamplingError("seeds must be non-empty")
-        if len(np.unique(seeds)) != len(seeds):
+        if len(sorted_unique(seeds)) != len(seeds):
             raise SamplingError("seeds must be unique")
 
         frontier = seeds

@@ -14,6 +14,7 @@ from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
+from repro.sampling.idmap.base import sorted_unique
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 from repro.utils.rng import ensure_rng
 
@@ -58,7 +59,7 @@ class RandomWalkSampler(Sampler):
         seeds = np.asarray(seeds, dtype=np.int64)
         if len(seeds) == 0:
             raise SamplingError("seeds must be non-empty")
-        if len(np.unique(seeds)) != len(seeds):
+        if len(sorted_unique(seeds)) != len(seeds):
             raise SamplingError("seeds must be unique")
 
         walkers = np.repeat(seeds, self.num_walks)

@@ -24,6 +24,7 @@ from repro.errors import StorageReadError
 from repro.faults import call_with_faults, get_fault_plan
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs import get_registry
+from repro.sampling.idmap.base import sorted_unique
 from repro.sim.events import EventLoop
 from repro.storage.cache import MISS, PageCache
 from repro.storage.page_store import PageStore
@@ -88,7 +89,7 @@ class IOScheduler:
         cache state still evolves exactly as a fetching run's would).
         """
         ids = np.asarray(ids, dtype=np.int64)
-        unique_pages = np.unique(self.page_store.page_of(ids))
+        unique_pages = sorted_unique(self.page_store.page_of(ids))
         frames: dict | None = {} if fetch else None
         miss_list = []
         for pid in unique_pages.tolist():

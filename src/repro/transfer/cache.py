@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.features import FeatureStore
+from repro.sampling.idmap.base import in_sorted
 from repro.utils.rng import ensure_rng
 
 
@@ -50,12 +51,7 @@ class StaticFeatureCache:
     def partition(self, wanted: np.ndarray) -> tuple:
         """Split ``wanted`` into (cached, uncached); updates hit counters."""
         wanted = np.asarray(wanted, dtype=np.int64)
-        if self.num_cached == 0:
-            self.misses += len(wanted)
-            return np.empty(0, dtype=np.int64), wanted.copy()
-        pos = np.searchsorted(self.cached_ids, wanted)
-        pos = np.minimum(pos, self.num_cached - 1)
-        hit = self.cached_ids[pos] == wanted
+        hit = in_sorted(wanted, self.cached_ids)
         self.hits += int(hit.sum())
         self.misses += int((~hit).sum())
         return wanted[hit], wanted[~hit]

@@ -1,10 +1,13 @@
 """Tests for the CSR graph structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.oracles import from_edges_legacy
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
@@ -142,3 +145,99 @@ def test_from_edges_invariants(num_nodes, edges):
     for u in range(g.num_nodes):
         row = g.neighbors(u)
         assert np.all(np.diff(row) > 0)
+
+
+# -- from_edges against the np.unique + lexsort + add.at build ---------------
+@st.composite
+def edge_lists(draw):
+    """Edge lists in every shape ``from_edges`` accepts: empty, on 0 or 1
+    nodes, with isolated nodes, duplicate edges and self-loops, as 1-D or
+    equal-shape 2-D arrays."""
+    num_nodes = draw(st.integers(0, 40))
+    if num_nodes == 0:
+        src = dst = np.empty(0, dtype=np.int64)
+    else:
+        # Endpoints from a prefix of the IDs leave the rest isolated.
+        high = draw(st.integers(0, num_nodes - 1))
+        pairs = draw(st.lists(st.tuples(st.integers(0, high),
+                                        st.integers(0, high)),
+                              max_size=120))
+        src = np.array([a for a, _ in pairs], dtype=np.int64)
+        dst = np.array([b for _, b in pairs], dtype=np.int64)
+        if len(src) and draw(st.booleans()):
+            repeat = draw(st.integers(0, len(src)))
+            src = np.concatenate([src, src[:repeat]])
+            dst = np.concatenate([dst, dst[:repeat]])
+        if len(src) and draw(st.booleans()):
+            loops = draw(st.lists(st.integers(0, len(src) - 1), max_size=8))
+            dst[loops] = src[loops]
+    if draw(st.booleans()):
+        half = len(src) // 2
+        src, dst = src[:2 * half].reshape(2, half), dst[:2 * half].reshape(
+            2, half)
+    return src, dst, num_nodes
+
+
+def assert_same_graph(got: CSRGraph, want: CSRGraph) -> None:
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+class TestFromEdgesIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=edge_lists(), symmetrize=st.booleans(), dedup=st.booleans(),
+           drop_self_loops=st.booleans())
+    def test_matches_legacy(self, edges, symmetrize, dedup, drop_self_loops):
+        src, dst, num_nodes = edges
+        flags = dict(symmetrize=symmetrize, dedup=dedup,
+                     drop_self_loops=drop_self_loops)
+        # 2-D input is read as a flat edge list.
+        assert_same_graph(CSRGraph.from_edges(src, dst, num_nodes, **flags),
+                          from_edges_legacy(src.ravel(), dst.ravel(),
+                                            num_nodes, **flags))
+
+    @pytest.mark.parametrize("dedup,drop_self_loops",
+                             [(True, True), (True, False), (False, True)])
+    def test_2d_input_matches_legacy(self, dedup, drop_self_loops):
+        """The legacy build flattened 2-D input through its self-loop mask
+        or ``np.unique``; with neither it failed its own indptr check, and
+        with no columns its range check raised a bare ``ValueError``."""
+        src = np.array([[3, 0, 1], [1, 2, 2]], dtype=np.int64)
+        dst = np.array([[0, 0, 2], [3, 1, 2]], dtype=np.int64)
+        for symmetrize in (False, True):
+            flags = dict(symmetrize=symmetrize, dedup=dedup,
+                         drop_self_loops=drop_self_loops)
+            assert_same_graph(CSRGraph.from_edges(src, dst, 4, **flags),
+                              from_edges_legacy(src, dst, 4, **flags))
+
+    @pytest.mark.parametrize("src,dst,num_nodes", [
+        ([], [], 0),
+        ([], [], 1),
+        ([0], [0], 1),
+        ([0, 0, 0], [0, 0, 0], 1),
+        ([3, 3, 1], [1, 1, 3], 5),
+    ], ids=["no-nodes", "one-node", "one-loop", "repeated-loop", "isolated"])
+    def test_edge_cases(self, src, dst, num_nodes):
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        for symmetrize, dedup, drop in itertools.product([False, True],
+                                                         repeat=3):
+            flags = dict(symmetrize=symmetrize, dedup=dedup,
+                         drop_self_loops=drop)
+            assert_same_graph(
+                CSRGraph.from_edges(src, dst, num_nodes, **flags),
+                from_edges_legacy(src, dst, num_nodes, **flags))
+
+    def test_empty_2d_input_is_an_empty_graph(self):
+        empty = np.empty((2, 0), dtype=np.int64)
+        for dedup, drop in itertools.product([False, True], repeat=2):
+            g = CSRGraph.from_edges(empty, empty, 3, dedup=dedup,
+                                    drop_self_loops=drop)
+            assert g.num_nodes == 3 and g.num_edges == 0
+
+    def test_rejects_num_nodes_that_overflow_the_key(self):
+        with pytest.raises(GraphError, match="overflow"):
+            CSRGraph.from_edges(np.array([0]), np.array([1]),
+                                num_nodes=2**32)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.oracles import hash_gather_legacy
 from repro.graph.features import (
     HashFeatureStore,
     MaterializedFeatureStore,
@@ -121,3 +124,83 @@ class TestPlantedFeatureStore:
         sq = quiet.gather(np.arange(100)).std()
         sl = loud.gather(np.arange(100)).std()
         assert sl > 3 * sq
+
+
+# -- the in-place hash and materialize against the replaced code -------------
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def planted_gather_legacy(store: PlantedFeatureStore, ids) -> np.ndarray:
+    """``PlantedFeatureStore.gather`` before it scaled and added in place."""
+    ids = store._check_ids(ids)
+    noise = hash_gather_legacy(store._noise_store, ids) * (store.noise * 3.46)
+    return store.centroids[store.labels[ids]] + noise
+
+
+#: Row IDs as callers pass them: possibly empty, unsorted, repeated.
+_ids = st.lists(st.integers(0, 63), max_size=12).map(
+    lambda ids: np.array(ids, dtype=np.int64))
+
+
+class TestHashGatherIdentity:
+    """The float32 scaling is exact, and other dtypes round that exact
+    value once, so every dtype keeps the float64 formula's bits. Rounding
+    ``k * 2**-24`` to float16 before subtracting 0.5 would round twice
+    and change most float16 rows; these tests catch that."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+           dim=st.sampled_from([1, 7, 200, 4096]),
+           seed=st.integers(0, 2**40), ids=_ids, repeat=st.booleans())
+    def test_matches_legacy(self, dtype, dim, seed, ids, repeat):
+        store = HashFeatureStore(64, dim, seed=seed, dtype=dtype)
+        if repeat:
+            ids = np.concatenate([ids, ids[::-1]])
+        assert_same_bits(store.gather(ids), hash_gather_legacy(store, ids))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_every_row_of_a_table(self, dtype):
+        store = HashFeatureStore(2000, 33, seed=11, dtype=dtype)
+        ids = np.arange(2000)
+        assert_same_bits(store.gather(ids), hash_gather_legacy(store, ids))
+
+
+class TestPlantedGatherIdentity:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([1, 7, 200]), seed=st.integers(0, 2**31),
+           noise=st.sampled_from([0.0, 0.3, 1.0, 2.5]), ids=_ids)
+    def test_matches_legacy(self, dim, seed, noise, ids):
+        labels = np.arange(64) % 5
+        store = PlantedFeatureStore(labels, dim, noise=noise, seed=seed)
+        assert_same_bits(store.gather(ids), planted_gather_legacy(store, ids))
+
+
+class TestMaterializeChunks:
+    @pytest.mark.parametrize("chunk", [1, 3, 4096, 10_000])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_hash_table_equals_gather(self, chunk, dtype):
+        store = HashFeatureStore(45, 7, seed=3, dtype=dtype)
+        want = store.gather(np.arange(45))
+        assert_same_bits(store.materialize(chunk=chunk).table, want)
+        assert_same_bits(want, hash_gather_legacy(store, np.arange(45)))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096, 10_000])
+    def test_planted_table_equals_gather(self, chunk):
+        store = PlantedFeatureStore(np.arange(45) % 4, 9, seed=8)
+        assert_same_bits(store.materialize(chunk=chunk).table,
+                         store.gather(np.arange(45)))
+
+    def test_default_chunk_spans_blocks(self):
+        store = HashFeatureStore(9000, 2, seed=5)
+        assert_same_bits(store.materialize().table,
+                         store.gather(np.arange(9000)))
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_non_positive_chunk(self, chunk):
+        """``chunk=-1`` used to return the uninitialized table and
+        ``chunk=0`` to fail inside ``range``."""
+        with pytest.raises(ValueError, match="chunk"):
+            HashFeatureStore(10, 4).materialize(chunk=chunk)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.oracles import (
+    greedy_reorder_legacy,
+    match_degree_matrix_legacy,
+)
 from repro.core.reorder import (
     chain_match_score,
     greedy_reorder,
-    greedy_reorder_legacy,
     match_degree_matrix,
-    match_degree_matrix_legacy,
     optimal_reorder,
 )
 

@@ -1,12 +1,14 @@
-"""The serving path's set kernels against the code they replaced.
+"""The set kernels against the code they replaced.
 
 ``sorted_unique`` stands in for ``np.unique``; ``match_degree``,
-``match_split`` and ``MatchState.invalidate`` share one searchsorted
-membership test instead of ``np.intersect1d``/``np.setdiff1d``; and
-``CacheTier.lookup`` reads a dense stamp array instead of looping over a
-dict. Each old formulation is kept here as the reference, and every test
-asserts exact equality: values, dtypes, counters and the routing and
-dispatch decisions built on top.
+``match_split``, ``MatchState.invalidate``, ``StaticFeatureCache.partition``
+and ``LayerWiseSampler._edges_into`` share one searchsorted membership
+test (``in_sorted``) instead of ``np.intersect1d``/``np.setdiff1d`` and
+their own copies; and ``CacheTier.lookup`` reads a dense stamp array
+instead of looping over a dict. Each old formulation is kept here as the
+reference, and every test asserts exact equality: values, dtypes,
+counters and the routing, dispatch, partition, paging and sampling
+results built on top.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.match import MatchState, match_degree, match_split
+from repro.errors import SamplingError
+from repro.graph.features import HashFeatureStore
+from repro.graph.generators import chung_lu_graph
+from repro.graph.partition import partition_stats
+from repro.sampling import NeighborSampler, RandomWalkSampler
 from repro.sampling.idmap.base import sorted_unique
+from repro.sampling.layerwise import LayerWiseSampler
 from repro.serve import (
     CacheTier,
     CacheTierConfig,
@@ -29,6 +37,8 @@ from repro.serve import (
     MatchAffinityRouter,
 )
 from repro.serve.batcher import MicroBatch, select_next_batch
+from repro.storage import IOScheduler, LRUPageCache, PageStore
+from repro.transfer.cache import StaticFeatureCache
 
 
 # -- references: the replaced code, verbatim in behavior ----------------------
@@ -385,3 +395,111 @@ class TestDecisionsMatchReference:
                         match_degree_reference):
             want = select_next_batch(pending, resident)
         assert got == want
+
+
+# -- the np.unique audit and the shared membership test -----------------------
+def partition_reference(cached_ids, wanted) -> tuple:
+    """``StaticFeatureCache.partition``'s own clipped searchsorted."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    if len(cached_ids) == 0:
+        return np.empty(0, dtype=np.int64), wanted.copy()
+    pos = np.minimum(np.searchsorted(cached_ids, wanted), len(cached_ids) - 1)
+    hit = cached_ids[pos] == wanted
+    return wanted[hit], wanted[~hit]
+
+
+def edges_into_reference(self, frontier, candidates):
+    """``LayerWiseSampler._edges_into`` with ``np.sort(np.unique(...))``
+    and its own clipped searchsorted."""
+    candidate_set = np.sort(np.unique(candidates))
+    edge_dst, edge_src = [], []
+    for position, node in enumerate(frontier):
+        neighbors = self.graph.neighbors(int(node))
+        if len(neighbors) == 0:
+            continue
+        found = np.searchsorted(candidate_set, neighbors)
+        found = np.minimum(found, len(candidate_set) - 1)
+        kept = neighbors[candidate_set[found] == neighbors]
+        if len(kept):
+            edge_dst.append(np.full(len(kept), position, dtype=np.int64))
+            edge_src.append(kept.astype(np.int64))
+    if edge_dst:
+        return np.concatenate(edge_dst), np.concatenate(edge_src)
+    return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+class TestAuditedSitesIdentity:
+    """Each read-only ``np.unique`` site that moved to ``sorted_unique``
+    gives the same result with ``np.unique`` patched back in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cached=st.lists(st.integers(0, 60), max_size=30),
+           wanted=st.lists(st.integers(0, 80), max_size=40))
+    def test_static_cache_partition(self, cached, wanted):
+        cache = StaticFeatureCache(np.array(cached, dtype=np.int64), 4)
+        got = cache.partition(np.array(wanted, dtype=np.int64))
+        want = partition_reference(cache.cached_ids, wanted)
+        for g, w in zip(got, want):
+            assert_same_array(g, w)
+        assert (cache.hits, cache.misses) == (len(want[0]), len(want[1]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), parts=st.integers(1, 6))
+    def test_partition_stats(self, seed, parts):
+        graph = chung_lu_graph(300, 6.0, rng=seed)
+        assignment = np.random.default_rng(seed).integers(0, parts, 300)
+        got = partition_stats(graph, assignment, num_parts=parts)
+        with mock.patch("repro.graph.partition.sorted_unique", np.unique):
+            assert got == partition_stats(graph, assignment, num_parts=parts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), page_bytes=st.sampled_from([16, 64]),
+           requests=st.lists(st.lists(st.integers(0, 199), max_size=60),
+                             min_size=1, max_size=5))
+    def test_io_scheduler_pages(self, seed, page_bytes, requests):
+        def run():
+            scheduler = IOScheduler(
+                PageStore(HashFeatureStore(200, 4, seed=seed),
+                          page_bytes=page_bytes), LRUPageCache(6))
+            return [scheduler.submit(np.array(r, dtype=np.int64))[0]
+                    for r in requests]
+
+        got = run()
+        with mock.patch("repro.storage.scheduler.sorted_unique", np.unique):
+            assert got == run()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           sizes=st.lists(st.integers(1, 120), min_size=1, max_size=3))
+    def test_layerwise_sampler(self, seed, sizes):
+        graph = chung_lu_graph(300, 6.0, rng=seed)
+        seeds = np.random.default_rng(seed).choice(300, 16, replace=False)
+
+        def sample():
+            sampler = LayerWiseSampler(graph, sizes, rng=seed)
+            return sampler.sample(seeds)
+
+        got = sample()
+        with mock.patch.object(LayerWiseSampler, "_edges_into",
+                               edges_into_reference), \
+                mock.patch("repro.sampling.layerwise.sorted_unique",
+                           np.unique):
+            want = sample()
+        assert got.num_sampled_edges == want.num_sampled_edges
+        for g, w in zip(got.layers, want.layers):
+            for field in ("dst_global", "src_global", "edge_src",
+                          "edge_dst"):
+                assert_same_array(getattr(g, field), getattr(w, field))
+
+    @pytest.mark.parametrize("sampler", ["neighbor", "layerwise",
+                                         "random_walk"])
+    def test_duplicate_seeds_rejected(self, sampler):
+        graph = chung_lu_graph(50, 4.0, rng=0)
+        make = {
+            "neighbor": lambda: NeighborSampler(graph, (2,), rng=0),
+            "layerwise": lambda: LayerWiseSampler(graph, (8,), rng=0),
+            "random_walk": lambda: RandomWalkSampler(graph, 2, 2, rng=0),
+        }[sampler]
+        with pytest.raises(SamplingError, match="unique"):
+            make().sample(np.array([3, 1, 3]))
+        make().sample(np.array([3, 1, 2]))

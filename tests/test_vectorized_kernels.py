@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reorder import match_degree_matrix, match_degree_matrix_legacy
+from repro.bench.oracles import match_degree_matrix_legacy
+from repro.core.reorder import match_degree_matrix
 from repro.sampling.idmap.hash_table import (
     EMPTY,
     ExactOpenAddressTable,
