@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class CostModelConfig:
@@ -151,11 +153,17 @@ class RunConfig:
     storage_access: str = "direct"
     #: Page-cache policy: "partition" (BGL-style) or "lru".
     page_cache_policy: str = "partition"
-    #: Mini-batches of storage reads allowed to run ahead of training when
-    #: the out-of-core pipeline overlaps reads with sampling/compute.
+    #: Rounds the out-of-core pipeline admits at once (sampled, not yet
+    #: trained) while it overlaps storage reads with sampling/compute;
+    #: at least 1 (``ConfigError`` otherwise).
     storage_prefetch_depth: int = 4
     seed: int = 0
     cost: CostModelConfig = field(default_factory=CostModelConfig)
+
+    def __post_init__(self) -> None:
+        if self.storage_prefetch_depth < 1:
+            raise ConfigError("storage_prefetch_depth must be >= 1, got "
+                              f"{self.storage_prefetch_depth}")
 
     @property
     def num_layers(self) -> int:

@@ -39,6 +39,7 @@ from repro.nn import Adam, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
 from repro.parallel import ParallelExecutor
 from repro.pipeline import ExecutionSpec, pipelined_epoch_layout
+from repro.pipeline.epoch import make_span
 from repro.sampling import (
     BaselineIdMap,
     NeighborSampler,
@@ -267,6 +268,39 @@ class ClusterNetworkTimes:
         return self.per_lane[lane][r]
 
 
+def halo_time(network, lane: int, r: int) -> float:
+    """Halo-exchange seconds of ``lane``'s round ``r`` (0 off-cluster)."""
+    return network.lane_time(lane, r) if network is not None else 0.0
+
+
+def carve_lane(spans: list, lane: int, r: int, start: float,
+               phases) -> float:
+    """Lay round ``r``'s ``(phase, seconds)`` pairs end to end on lane
+    ``gpu{lane}`` from ``start``, skipping zero durations; returns where
+    the lane's work ends."""
+    cursor = start
+    for phase, duration in phases:
+        if duration > 0:
+            spans.append(make_span(f"gpu{lane}", phase, phase, cursor,
+                                   duration, r))
+            cursor += duration
+    return cursor
+
+
+def barrier_spans(spans: list, lanes: int, r: int, start: float,
+                  sync: float, net_sync: float) -> None:
+    """Round ``r``'s gradient sync on every trainer lane: the intra-node
+    allreduce from ``start``, then the inter-node hop after it."""
+    if sync > 0:
+        for lane in range(lanes):
+            spans.append(make_span(f"gpu{lane}", "allreduce", "allreduce",
+                                   start, sync, r))
+    if net_sync > 0:
+        for lane in range(lanes):
+            spans.append(make_span(f"gpu{lane}", "allreduce_net", "network",
+                                   start + sync, net_sync, r))
+
+
 def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     """Overlay ``cat="retry"`` child spans on the memory-IO intervals
     whose loads were retried.
@@ -308,16 +342,11 @@ def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
         if count <= 0 or delay <= 0:
             continue
         duration = min(delay, span["dur"])
-        overlays.append({
-            "lane": span["lane"],
-            "name": f"retry[{span.get('batch', 0)}]",
-            "cat": "retry",
-            "start": span["start"] + span["dur"] - duration,
-            "dur": duration,
-            "batch": span.get("batch", 0),
-            "retries": count,
-            "depth": 1,
-        })
+        overlays.append(make_span(
+            span["lane"], "retry", "retry",
+            span["start"] + span["dur"] - duration, duration,
+            span.get("batch", 0), retries=count, depth=1,
+        ))
     spans.extend(overlays)
 
 
@@ -367,8 +396,6 @@ class Framework:
     sample_device = "gpu"
     #: Compute-cost mode: "naive", "memory_aware" or "advisor".
     compute_mode = "naive"
-    #: GNNLab dedicates sampler GPU(s) and pipelines produce/consume.
-    pipelined_sampling = False
     #: FastGL prefetches the next subgraph's topology under compute.
     prefetch_topology = False
     #: FastGL reorders each window of sampled mini-batches (Algorithm 1).
@@ -857,13 +884,6 @@ class Framework:
             return 0.0
         return syncs * allreduce_time(param_bytes, trainers, config.cost)
 
-    def _epoch_time(self, per_trainer_iters, param_bytes, trainers,
-                    config, network=None) -> float:
-        """Modeled epoch wall-clock (the makespan of the epoch timeline)."""
-        seconds, _ = self._epoch_timeline(per_trainer_iters, param_bytes,
-                                          trainers, config, network=network)
-        return seconds
-
     def _sync_times(self, param_bytes, trainers, config,
                     network=None) -> tuple:
         """``(intra_sync, net_sync)`` per lockstep round: the NCCL
@@ -896,8 +916,7 @@ class Framework:
                 samples[r] = max(samples[r], sample_t)
                 ios[r] = max(ios[r], io_t)
                 computes[r] = max(computes[r], comp_t)
-                if network is not None:
-                    nets[r] = max(nets[r], network.lane_time(lane, r))
+                nets[r] = max(nets[r], halo_time(network, lane, r))
         return samples, ios, nets, computes
 
     def _pipelined_timeline(self, per_trainer_iters, param_bytes, trainers,
@@ -941,36 +960,12 @@ class Framework:
                 if r >= len(iters):
                     continue
                 sample_t, io_t, comp_t = iters[r]
-                net_t = (network.lane_time(lane, r)
-                         if network is not None else 0.0)
-                cursor = total
-                for phase, duration in (("sample", sample_t),
-                                        ("memory_io", io_t),
-                                        ("network", net_t),
-                                        ("compute", comp_t)):
-                    if duration > 0:
-                        spans.append({
-                            "lane": f"gpu{lane}", "name": f"{phase}[{r}]",
-                            "cat": phase, "start": cursor, "dur": duration,
-                            "batch": r,
-                        })
-                        cursor += duration
+                cursor = carve_lane(spans, lane, r, total, zip(
+                    PHASE_SPAN_ORDER,
+                    (sample_t, io_t, halo_time(network, lane, r), comp_t)))
                 round_time = max(round_time, cursor - total)
-            if sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}", "name": f"allreduce[{r}]",
-                        "cat": "allreduce", "start": total + round_time,
-                        "dur": sync, "batch": r,
-                    })
-            if net_sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}",
-                        "name": f"allreduce_net[{r}]",
-                        "cat": "network", "start": total + round_time + sync,
-                        "dur": net_sync, "batch": r,
-                    })
+            barrier_spans(spans, len(per_trainer_iters), r,
+                          total + round_time, sync, net_sync)
             total += round_time + sync + net_sync
         return total, spans
 

@@ -20,9 +20,11 @@ from repro.config import RunConfig
 from repro.frameworks.base import Framework
 from repro.frameworks.gnnlab import _cache_budget
 from repro.graph.datasets import Dataset
+from repro.obs import get_registry
+from repro.pipeline.epoch import OCCUPANCY_BUCKETS, make_span, stall_counter
+from repro.pipeline.graph import stage_graph_makespan
 from repro.sampling import BaselineIdMap, FusedIdMap
 from repro.sampling.base import Sampler
-from repro.storage.scheduler import storage_pipeline_makespan
 from repro.transfer.cache import PresampleCachePolicy
 from repro.transfer.loader import FeatureLoader, MatchLoader, NaiveLoader
 from repro.transfer.storage_loader import (
@@ -106,75 +108,66 @@ class OutOfCoreFastGLFramework(FastGLFramework):
     def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
                         config, network=None) -> tuple:
         """Sample -> storage-read -> train pipeline per lockstep round,
-        bounded by the prefetch queue depth.
+        at most ``storage_prefetch_depth`` rounds in flight.
 
-        The event simulation records every executed stage interval, so
-        the exported timeline shows the actual overlap (one lane per
+        The stage graph records every executed stage interval, so the
+        exported timeline shows the actual overlap (one lane per
         pipeline stage) and its last span ends at the pipelined epoch
         time. Cluster runs extend the train stage with the round's halo
         exchange (features must land before the forward pass) and the
         inter-node gradient hop; both render as ``network`` spans carved
         out of the stage interval, so reconciliation is untouched.
+        Publishes ``repro_storage_queue_occupancy`` and each stage's idle
+        time as ``repro_pipeline_stall_seconds_total{pipeline="storage"}``.
         """
-        rounds = max(len(iters) for iters in per_trainer_iters)
+        samples, reads, halos, computes = self._pipeline_stage_times(
+            per_trainer_iters, config, network=network,
+        )
         sync, net_sync = self._sync_times(param_bytes, trainers, config,
                                           network=network)
-        samples, reads, trains, halos = [], [], [], []
-        for r in range(rounds):
-            sample_max = read_max = train_max = net_max = 0.0
-            for lane, iters in enumerate(per_trainer_iters):
-                if r < len(iters):
-                    sample_t, io_t, comp_t = iters[r]
-                    sample_max = max(sample_max, sample_t)
-                    read_max = max(read_max, io_t)
-                    train_max = max(train_max, comp_t)
-                    if network is not None:
-                        net_max = max(net_max, network.lane_time(lane, r))
-            samples.append(sample_max)
-            reads.append(read_max)
-            trains.append(net_max + train_max + sync + net_sync)
-            halos.append(net_max)
+        trains = [halo + comp + sync + net_sync
+                  for halo, comp in zip(halos, computes)]
+        names = ("sample", "memory_io", "compute")
+        stage_times = (samples, reads, trains)
+        registry = get_registry()
+        occupancy = registry.histogram(
+            "repro_storage_queue_occupancy",
+            "Batches in flight (sampled but not yet trained) at admission",
+            buckets=OCCUPANCY_BUCKETS,
+        ).labels(pipeline="storage")
         records: list = []
-        makespan = storage_pipeline_makespan(
-            samples, reads, trains,
-            queue_depth=max(1, config.storage_prefetch_depth),
-            record=records.append,
+        makespan = stage_graph_makespan(
+            stage_times, names=names,
+            max_in_flight=config.storage_prefetch_depth,
+            record=records.append, admit=occupancy.observe,
         )
-        lane_of = {"sample": "sampler", "memory_io": "nvme",
-                   "compute": "trainers"}
+        if registry.enabled and makespan > 0:
+            stalls = stall_counter(registry)
+            for name, times in zip(names, stage_times):
+                idle = makespan - float(sum(times))
+                stalls.labels(pipeline="storage", stage=name).inc(
+                    max(0.0, idle))
+        lane_of = {"sample": "sampler", "memory_io": "nvme"}
         spans: list = []
         for stage, batch, start, end in records:
             if end <= start:
                 continue
             if stage != "compute":
-                spans.append({
-                    "lane": lane_of[stage], "name": f"{stage}[{batch}]",
-                    "cat": stage, "start": start, "dur": end - start,
-                    "batch": batch,
-                })
+                spans.append(make_span(lane_of[stage], stage, stage, start,
+                                       end - start, batch))
                 continue
-            halo = halos[batch] if batch < len(halos) else 0.0
             cursor = start
-            if halo > 0:
-                spans.append({
-                    "lane": "trainers", "name": f"halo[{batch}]",
-                    "cat": "network", "start": cursor, "dur": halo,
-                    "batch": batch,
-                })
-                cursor += halo
+            if halos[batch] > 0:
+                spans.append(make_span("trainers", "halo", "network",
+                                       cursor, halos[batch], batch))
+                cursor += halos[batch]
             body_end = end - net_sync
             if body_end > cursor:
-                spans.append({
-                    "lane": "trainers", "name": f"compute[{batch}]",
-                    "cat": "compute", "start": cursor,
-                    "dur": body_end - cursor, "batch": batch,
-                })
+                spans.append(make_span("trainers", "compute", "compute",
+                                       cursor, body_end - cursor, batch))
             if net_sync > 0:
-                spans.append({
-                    "lane": "trainers", "name": f"allreduce_net[{batch}]",
-                    "cat": "network", "start": body_end, "dur": net_sync,
-                    "batch": batch,
-                })
+                spans.append(make_span("trainers", "allreduce_net",
+                                       "network", body_end, net_sync, batch))
         return makespan, spans
 
 

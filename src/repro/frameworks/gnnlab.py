@@ -2,17 +2,27 @@
 
 GNNLab dedicates GPU(s) to sampling (1 when running on <= 4 GPUs, 2 above
 — the paper's setting for optimal GNNLab performance) and pipelines batch
-production against training. Feature traffic is reduced by a static,
-presample-ranked device cache sized by the memory left over after the
-training workspace — the quantity Table 1 shows collapsing on large
-graphs, which is exactly where the cache stops helping.
+production against training: a two-stage producer/consumer graph on the
+pipeline engine (:func:`repro.pipeline.graph.stage_graph_makespan`).
+Feature traffic is reduced by a static, presample-ranked device cache
+sized by the memory left over after the training workspace — the
+quantity Table 1 shows collapsing on large graphs, which is exactly
+where the cache stops helping.
 """
 
 from __future__ import annotations
 
 from repro.config import RunConfig
-from repro.frameworks.base import Framework
+from repro.frameworks.base import (
+    PHASE_SPAN_ORDER,
+    Framework,
+    barrier_spans,
+    carve_lane,
+    halo_time,
+)
 from repro.graph.datasets import Dataset
+from repro.pipeline.epoch import make_span
+from repro.pipeline.graph import stage_graph_makespan
 from repro.sampling import BaselineIdMap
 from repro.sampling.base import Sampler
 from repro.transfer.cache import PresampleCachePolicy
@@ -32,7 +42,6 @@ class GNNLabFramework(Framework):
     name = "gnnlab"
     sample_device = "gpu"
     compute_mode = "naive"
-    pipelined_sampling = True
 
     def make_idmap(self):
         return BaselineIdMap()
@@ -83,76 +92,40 @@ class GNNLabFramework(Framework):
         """Producer/consumer pipeline: sampler GPU(s) produce rounds, the
         trainer GPUs consume them in lockstep.
 
-        The layout replays the recurrence of
-        :func:`repro.sim.pipeline.two_stage_makespan` — round ``r``'s
-        consumption begins at ``max(produced_r, consumer_free)`` — so
-        the trainer lanes' final spans end exactly at the pipelined
-        epoch time instead of the serial sum the old trace showed.
-        Cluster runs scale the sampler pool (every simulated node
-        factors its own sampler GPUs) and add the halo exchange to each
-        consumer lane plus the inter-node gradient hop to the round
-        barrier.
+        A two-stage stage graph with no bounds: round ``r``'s
+        consumption begins at ``max(produced_r, consumer_free)``, so the
+        trainer lanes' final spans end exactly at the pipelined epoch
+        time. The sample stage comes from :meth:`_pipeline_stage_times`
+        (the sampler pool); a round's consumption is its slowest lane's
+        IO + halo + compute, then the gradient barrier.
         """
-        samplers = self.num_sampler_gpus(config)
-        if network is not None:
-            samplers *= network.num_nodes
-        rounds = max(len(iters) for iters in per_trainer_iters)
+        produce = self._pipeline_stage_times(per_trainer_iters, config,
+                                             network=network)[0]
         sync, net_sync = self._sync_times(param_bytes, trainers, config,
                                           network=network)
+        rest = [0.0] * len(produce)
+        for lane, iters in enumerate(per_trainer_iters):
+            for r, (_, io_t, comp_t) in enumerate(iters):
+                rest[r] = max(rest[r],
+                              io_t + halo_time(network, lane, r) + comp_t)
+        records: list = []
+        makespan = stage_graph_makespan(
+            [produce, [t + sync + net_sync for t in rest]],
+            names=("sample", "train"), record=records.append,
+        )
+        starts = {(stage, r): start for stage, r, start, _ in records}
         spans: list = []
-        producer_free = 0.0
-        consumer_free = 0.0
-        for r in range(rounds):
-            sample_sum = 0.0
-            rest_max = 0.0
+        for r, sample_t in enumerate(produce):
+            if sample_t > 0:
+                spans.append(make_span("sampler", "sample", "sample",
+                                       starts["sample", r], sample_t, r))
+            begin = starts["train", r]
             for lane, iters in enumerate(per_trainer_iters):
                 if r < len(iters):
-                    sample_t, io_t, comp_t = iters[r]
-                    net_t = (network.lane_time(lane, r)
-                             if network is not None else 0.0)
-                    sample_sum += sample_t
-                    rest_max = max(rest_max, io_t + net_t + comp_t)
-            produce = sample_sum / samplers
-            if produce > 0:
-                spans.append({
-                    "lane": "sampler", "name": f"sample[{r}]",
-                    "cat": "sample", "start": producer_free,
-                    "dur": produce, "batch": r,
-                })
-            produced_at = producer_free + produce
-            producer_free = produced_at
-            begin = max(produced_at, consumer_free)
-            for lane, iters in enumerate(per_trainer_iters):
-                if r >= len(iters):
-                    continue
-                _, io_t, comp_t = iters[r]
-                net_t = (network.lane_time(lane, r)
-                         if network is not None else 0.0)
-                cursor = begin
-                for phase, duration in (("memory_io", io_t),
-                                        ("network", net_t),
-                                        ("compute", comp_t)):
-                    if duration > 0:
-                        spans.append({
-                            "lane": f"gpu{lane}", "name": f"{phase}[{r}]",
-                            "cat": phase, "start": cursor, "dur": duration,
-                            "batch": r,
-                        })
-                        cursor += duration
-            if sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}", "name": f"allreduce[{r}]",
-                        "cat": "allreduce", "start": begin + rest_max,
-                        "dur": sync, "batch": r,
-                    })
-            if net_sync > 0:
-                for lane in range(len(per_trainer_iters)):
-                    spans.append({
-                        "lane": f"gpu{lane}",
-                        "name": f"allreduce_net[{r}]",
-                        "cat": "network", "start": begin + rest_max + sync,
-                        "dur": net_sync, "batch": r,
-                    })
-            consumer_free = begin + rest_max + sync + net_sync
-        return consumer_free, spans
+                    _, io_t, comp_t = iters[r]
+                    carve_lane(spans, lane, r, begin, zip(
+                        PHASE_SPAN_ORDER[1:],
+                        (io_t, halo_time(network, lane, r), comp_t)))
+            barrier_spans(spans, len(per_trainer_iters), r, begin + rest[r],
+                          sync, net_sync)
+        return makespan, spans

@@ -6,9 +6,10 @@ Three pieces:
   values the redesigned front door (``api.run(..., exec=...)``,
   ``Framework.run_epoch(..., execution=...)``) carries instead of
   scattered keyword arguments.
-* :func:`stage_graph_makespan` — the generic bounded-queue dataflow
-  engine on :mod:`repro.sim.events` (sample → transfer → halo → train
-  as exclusive stages with backpressure).
+* :func:`stage_graph_makespan` — the repo's one makespan engine, a
+  bounded-queue dataflow graph on :mod:`repro.sim.events` (exclusive
+  stages with backpressure and an optional in-flight window). GNNLab's
+  and the out-of-core layouts run on it too.
 * :func:`pipelined_epoch_layout` — one epoch's rounds laid out through
   that graph, returning a reconciling timeline with per-stage stall
   spans.

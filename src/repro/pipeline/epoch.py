@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.obs import get_registry
 from repro.pipeline.graph import stage_graph_makespan
 from repro.pipeline.spec import PipelineSpec
 
@@ -30,6 +31,27 @@ STAGE_LANES = {
     "network": "network",
     "train": "trainers",
 }
+
+#: Histogram buckets of the in-flight counts the layouts observe at
+#: each admission to the stage graph.
+OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def make_span(lane: str, label: str, cat: str, start: float, dur: float,
+              batch: int, **extra) -> dict:
+    """One modeled timeline span, named ``label[batch]``: the dict shape
+    every epoch layout emits (``extra`` keys follow the standard ones)."""
+    return {"lane": lane, "name": f"{label}[{batch}]", "cat": cat,
+            "start": start, "dur": dur, "batch": batch, **extra}
+
+
+def stall_counter(registry):
+    """``repro_pipeline_stall_seconds_total``; each layout that emits it
+    defines what a stall second is (see ``docs/observability.md``)."""
+    return registry.counter(
+        "repro_pipeline_stall_seconds_total",
+        "Modeled seconds a pipeline stage spent waiting on the other",
+    )
 
 
 def sync_round_flags(rounds: int, staleness: int) -> list:
@@ -70,6 +92,11 @@ def pipelined_epoch_layout(
     per-stage totals, stall seconds, the sync-round count, and the
     ``max(stage totals) + fill`` lower-bound estimate the overlap gate
     compares against.
+
+    When observability is enabled, the summed stall seconds per stage go
+    to ``repro_pipeline_stall_seconds_total`` and the items in flight at
+    each admission to ``repro_pipeline_queue_occupancy``, both labeled
+    ``pipeline=label``.
     """
     rounds = len(samples)
     flags = sync_round_flags(rounds, pipeline.staleness)
@@ -88,6 +115,13 @@ def pipelined_epoch_layout(
     names.append("train")
     stage_times.append(trains)
 
+    registry = get_registry()
+    occupancy = registry.histogram(
+        "repro_pipeline_queue_occupancy",
+        "Items in flight (admitted, not yet out of the last stage) at "
+        "each admission to the stage graph",
+        buckets=OCCUPANCY_BUCKETS,
+    ).labels(pipeline=label)
     records: list = []
     stall_records: list = []
     makespan = stage_graph_makespan(
@@ -96,19 +130,15 @@ def pipelined_epoch_layout(
         queue_depth=pipeline.queue_depth,
         record=records.append,
         stall_record=stall_records.append,
-        pipeline_label=label,
+        admit=occupancy.observe,
     )
 
     spans: list = []
     for stage, batch, start, end in records:
         if stage != "train":
-            if end <= start:
-                continue
-            spans.append({
-                "lane": STAGE_LANES[stage], "name": f"{stage}[{batch}]",
-                "cat": stage, "start": start, "dur": end - start,
-                "batch": batch,
-            })
+            if end > start:
+                spans.append(make_span(STAGE_LANES[stage], stage, stage,
+                                       start, end - start, batch))
             continue
         # The train interval carries compute then the round's gradient
         # sync (intra-node allreduce, then the inter-node hop), carved
@@ -116,35 +146,26 @@ def pipelined_epoch_layout(
         cursor = start
         comp = computes[batch]
         if comp > 0:
-            spans.append({
-                "lane": "trainers", "name": f"compute[{batch}]",
-                "cat": "compute", "start": cursor, "dur": comp,
-                "batch": batch,
-            })
+            spans.append(make_span("trainers", "compute", "compute", cursor,
+                                   comp, batch))
             cursor += comp
         if flags[batch] and sync > 0:
-            spans.append({
-                "lane": "trainers", "name": f"allreduce[{batch}]",
-                "cat": "allreduce", "start": cursor, "dur": sync,
-                "batch": batch,
-            })
+            spans.append(make_span("trainers", "allreduce", "allreduce",
+                                   cursor, sync, batch))
             cursor += sync
         if flags[batch] and net_sync > 0:
-            spans.append({
-                "lane": "trainers", "name": f"allreduce_net[{batch}]",
-                "cat": "network", "start": cursor, "dur": net_sync,
-                "batch": batch,
-            })
+            spans.append(make_span("trainers", "allreduce_net", "network",
+                                   cursor, net_sync, batch))
     stall_seconds = {name: 0.0 for name in names}
     for stage, batch, start, end in stall_records:
-        if end <= start:
-            continue
         stall_seconds[stage] += end - start
-        spans.append({
-            "lane": "stalls", "name": f"stall:{stage}[{batch}]",
-            "cat": "stall", "start": start, "dur": end - start,
-            "batch": batch, "stage": stage,
-        })
+        spans.append(make_span("stalls", f"stall:{stage}", "stall", start,
+                               end - start, batch, stage=stage))
+    if registry.enabled:
+        stalls = stall_counter(registry)
+        for name, total in stall_seconds.items():
+            if total > 0:
+                stalls.labels(pipeline=label, stage=name).inc(total)
 
     totals = {name: float(sum(t)) for name, t in zip(names, stage_times)}
     bottleneck = max(totals, key=totals.get)

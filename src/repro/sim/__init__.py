@@ -1,14 +1,13 @@
-"""Discrete-event machinery for phase pipelining.
+"""Discrete-event machinery.
 
-GNNLab factors sampling and training onto different GPUs and runs them as a
-producer/consumer pipeline; FastGL prefetches the next subgraph's topology
-under the current batch's compute. Both overlaps are modeled here, either
-with the tiny event engine (:mod:`repro.sim.events`) or the closed-form
-two-stage pipeline (:mod:`repro.sim.pipeline`) — the tests check they
-agree.
+:mod:`repro.sim.events` is a tiny virtual-time event loop. Two kinds of
+simulator run on it: the pipeline engine
+(:func:`repro.pipeline.graph.stage_graph_makespan`), which every
+overlapped epoch layout uses — GNNLab's sampler/trainer pipeline, the
+out-of-core prefetch pipeline and the pipelined epoch — and the
+online-serving simulators in :mod:`repro.serve`.
 """
 
 from repro.sim.events import EventLoop
-from repro.sim.pipeline import two_stage_makespan, two_stage_makespan_sim
 
-__all__ = ["EventLoop", "two_stage_makespan", "two_stage_makespan_sim"]
+__all__ = ["EventLoop"]

@@ -1,6 +1,6 @@
 """Per-mini-batch IO scheduling for the out-of-core tier.
 
-Three jobs:
+Two jobs:
 
 1. **Deduplicate** — a mini-batch wants thousands of feature rows; many
    share a page. Only unique pages are considered at all.
@@ -8,16 +8,18 @@ Three jobs:
    command (up to ``max_coalesce`` pages), turning random reads into
    short sequential bursts; the command count drives the latency/IOPS
    side of the :class:`~repro.storage.nvme.NVMeLink` model.
-3. **Overlap** — an epoch's storage reads run in a pipeline with sampling
-   and training (:func:`storage_pipeline_makespan`, built directly on
-   :mod:`repro.sim.events`), bounded by a prefetch queue depth.
+
+The epoch-level overlap of storage reads with sampling and training is
+not scheduled here: the out-of-core layout
+(:meth:`repro.frameworks.fastgl.OutOfCoreFastGLFramework._epoch_timeline`)
+runs it on the pipeline engine,
+:func:`repro.pipeline.graph.stage_graph_makespan`, with the prefetch
+depth as its in-flight window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import StorageReadError
@@ -25,7 +27,6 @@ from repro.faults import call_with_faults, get_fault_plan
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs import get_registry
 from repro.sampling.idmap.base import sorted_unique
-from repro.sim.events import EventLoop
 from repro.storage.cache import MISS, PageCache
 from repro.storage.page_store import PageStore
 
@@ -196,76 +197,3 @@ class IOScheduler:
         }
         self._obs_cache = (registry, handles)
         return handles
-
-
-def storage_pipeline_makespan(
-    sample_times: Sequence[float],
-    read_times: Sequence[float],
-    train_times: Sequence[float],
-    queue_depth: int | None = None,
-    record=None,
-) -> float:
-    """Makespan of the sample -> storage-read -> train pipeline.
-
-    Each stage is an exclusive resource (the sampler kernel stream, the
-    NVMe submission engine, the training stream); batch ``i`` flows
-    through them in order, and at most ``queue_depth`` batches may be
-    past sampling but not yet trained (the prefetch buffer). Built on the
-    event engine so storage reads genuinely overlap the other stages.
-
-    ``record``, when given, is called as ``record((stage, batch, start,
-    end))`` for every executed stage interval — the hook the timeline
-    exporter uses to lay the overlapped epoch out faithfully. When
-    observability is enabled, per-stage stall seconds (makespan minus
-    busy time) and the prefetch-queue occupancy at each batch admission
-    are reported to the metrics registry.
-    """
-    if not len(sample_times) == len(read_times) == len(train_times):
-        raise ValueError("stage time lists must have equal length")
-    if queue_depth is not None and queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1 or None")
-    n = len(sample_times)
-    if n == 0:
-        return 0.0
-    loop = EventLoop()
-    stage_names = ("sample", "memory_io", "compute")
-    stages = [loop.resource(name) for name in stage_names]
-    times = (sample_times, read_times, train_times)
-    slots = ([loop.resource(f"slot{j}") for j in range(queue_depth)]
-             if queue_depth is not None else None)
-    registry = get_registry()
-    occupancy_hist = registry.histogram(
-        "repro_storage_queue_occupancy",
-        "Batches in flight (sampled but not yet trained) at admission",
-        buckets=(1, 2, 4, 8, 16, 32, 64),
-    ).labels(pipeline="storage")
-    in_flight = [0]
-
-    def batch(i: int):
-        if slots is not None:
-            yield slots[i % queue_depth].acquire()
-        in_flight[0] += 1
-        occupancy_hist.observe(in_flight[0])
-        for stage, stage_times in zip(stages, times):
-            yield stage.acquire()
-            start = loop.now
-            yield float(stage_times[i])
-            if record is not None:
-                record((stage.name, i, start, loop.now))
-            stage.release()
-        in_flight[0] -= 1
-        if slots is not None:
-            slots[i % queue_depth].release()
-
-    for i in range(n):
-        loop.spawn(batch(i))
-    makespan = loop.run()
-    if registry.enabled and makespan > 0:
-        stalls = registry.counter(
-            "repro_pipeline_stall_seconds_total",
-            "Modeled seconds a pipeline stage spent waiting on the other",
-        )
-        for name, stage_times in zip(stage_names, times):
-            idle = makespan - float(sum(stage_times))
-            stalls.labels(pipeline="storage", stage=name).inc(max(0.0, idle))
-    return makespan

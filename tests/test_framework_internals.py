@@ -15,6 +15,7 @@ from repro.frameworks.dgl import DGLFramework
 from repro.frameworks.gnnlab import GNNLabFramework
 from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import PCIeLink
+from repro.pipeline.graph import stage_graph_reference
 from repro.transfer.loader import TransferReport
 
 
@@ -81,13 +82,13 @@ class TestLockstepEpochTime:
         fw = DGLFramework()
         iters = [[(1.0, 1.0, 1.0), (0.5, 0.5, 1.0)]]
         config = RunConfig(num_gpus=1)
-        assert fw._epoch_time(iters, 0, 1, config) == pytest.approx(5.0)
+        assert fw._epoch_timeline(iters, 0, 1, config)[0] == pytest.approx(5.0)
 
     def test_two_trainers_lockstep_max(self):
         fw = DGLFramework()
         iters = [[(1.0, 0.5, 0.5)], [(2.0, 1.0, 2.0)]]
         config = RunConfig(num_gpus=2)
-        time = fw._epoch_time(iters, 0, 2, config)
+        time = fw._epoch_timeline(iters, 0, 2, config)[0]
         sync = allreduce_time(0, 2, config.cost)
         assert time == pytest.approx(5.0 + sync)
 
@@ -97,8 +98,8 @@ class TestLockstepEpochTime:
                  [(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]]
         config = RunConfig(num_gpus=2)
         grad = 10_000_000
-        with_sync = fw._epoch_time(iters, grad, 2, config)
-        without = fw._epoch_time(iters, 0, 2, config)
+        with_sync = fw._epoch_timeline(iters, grad, 2, config)[0]
+        without = fw._epoch_timeline(iters, 0, 2, config)[0]
         expected = 2 * (allreduce_time(grad, 2, config.cost)
                         - allreduce_time(0, 2, config.cost))
         assert with_sync - without == pytest.approx(expected)
@@ -111,7 +112,7 @@ class TestGNNLabPipeline:
         config = RunConfig(num_gpus=2)
         # 4 rounds, sampling 1s each, io+training 1s each.
         iters = [[(1.0, 0.5, 0.5)] * 4]
-        time = fw._epoch_time(iters, 0, 1, config)
+        time = fw._epoch_timeline(iters, 0, 1, config)[0]
         assert time == pytest.approx(5.0)  # 1 + 4 (pipeline fill + drain)
         serial = 8.0
         assert time < serial
@@ -123,19 +124,17 @@ class TestGNNLabPipeline:
         assert fw.num_trainer_gpus(five) == 3
 
     def test_matches_event_simulation(self):
-        """GNNLab's closed-form pipeline time equals the discrete-event
-        simulation of the same producer/consumer schedule."""
-        from repro.sim.pipeline import two_stage_makespan_sim
-
+        """GNNLab's event-simulated pipeline time equals the closed-form
+        recurrence of the same producer/consumer schedule."""
         fw = GNNLabFramework()
         config = RunConfig(num_gpus=2)
         iters = [[(0.7, 0.4, 0.9), (1.1, 0.2, 0.2),
                   (0.2, 0.4, 0.5), (0.5, 0.25, 0.25)]]
-        closed = fw._epoch_time(iters, 0, 1, config)
+        simulated = fw._epoch_timeline(iters, 0, 1, config)[0]
         produce = [s for s, _, _ in iters[0]]
         consume = [io + c for _, io, c in iters[0]]
-        simulated = two_stage_makespan_sim(produce, consume)
-        assert closed == pytest.approx(simulated)
+        assert simulated == pytest.approx(
+            stage_graph_reference([produce, consume]))
 
 
 class TestIoTimeOverlap:

@@ -53,7 +53,6 @@ class TestStrategyBundles:
 
     def test_gnnlab(self, config):
         fw = GNNLabFramework()
-        assert fw.pipelined_sampling
         assert fw.num_sampler_gpus(config) == 1
         eight = RunConfig(num_gpus=8)
         assert fw.num_sampler_gpus(eight) == 2

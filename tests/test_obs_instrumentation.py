@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.frameworks import FRAMEWORKS
+from repro.pipeline import PipelineSpec, pipelined_epoch_layout
 from repro.obs import (
     MetricsRegistry,
     instrumented,
@@ -132,17 +133,34 @@ class TestStorageInstrumentation:
         assert occupancy > 0
 
 
-class TestTwoStageStallAccounting:
+class TestPipelineStallAccounting:
     def test_stalls_reported(self):
-        from repro.sim.pipeline import two_stage_makespan
-
+        """The pipelined layout publishes the stall seconds it sums, per
+        stage, and one occupancy observation per admitted round."""
         with instrumented() as registry:
-            # Slow producer: the consumer starves between items.
-            two_stage_makespan([2.0, 2.0, 2.0], [0.5, 0.5, 0.5])
+            # Slow sampler: the zero-time IO stage and the trainer starve.
+            _, _, info = pipelined_epoch_layout(
+                [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                [0.5, 0.5, 0.5], sync=0.0, net_sync=0.0,
+                pipeline=PipelineSpec(mode="pipelined"), label="probe",
+            )
         flat = flatten_snapshot(to_snapshot(registry))
+        # Fill (2.0 s) plus two 1.5 s gaps between rounds.
         starved = flat['repro_pipeline_stall_seconds_total'
-                       '{pipeline="two_stage",stage="consumer"}']
-        assert starved == pytest.approx(3.0)  # two 1.5s gaps after fill
+                       '{pipeline="probe",stage="train"}']
+        assert starved == info["stall_seconds"]["train"] == 5.0
+        assert ('repro_pipeline_stall_seconds_total'
+                '{pipeline="probe",stage="sample"}') not in flat
+        assert flat['repro_pipeline_queue_occupancy_count'
+                    '{pipeline="probe"}'] == 3
+
+    def test_gnnlab_emits_no_pipeline_metrics(self, tiny_dataset):
+        with instrumented() as registry:
+            FRAMEWORKS["gnnlab"]().run_epoch(tiny_dataset, _config())
+        names = _family_names(registry)
+        assert "repro_pipeline_stall_seconds_total" not in names
+        assert "repro_pipeline_queue_occupancy" not in names
+        assert "repro_storage_queue_occupancy" not in names
 
 
 class TestDisabledOverhead:

@@ -30,7 +30,7 @@ class TestSuite:
         assert "repro_idmap_cas_ops_total" in names    # sampling
         assert "repro_transfer_feature_bytes_total" in names  # transfer
         assert "repro_storage_page_hits_total" in names       # storage
-        assert "repro_pipeline_stall_seconds_total" in names  # sim
+        assert "repro_pipeline_stall_seconds_total" in names  # ooc layout
 
     def test_suite_is_deterministic(self, snapshot):
         again = regress.collect_benchmark_metrics()

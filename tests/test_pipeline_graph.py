@@ -1,10 +1,10 @@
 """The stage-graph pipeline engine and the pipelined epoch layout.
 
-Oracles: the two-stage closed form (:func:`two_stage_makespan`) for
-``S=2`` and the N-stage recurrence (:func:`stage_graph_reference`) for
-everything else; properties over random stage-time vectors (zeros
-included) pin the engine between ``max(stage totals)`` and the serial
-sum.
+One oracle: the N-stage recurrence (:func:`stage_graph_reference`),
+which the event-driven engine must equal exactly for every
+``queue_depth`` and ``max_in_flight``; properties over random stage-time
+vectors (zeros included) pin the engine between ``max(stage totals)``
+and the serial sum.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from repro.pipeline import (
     stage_graph_reference,
     sync_round_flags,
 )
-from repro.sim.pipeline import two_stage_makespan
 
 #: Zero-length service times are drawn often: all-hit IO stages and
 #: empty halos are the common real-world degenerate cases.
 _seconds = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 _depths = st.one_of(st.none(), st.integers(1, 4))
+
+_windows = st.one_of(st.none(), st.integers(1, 5))
 
 
 def _stage_vectors(num_stages=st.integers(1, 4), num_items=st.integers(0, 10)):
@@ -55,6 +56,13 @@ class TestStageGraphEngine:
         with pytest.raises(ValueError):
             stage_graph_makespan([[1.0]], queue_depth=0)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            stage_graph_makespan([[1.0]], max_in_flight=window)
+        with pytest.raises(ValueError, match="max_in_flight"):
+            stage_graph_reference([[1.0]], max_in_flight=window)
+
     def test_no_items_is_zero(self):
         assert stage_graph_makespan([[], [], []]) == 0.0
 
@@ -65,6 +73,22 @@ class TestStageGraphEngine:
         # Balanced stages: steady state is bottleneck-rate, plus fill.
         times = [[1.0] * 5, [1.0] * 5, [1.0] * 5]
         assert stage_graph_makespan(times) == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("window, admits, makespan", [
+        (None, [1, 2, 3, 3], 7.0),
+        (8, [1, 2, 3, 4], 7.0),
+        (2, [1, 2, 2, 2], 7.0),
+        (1, [1, 1, 1, 1], 10.0),
+    ])
+    def test_admission_counts(self, window, admits, makespan):
+        """A window admits an item (and counts it in flight) when the
+        item gets a window slot — the first ``window`` items all at t=0;
+        without one, admission is stage 0 taking the item."""
+        seen = []
+        span = stage_graph_makespan([[1.0] * 4, [1.5] * 4],
+                                    max_in_flight=window, admit=seen.append)
+        assert seen == admits
+        assert span == makespan
 
     def test_records_cover_every_interval(self):
         records = []
@@ -94,21 +118,44 @@ class TestStageGraphEngine:
         times=st.lists(st.tuples(_seconds, _seconds), min_size=1,
                        max_size=10),
         depth=_depths,
+        window=_windows,
     )
-    def test_two_stage_oracle_agreement(self, times, depth):
-        """For S=2 the engine IS two_stage_makespan."""
-        produce = [p for p, _ in times]
-        consume = [c for _, c in times]
-        ours = stage_graph_makespan([produce, consume], queue_depth=depth)
-        oracle = two_stage_makespan(produce, consume, queue_depth=depth)
-        assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    def test_two_stage_oracle_agreement(self, times, depth, window):
+        """S=2 — GNNLab's producer/consumer shape — equals the oracle
+        exactly."""
+        stages = [[p for p, _ in times], [c for _, c in times]]
+        ours = stage_graph_makespan(stages, queue_depth=depth,
+                                    max_in_flight=window)
+        assert ours == stage_graph_reference(stages, queue_depth=depth,
+                                             max_in_flight=window)
+
+    @settings(max_examples=150, deadline=None)
+    @given(times=_stage_vectors(), depth=_depths, window=_windows)
+    def test_reference_recurrence_agreement(self, times, depth, window):
+        """The engine equals the one oracle exactly for S in 1–4 under
+        every combination of buffer and window bounds."""
+        ours = stage_graph_makespan(times, queue_depth=depth,
+                                    max_in_flight=window)
+        assert ours == stage_graph_reference(times, queue_depth=depth,
+                                             max_in_flight=window)
 
     @settings(max_examples=60, deadline=None)
-    @given(times=_stage_vectors(), depth=_depths)
-    def test_reference_recurrence_agreement(self, times, depth):
-        ours = stage_graph_makespan(times, queue_depth=depth)
-        oracle = stage_graph_reference(times, queue_depth=depth)
-        assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    @given(times=_stage_vectors(num_items=st.integers(1, 10)),
+           depth=_depths, window=st.integers(1, 4))
+    def test_window_properties(self, times, depth, window):
+        """A window of at least ``n`` items is no bound; a window of one
+        runs the items back to back; a wider window is never slower."""
+        n = len(times[0])
+        unbounded = stage_graph_makespan(times, queue_depth=depth)
+        assert stage_graph_makespan(times, queue_depth=depth,
+                                    max_in_flight=n) == unbounded
+        serial = stage_graph_makespan(times, max_in_flight=1)
+        assert serial == pytest.approx(sum(map(sum, times)), abs=1e-12)
+        narrow = stage_graph_makespan(times, queue_depth=depth,
+                                      max_in_flight=window)
+        wide = stage_graph_makespan(times, queue_depth=depth,
+                                    max_in_flight=window + 1)
+        assert wide <= narrow + 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(times=_stage_vectors(num_items=st.integers(1, 10)))

@@ -1,11 +1,17 @@
-"""Tests for the event loop and pipeline-makespan models."""
+"""Tests for the event loop and the two-stage pipeline it runs.
+
+GNNLab's sampler -> trainer pipeline is the two-stage configuration of
+the pipeline engine (:func:`stage_graph_makespan`); every case here is
+checked against the engine's one closed-form oracle,
+:func:`stage_graph_reference`.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pipeline.graph import stage_graph_makespan, stage_graph_reference
 from repro.sim.events import EventLoop
-from repro.sim.pipeline import two_stage_makespan, two_stage_makespan_sim
 
 
 class TestEventLoop:
@@ -99,26 +105,37 @@ class TestEventLoop:
 _stage_seconds = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 
+def two_stage(produce, consume, queue_depth=None):
+    """The engine's makespan of a producer/consumer pipeline, asserted
+    equal to the closed-form recurrence on the way out."""
+    span = stage_graph_makespan([produce, consume], queue_depth=queue_depth)
+    assert span == stage_graph_reference([produce, consume],
+                                         queue_depth=queue_depth)
+    return span
+
+
 class TestTwoStageMakespan:
     def test_producer_bound(self):
         # Slow producer, instant consumer: makespan ~ total production.
-        assert two_stage_makespan([2, 2, 2], [0.1, 0.1, 0.1]) == pytest.approx(6.1)
+        assert two_stage([2, 2, 2], [0.1, 0.1, 0.1]) == pytest.approx(6.1)
 
     def test_consumer_bound(self):
         # Fast producer: consumer streams back-to-back after first batch.
-        assert two_stage_makespan([0.1, 0.1, 0.1], [2, 2, 2]) == pytest.approx(6.1)
+        assert two_stage([0.1, 0.1, 0.1], [2, 2, 2]) == pytest.approx(6.1)
 
     def test_empty(self):
-        assert two_stage_makespan([], []) == 0.0
+        assert two_stage([], []) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            two_stage_makespan([1], [1, 2])
+            stage_graph_makespan([[1], [1, 2]])
+        with pytest.raises(ValueError):
+            stage_graph_reference([[1], [1, 2]])
 
     def test_backpressure(self):
         # depth 1: producer can only run one batch ahead.
-        free = two_stage_makespan([1, 1, 1], [3, 3, 3])
-        constrained = two_stage_makespan([1, 1, 1], [3, 3, 3], queue_depth=1)
+        free = two_stage([1, 1, 1], [3, 3, 3])
+        constrained = two_stage([1, 1, 1], [3, 3, 3], queue_depth=1)
         assert constrained >= free  # never faster with backpressure
 
     @settings(max_examples=40, deadline=None)
@@ -131,19 +148,12 @@ class TestTwoStageMakespan:
     def test_recurrence_matches_event_sim(self, times):
         """Property: the closed form equals the event simulation —
         including items with zero-length service at either stage."""
-        produce = [p for p, _ in times]
-        consume = [c for _, c in times]
-        a = two_stage_makespan(produce, consume)
-        b = two_stage_makespan_sim(produce, consume)
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+        two_stage([p for p, _ in times], [c for _, c in times])
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 7])
     def test_recurrence_matches_event_sim_bounded(self, depth):
-        produce = [1.0, 0.5, 2.0, 0.25, 1.5, 0.75]
-        consume = [3.0, 0.1, 1.0, 2.5, 0.2, 1.25]
-        a = two_stage_makespan(produce, consume, queue_depth=depth)
-        b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
-        assert a == pytest.approx(b, rel=1e-9)
+        two_stage([1.0, 0.5, 2.0, 0.25, 1.5, 0.75],
+                  [3.0, 0.1, 1.0, 2.5, 0.2, 1.25], queue_depth=depth)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -160,41 +170,33 @@ class TestTwoStageMakespan:
         pipeline."""
         produce = [p for p, _ in times]
         consume = [c for _, c in times]
-        a = two_stage_makespan(produce, consume, queue_depth=depth)
-        b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-        unbounded = two_stage_makespan_sim(produce, consume)
-        assert b >= unbounded - 1e-9
+        bounded = two_stage(produce, consume, queue_depth=depth)
+        assert bounded >= two_stage(produce, consume) - 1e-9
 
     def test_depth_one_serializes_against_consumer(self):
         # One slot: the producer may only start item i+1 once the
         # consumer has *finished* item i — the makespan degenerates to
         # the chained recurrence, not the unbounded overlap.
-        produce = [1.0, 1.0, 1.0]
-        consume = [2.0, 2.0, 2.0]
-        bounded = two_stage_makespan(produce, consume, queue_depth=1)
-        sim = two_stage_makespan_sim(produce, consume, queue_depth=1)
-        assert bounded == pytest.approx(sim, rel=1e-9)
+        bounded = two_stage([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], queue_depth=1)
         # items start at 0, 3, 6 (wait for consume(i-1)); last ends 6+1+2.
         assert bounded == pytest.approx(9.0)
 
     def test_zero_length_stage_times_agree(self):
         # All-zero producer (pure cache hits) and sparse zero consumers.
-        produce = [0.0, 0.0, 0.0, 0.0]
-        consume = [1.0, 0.0, 2.0, 0.0]
         for depth in (None, 1, 2):
-            a = two_stage_makespan(produce, consume, queue_depth=depth)
-            b = two_stage_makespan_sim(produce, consume, queue_depth=depth)
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-            assert a == pytest.approx(3.0)
+            span = two_stage([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                             queue_depth=depth)
+            assert span == pytest.approx(3.0)
 
     def test_sim_rejects_bad_depth(self):
         with pytest.raises(ValueError):
-            two_stage_makespan_sim([1.0], [1.0], queue_depth=0)
+            stage_graph_makespan([[1.0], [1.0]], queue_depth=0)
+        with pytest.raises(ValueError):
+            stage_graph_reference([[1.0], [1.0]], queue_depth=0)
 
     def test_lower_bounds(self):
         produce = [1.0, 2.0]
         consume = [3.0, 1.0]
-        span = two_stage_makespan(produce, consume)
+        span = two_stage(produce, consume)
         assert span >= sum(consume)
         assert span >= produce[0] + consume[0]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_COST_MODEL, RunConfig
+from repro.errors import ConfigError
 from repro.gpu.pcie import PCIeLink
 from repro.graph.features import HashFeatureStore
+from repro.pipeline.graph import stage_graph_makespan, stage_graph_reference
 from repro.sampling import NeighborSampler
 from repro.storage import (
     MISS,
@@ -19,7 +21,6 @@ from repro.storage import (
     build_page_cache,
     nvme_from_cost,
     partition_page_hotness,
-    storage_pipeline_makespan,
 )
 from repro.transfer.storage_loader import (
     StorageTransferReport,
@@ -284,16 +285,28 @@ class TestIOScheduler:
             IOScheduler(PageStore(backing), LRUPageCache(1), max_coalesce=0)
 
 
+def storage_pipeline(samples, reads, trains, depth=None):
+    """The out-of-core sample -> read -> train pipeline: three stages of
+    the pipeline engine with the prefetch depth as its in-flight window,
+    asserted equal to the closed-form oracle on the way out."""
+    stages = [samples, reads, trains]
+    span = stage_graph_makespan(stages,
+                                names=("sample", "memory_io", "compute"),
+                                max_in_flight=depth)
+    assert span == stage_graph_reference(stages, max_in_flight=depth)
+    return span
+
+
 class TestStoragePipelineMakespan:
     def test_empty(self):
-        assert storage_pipeline_makespan([], [], []) == 0.0
+        assert storage_pipeline([], [], []) == 0.0
 
     def test_single_batch_is_serial(self):
-        assert storage_pipeline_makespan([1.0], [2.0], [3.0]) == 6.0
+        assert storage_pipeline([1.0], [2.0], [3.0], depth=4) == 6.0
 
     def test_overlap_beats_serial(self):
         samples, reads, trains = [1.0] * 4, [1.0] * 4, [1.0] * 4
-        span = storage_pipeline_makespan(samples, reads, trains)
+        span = storage_pipeline(samples, reads, trains, depth=4)
         serial = sum(samples) + sum(reads) + sum(trains)
         assert span < serial
         # Steady state: one batch drains per stage time.
@@ -301,17 +314,21 @@ class TestStoragePipelineMakespan:
 
     def test_bounded_queue_never_faster(self):
         samples, reads, trains = [0.1] * 6, [2.0] * 6, [0.1] * 6
-        free = storage_pipeline_makespan(samples, reads, trains)
-        tight = storage_pipeline_makespan(samples, reads, trains,
-                                          queue_depth=1)
+        free = storage_pipeline(samples, reads, trains)
+        tight = storage_pipeline(samples, reads, trains, depth=1)
         assert tight >= free
         assert free >= sum(reads)  # the bottleneck stage is exclusive
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            storage_pipeline_makespan([1.0], [1.0], [])
+            stage_graph_makespan([[1.0], [1.0], []])
         with pytest.raises(ValueError):
-            storage_pipeline_makespan([1.0], [1.0], [1.0], queue_depth=0)
+            stage_graph_makespan([[1.0], [1.0], [1.0]], max_in_flight=0)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_config_rejects_prefetch_depth_below_one(self, depth):
+        with pytest.raises(ConfigError, match="storage_prefetch_depth"):
+            RunConfig(storage_prefetch_depth=depth)
 
 
 class TestStorageTransferReport:
