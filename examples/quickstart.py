@@ -10,7 +10,7 @@ Usage::
 
 import sys
 
-from repro import RunConfig, get_dataset, get_framework
+from repro import RunConfig, create, get_dataset
 from repro.utils import format_bytes, format_seconds
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     config = RunConfig(num_gpus=2)
     reports = {}
     for name in ("dgl", "fastgl"):
-        framework = get_framework(name)
+        framework = create(name)
         report = framework.run_epoch(dataset, config)
         reports[name] = report
         fractions = report.phases.fractions()

@@ -13,7 +13,7 @@ Usage::
 import sys
 from dataclasses import replace
 
-from repro import RunConfig, get_dataset, get_framework
+from repro import RunConfig, create, get_dataset
 from repro.gpu.cluster import effective_pcie_bandwidth
 from repro.utils import format_seconds, format_si
 
@@ -38,7 +38,7 @@ def main() -> None:
             if name == "gnnlab" and gpus < 2:
                 times[name] = float("nan")
                 continue
-            report = get_framework(name).run_epoch(dataset, config)
+            report = create(name).run_epoch(dataset, config)
             times[name] = report.epoch_time
         if gpus == 1:
             baselines = dict(times)
@@ -51,7 +51,7 @@ def main() -> None:
           "(paper: DGL 3.36x, FastGL 5.93x):")
     config = replace(base, num_gpus=8)
     for name in ("dgl", "fastgl"):
-        time8 = get_framework(name).run_epoch(dataset, config).epoch_time
+        time8 = create(name).run_epoch(dataset, config).epoch_time
         print(f"  {name}: {baselines[name] / time8:.2f}x")
 
 

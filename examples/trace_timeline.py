@@ -13,8 +13,8 @@ Usage::
 import pathlib
 import sys
 
-from repro import RunConfig, get_dataset, get_framework
-from repro.metrics.trace import write_chrome_trace
+from repro import RunConfig, create, get_dataset
+from repro.obs.trace import write_chrome_trace
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     dataset = get_dataset(dataset_name)
     config = RunConfig(num_gpus=2)
     for name in ("dgl", "fastgl"):
-        report = get_framework(name).run_epoch(dataset, config)
+        report = create(name).run_epoch(dataset, config)
         path = out_dir / f"trace_{name}.json"
         events = write_chrome_trace(path, report)
         print(f"{name}: wrote {events} spans to {path} "

@@ -1,12 +1,14 @@
 """The FastGL training pipeline (the paper's Fig. 5), as a library API.
 
-:class:`FastGLTrainer` is the user-facing orchestration: per window of
-``n`` mini-batches it (1) samples with the Fused-Map sampler, (2) greedily
-reorders the window, then (3) trains batch by batch, loading features
-through the Match process (plus the Section-5 leftover-memory cache) and
-running the real numpy model whose aggregation the Memory-Aware cost model
-prices. It owns a persistent model/optimizer, so it is the right entry
-point for an application that wants a *trained model* rather than an
+:class:`FastGLTrainer` is a thin stateful wrapper over
+:class:`repro.frameworks.FastGLFramework`: each epoch it samples every
+mini-batch with the framework's Fused-Map sampler, runs the framework's
+lane step (Greedy Reorder per window, then the Match load and
+Memory-Aware compute priced through ``Framework.price_batch``, the same
+method ``run_epoch`` and the serving profile use), and trains the real
+numpy model batch by batch with ``run_epoch``'s training step.
+It owns a persistent model/optimizer, so it is the right entry point
+for an application that wants a *trained model* rather than an
 epoch-time report (use :class:`repro.frameworks.FastGLFramework` for
 that).
 """
@@ -18,17 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import RunConfig
-from repro.core.memory_aware import ComputeCostModel, model_profile
-from repro.core.reorder import greedy_reorder, match_degree_matrix
-from repro.gpu.pcie import link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
-from repro.nn import Adam, Tensor, build_model, cross_entropy, no_grad
-from repro.sampling import FusedIdMap, NeighborSampler
-from repro.transfer.buffer import ResidentFeatureBuffer
-from repro.transfer.cache import PresampleCachePolicy
-from repro.transfer.loader import MatchLoader
+from repro.nn import Adam, Tensor, build_model, no_grad
 from repro.utils.rng import RngFactory
 
 
@@ -66,7 +61,9 @@ class FastGLTrainer:
     """End-to-end FastGL training over one dataset.
 
     Parameters mirror the paper's setup; the trainer keeps its model and
-    optimizer across :meth:`train` calls so training can be resumed.
+    optimizer across :meth:`train` calls so training can be resumed. It
+    is one device: batches are priced at one concurrent host link
+    whatever ``config.num_gpus`` says.
     """
 
     def __init__(
@@ -77,34 +74,23 @@ class FastGLTrainer:
         spec: GPUSpec = RTX3090,
         learning_rate: float = 3e-3,
     ) -> None:
+        # Imported here: repro.frameworks imports repro.core, whose
+        # package init imports this module.
+        from repro.frameworks.fastgl import FastGLFramework
+
         self.dataset = dataset
         self.config = config or RunConfig()
         self.spec = spec
         self.model_name = model_name
+        self.framework = FastGLFramework(spec)
         rngs = RngFactory(self.config.seed)
         self._rngs = rngs
-
-        self.sampler = NeighborSampler(
-            dataset.graph,
-            self.config.fanouts,
-            idmap=FusedIdMap(),
-            rng=rngs.child("trainer-sampler"),
-        )
-        cache = None
-        budget = dataset.cache_budget_bytes()
-        if budget > 0:
-            cache = PresampleCachePolicy.build(
-                self.sampler, dataset.train_ids, dataset.features, budget,
-                batch_size=min(self.config.batch_size,
-                               len(dataset.train_ids)),
-                rng=rngs.child("trainer-cache"),
-            )
-        self.loader = MatchLoader(dataset.features, cache=cache)
-        # Functional counterpart of the Match byte accounting: the actual
-        # feature rows are assembled from the resident device buffer plus
-        # host fetches of the difference set (bit-identical to a direct
-        # gather — tests/test_buffer_autotune.py proves it).
-        self._buffer = ResidentFeatureBuffer(dataset.features)
+        self.sampler = self.framework.make_sampler(
+            dataset, self.config, rngs.child("trainer-sampler"))
+        # The presample cache draws from the shared sampler, so the
+        # loader must be built right after it.
+        self.loader = self.framework.make_loader(
+            dataset, self.config, self.sampler, rngs.child("trainer-cache"))
         self.model = build_model(
             model_name, dataset.feature_dim, dataset.num_classes,
             hidden_dim=self.config.hidden_dim,
@@ -112,14 +98,8 @@ class FastGLTrainer:
             seed=rngs.child_seed("trainer-model"),
         )
         self.optimizer = Adam(self.model.parameters(), lr=learning_rate)
-        self._cost_model = ComputeCostModel(spec, self.config.cost,
-                                            "memory_aware")
-        self._profile = model_profile(
-            model_name, dataset.feature_dim, dataset.num_classes,
-            hidden_dim=self.config.hidden_dim,
-            num_layers=self.config.num_layers,
-        )
-        self._link = link_from_cost(spec, self.config.cost)
+        self._costs = self.framework.cost_context(dataset, self.config,
+                                                  model_name)
         self._epochs_done = 0
 
     # -- training -----------------------------------------------------------
@@ -136,59 +116,29 @@ class FastGLTrainer:
         history = TrainHistory()
         plan = MinibatchPlan(self.dataset.train_ids, self.config.batch_size,
                              locality=self.config.batch_locality)
+        framework = self.framework
         for _ in range(num_epochs):
             epoch_rng = self._rngs.child(f"trainer-epoch{self._epochs_done}")
             batches = plan.batches(epoch_rng)
-            self.loader.reset_epoch()
-            self._buffer.reset()
-            window = max(2, self.config.reorder_window)
-            for start in range(0, len(batches), window):
-                group = batches[start:start + window]
-                self._train_window(group, history)
+            subgraphs = [self.sampler.sample(batch) for batch in batches]
+            lane = framework.run_lane(subgraphs, self.sampler, self.loader,
+                                      self.config, self._costs, trainers=1)
+            for position, priced in lane:
+                history.sample_time += priced.sample
+                history.memory_io_time += priced.memory_io
+                history.compute_time += priced.compute.total_time
+                history.rows_loaded += priced.transfer.num_loaded
+                history.rows_reused += priced.transfer.num_reused
+                history.losses.append(framework.train_batch(
+                    self.model, self.optimizer, self.dataset,
+                    subgraphs[position], batches[position]))
+                history.num_batches += 1
             self._epochs_done += 1
             if validate and len(self.dataset.val_ids):
                 history.val_accuracies.append(
                     self.evaluate(self.dataset.val_ids[:val_batch])
                 )
         return history
-
-    def _train_window(self, batches: list, history: TrainHistory) -> None:
-        # (1) Map-Fused Sampler samples the n mini-batches of the window.
-        subgraphs = [self.sampler.sample(batch) for batch in batches]
-        for sg in subgraphs:
-            history.sample_time += self.sampler.modeled_total_sample_time(
-                sg, self.config.cost
-            )
-        # (2) Greedy Reorder permutes the window.
-        order = list(range(len(subgraphs)))
-        if len(subgraphs) > 2:
-            matrix = match_degree_matrix(
-                [sg.unique_input_nodes() for sg in subgraphs],
-                assume_unique=True,
-            )
-            order = greedy_reorder(matrix)
-        # (3) Match-load + Memory-Aware compute, batch by batch.
-        for index in order:
-            subgraph = subgraphs[index]
-            seeds = batches[index]
-            report = self.loader.plan(subgraph)
-            history.memory_io_time += report.modeled_time(
-                self._link, self.config.cost
-            )
-            history.rows_loaded += report.num_loaded
-            history.rows_reused += report.num_reused
-
-            features = Tensor(self._buffer.fetch(subgraph.input_nodes))
-            logits = self.model(subgraph, features)
-            loss = cross_entropy(logits, self.dataset.labels[seeds])
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            history.losses.append(float(loss.data))
-            history.num_batches += 1
-            history.compute_time += self._cost_model.subgraph_report(
-                subgraph, self._profile
-            ).total_time
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, seeds: np.ndarray) -> float:

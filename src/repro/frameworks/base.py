@@ -27,11 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import RunConfig
-from repro.core.memory_aware import ComputeCostModel, ComputeReport, model_profile
+from repro.config import CostModelConfig, RunConfig
+from repro.core.memory_aware import (
+    ComputeCostModel,
+    ComputeReport,
+    ModelProfile,
+    model_profile,
+)
 from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.gpu.cluster import allreduce_time
-from repro.gpu.pcie import link_from_cost
+from repro.gpu.pcie import PCIeLink, link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
@@ -221,6 +226,35 @@ class EpochReport:
             f"PCIe, {self.transfer.num_reused} rows reused, "
             f"{self.transfer.num_cache_hits} cache hits"
         )
+
+
+@dataclass(frozen=True)
+class CostContext:
+    """The modeled-cost pieces a run prices every batch with.
+
+    Built once per run by :meth:`Framework.cost_context`. ``param_bytes``
+    comes from the model profile, so gradient sync and the workspace
+    model price the same bytes whether or not a real model trains.
+    """
+
+    cost: CostModelConfig
+    link: PCIeLink
+    cost_model: ComputeCostModel
+    profile: ModelProfile
+    param_bytes: int
+
+
+@dataclass
+class BatchCost:
+    """One priced mini-batch: modeled seconds and the reports behind them."""
+
+    #: Draw + ID-map seconds (the whole sample phase).
+    sample: float
+    #: ID-map share of ``sample``.
+    idmap: float
+    memory_io: float
+    transfer: TransferReport
+    compute: ComputeReport
 
 
 def _chunk(batches: list, num_chunks: int) -> list:
@@ -503,7 +537,8 @@ class Framework:
         pipeline = execution.pipeline
         cost = config.cost
         rngs = RngFactory(config.seed)
-        link = link_from_cost(self.spec, cost)
+        costs = self.cost_context(dataset, config, model_name)
+        param_bytes = costs.param_bytes
         per_node_trainers = self.num_trainer_gpus(config)
         cluster_state = None
         if cluster is not None and cluster.num_nodes >= 1:
@@ -514,11 +549,6 @@ class Framework:
         trainers = per_node_trainers * (
             cluster_state.num_nodes if cluster_state is not None else 1
         )
-        profile = model_profile(
-            model_name, dataset.feature_dim, dataset.num_classes,
-            hidden_dim=config.hidden_dim, num_layers=config.num_layers,
-        )
-        cost_model = ComputeCostModel(self.spec, cost, self.compute_mode)
 
         plan = MinibatchPlan(dataset.train_ids, config.batch_size,
                              locality=config.batch_locality)
@@ -541,11 +571,6 @@ class Framework:
                 seed=rngs.child_seed("model"),
             )
             optimizer = Adam(model.parameters(), lr=3e-3)
-        param_bytes = (
-            model.parameter_bytes()
-            if model is not None
-            else _profile_param_bytes(profile)
-        )
 
         phases = PhaseTimes()
         #: Typed like the first report the loader produces, so storage-
@@ -613,11 +638,8 @@ class Framework:
                 # PCIe contention is per node: only the trainers sharing
                 # one host link compete (== all trainers without a
                 # cluster).
-                return self._run_lane(
-                    lane_subgraphs[t], loaders[t], sampler, config, cost,
-                    link, cost_model, profile, dataset, param_bytes,
-                    per_node_trainers,
-                )
+                return self.run_lane(lane_subgraphs[t], sampler, loaders[t],
+                                     config, costs, per_node_trainers)
 
             # Lane records come back in lane order; worker-side metric
             # snapshots (loader counters, reorder histograms, storage
@@ -640,15 +662,14 @@ class Framework:
                 iters = []
                 lane_retries = []
                 lane_net = []
-                for rec in records:
-                    position = rec["position"]
+                for position, priced in records:
                     sg = subgraphs[position]
                     seeds = chunk[position]
-                    sample_t = rec["sample_t"]
-                    idmap_t = rec["idmap_t"]
-                    io_t = rec["io_t"]
-                    report = rec["report"]
-                    comp = rec["comp"]
+                    sample_t = priced.sample
+                    idmap_t = priced.idmap
+                    io_t = priced.memory_io
+                    report = priced.transfer
+                    comp = priced.compute
                     # Halo exchange runs in the parent, lane-major: the
                     # per-node remote caches must evolve in one
                     # deterministic order regardless of the job count.
@@ -690,17 +711,10 @@ class Framework:
                     )
 
                     if model is not None:
-                        features = Tensor(
-                            dataset.features.gather(sg.input_nodes)
-                        )
-                        logits = model(sg, features)
-                        loss = cross_entropy(logits, dataset.labels[seeds])
-                        optimizer.zero_grad()
-                        loss.backward()
-                        optimizer.step()
-                        losses.append(float(loss.data))
+                        losses.append(self.train_batch(
+                            model, optimizer, dataset, sg, seeds))
 
-                    usage = rec["usage"]
+                    usage = self._workspace_bytes(sg, dataset, config, costs)
                     if usage["total"] > memory_peak:
                         memory_peak = usage["total"]
                         memory_detail = usage
@@ -788,46 +802,80 @@ class Framework:
             extras=extras,
         )
 
-    # -- helpers ---------------------------------------------------------------
-    def _run_lane(self, subgraphs: list, loader, sampler, config: RunConfig,
-                  cost, link, cost_model, profile, dataset, param_bytes,
-                  trainers: int) -> list:
-        """One trainer lane's post-sampling work: window reorder, transfer
-        planning, compute modeling, workspace sizing.
+    # -- one batch: pricing and training ---------------------------------------
+    def cost_context(self, dataset: Dataset, config: RunConfig,
+                     model_name: str) -> CostContext:
+        """The host link, compute cost model and model profile a run
+        prices its batches with (built once per run)."""
+        profile = model_profile(
+            model_name, dataset.feature_dim, dataset.num_classes,
+            hidden_dim=config.hidden_dim, num_layers=config.num_layers,
+        )
+        return CostContext(
+            cost=config.cost,
+            link=link_from_cost(self.spec, config.cost),
+            cost_model=ComputeCostModel(self.spec, config.cost,
+                                        self.compute_mode),
+            profile=profile,
+            param_bytes=_profile_param_bytes(profile),
+        )
 
-        Pure with respect to the parent's accumulators — everything the
-        epoch driver folds is returned as picklable per-batch records (in
-        execution order), so the lane can run in a forked worker. Metric
-        side effects (loader counters, reorder histograms) go to whatever
-        registry is current — the executor's per-chunk registry protocol
-        captures and merges them.
+    def price_batch(self, subgraph: SampledSubgraph, sampler: Sampler,
+                    loader: FeatureLoader, costs: CostContext,
+                    trainers: int) -> BatchCost:
+        """Modeled cost of one sampled mini-batch — the paper's Fig. 5
+        iteration: sample + ID map, the loader's transfer plan, the
+        compute report, and the memory IO left after topology prefetch.
+
+        ``loader.plan`` advances the loader's residency state, so
+        consecutive calls price consecutive batches on one device;
+        ``trainers`` GPUs share the host link.
+        """
+        cost = costs.cost
+        idmap_t = subgraph.idmap_report.modeled_time(cost)
+        sample_t = sampler.modeled_sample_time(subgraph, cost) + idmap_t
+        transfer = loader.plan(subgraph)
+        comp = costs.cost_model.subgraph_report(subgraph, costs.profile)
+        io_t = self._io_time(transfer, comp, costs.link, cost, trainers)
+        return BatchCost(sample=sample_t, idmap=idmap_t, memory_io=io_t,
+                         transfer=transfer, compute=comp)
+
+    def run_lane(self, subgraphs: list, sampler: Sampler,
+                 loader: FeatureLoader, config: RunConfig,
+                 costs: CostContext, trainers: int) -> list:
+        """One trainer lane's post-sampling work: reorder each window,
+        then price the batches in execution order.
+
+        Returns ``(position, BatchCost)`` pairs in execution order. Pure
+        with respect to the caller's accumulators, so ``run_epoch`` can
+        run it in a forked worker. Metric side effects (loader counters,
+        reorder histograms) go to whatever registry is current — the
+        executor's per-chunk registry protocol captures and merges them.
         """
         loader.reset_epoch()
         order = list(range(len(subgraphs)))
         if self.use_reorder and len(subgraphs) > 2:
             order = self._reorder_windows(subgraphs, config)
-        records = []
-        for position in order:
-            sg = subgraphs[position]
-            sample_t = sampler.modeled_sample_time(sg, cost)
-            idmap_t = sg.idmap_report.modeled_time(cost)
-            sample_t += idmap_t
-            report = loader.plan(sg)
-            comp = cost_model.subgraph_report(sg, profile)
-            io_t = self._io_time(report, comp, link, cost, trainers)
-            usage = self._workspace_bytes(sg, profile, dataset,
-                                          param_bytes, config)
-            records.append({
-                "position": position,
-                "sample_t": sample_t,
-                "idmap_t": idmap_t,
-                "io_t": io_t,
-                "report": report,
-                "comp": comp,
-                "usage": usage,
-            })
-        return records
+        return [
+            (position, self.price_batch(subgraphs[position], sampler,
+                                        loader, costs, trainers))
+            for position in order
+        ]
 
+    @staticmethod
+    def train_batch(model, optimizer, dataset: Dataset,
+                    subgraph: SampledSubgraph, seeds: np.ndarray) -> float:
+        """One optimizer step of ``model`` on a sampled mini-batch;
+        returns the loss."""
+        features = Tensor(dataset.features.gather(subgraph.input_nodes))
+        loss = cross_entropy(model(subgraph, features),
+                             dataset.labels[seeds])
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return float(loss.data)
+
+    # -- helpers ---------------------------------------------------------------
     def _reorder_windows(self, subgraphs: list, config: RunConfig) -> list:
         """Greedy-reorder each window of ``reorder_window`` mini-batches."""
         order: list = []
@@ -969,10 +1017,12 @@ class Framework:
             total += round_time + sync + net_sync
         return total, spans
 
-    def _workspace_bytes(self, subgraph: SampledSubgraph, profile, dataset,
-                         param_bytes: int, config: RunConfig) -> dict:
+    def _workspace_bytes(self, subgraph: SampledSubgraph, dataset: Dataset,
+                         config: RunConfig, costs: CostContext) -> dict:
         """Device-memory accounting for one iteration (Table 1/9 model)."""
         cost = config.cost
+        profile = costs.profile
+        param_bytes = costs.param_bytes
         store = dataset.features
         feature_buf = subgraph.num_nodes * store.bytes_per_node
         structure = subgraph.structure_bytes()

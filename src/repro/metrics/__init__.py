@@ -2,12 +2,9 @@
 
 from repro.metrics.roofline import RooflinePoint, roofline_ceiling
 from repro.metrics.memory import paper_scale_workspace_bytes
-from repro.metrics.trace import epoch_trace_events, write_chrome_trace
 
 __all__ = [
     "RooflinePoint",
     "roofline_ceiling",
     "paper_scale_workspace_bytes",
-    "epoch_trace_events",
-    "write_chrome_trace",
 ]

@@ -22,7 +22,7 @@ def _cmd_dump(args) -> int:
     from repro.config import RunConfig
     from repro.frameworks import FRAMEWORKS
     from repro.graph.datasets import get_dataset
-    from repro.metrics.trace import write_chrome_trace
+    from repro.obs.trace import write_chrome_trace
 
     if args.framework not in FRAMEWORKS:
         print(f"unknown framework {args.framework!r}; "

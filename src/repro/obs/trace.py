@@ -6,13 +6,18 @@ One :class:`Tracer` collects two kinds of spans:
   nesting is tracked per thread, so a span opened inside another becomes
   its child;
 * **modeled spans** via :meth:`Tracer.add_span` — explicit start/duration
-  in modeled seconds, used to lay out an epoch's simulated timeline (the
-  same layout :mod:`repro.metrics.trace` exports from an
-  :class:`~repro.frameworks.base.EpochReport`).
+  in modeled seconds, used to lay out an epoch's simulated timeline.
 
 Both export to the Chrome tracing JSON format (``chrome://tracing`` /
 Perfetto "complete" events), and :func:`spans_from_chrome_events` reads
 that JSON back into spans so round-trips can be tested.
+
+:func:`epoch_trace_events` and :func:`write_chrome_trace` export an
+:class:`~repro.frameworks.base.EpochReport`: its timeline is the exact
+layout the framework's epoch-time model computed, including allreduce
+spans and any pipeline overlap (GNNLab's factored sampler, the
+out-of-core prefetch pipeline), so the trace's extent reconciles with
+``EpochReport.epoch_time``.
 """
 
 from __future__ import annotations
@@ -181,3 +186,43 @@ def spans_from_chrome_events(events) -> list:
             args=args,
         ))
     return spans
+
+
+#: Categories of an epoch's modeled phase spans.
+PHASES = ("sample", "memory_io", "compute", "allreduce")
+
+
+def _epoch_tracer(report) -> Tracer:
+    """A tracer holding ``report.timeline()``; empty for a report that
+    recorded no timeline."""
+    tracer = Tracer(enabled=True)
+    for span in report.timeline():
+        tracer.add_span(
+            span.name,
+            start=span.start,
+            duration=span.duration,
+            lane=span.lane,
+            category=span.category,
+            batch=span.args.get("batch"),
+            phase=span.category,
+        )
+    return tracer
+
+
+def epoch_trace_events(report) -> list:
+    """Trace events (dicts) for ``report``; empty if it recorded none."""
+    return _epoch_tracer(report).to_chrome_events(pid=report.framework)
+
+
+def write_chrome_trace(path, report) -> int:
+    """Write the trace JSON for an epoch ``report``; returns the event
+    count."""
+    return _epoch_tracer(report).write_chrome_trace(
+        path, pid=report.framework,
+        other_data={
+            "framework": report.framework,
+            "dataset": report.dataset,
+            "model": report.model,
+            "modeled_epoch_seconds": report.epoch_time,
+        },
+    )

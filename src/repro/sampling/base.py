@@ -36,12 +36,3 @@ class Sampler(ABC):
         hops = max(1, subgraph.num_layers)
         return (subgraph.num_sampled_edges / throughput
                 + hops * cost.sample_hop_overhead_s)
-
-    def modeled_total_sample_time(
-        self,
-        subgraph: SampledSubgraph,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
-    ) -> float:
-        """Draw time plus ID-map time — the full sample phase."""
-        return (self.modeled_sample_time(subgraph, cost)
-                + subgraph.idmap_report.modeled_time(cost))

@@ -12,6 +12,11 @@ aggregation while ``fastgl`` serves with Fused-Map, Match residency
 (kept *across* micro-batches — the server never resets it) and the
 Memory-Aware kernel. The serving-latency gap between the two is the
 paper's Fig. 9 speedup transplanted onto the request path.
+
+Each micro-batch is priced by :meth:`Framework.price_batch
+<repro.frameworks.base.Framework.price_batch>` against the framework's
+:meth:`~repro.frameworks.base.Framework.cost_context`, the same method
+that prices a training batch on one trainer lane.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import RunConfig
-from repro.core.memory_aware import ComputeCostModel, model_profile
-from repro.gpu.pcie import link_from_cost
 from repro.utils.rng import RngFactory
 
 
@@ -54,13 +57,7 @@ class ServingProfile:
             dataset, config, rngs.child("serve-sampler"))
         self.loader = framework.make_loader(
             dataset, config, self.sampler, rngs.child("serve-loader"))
-        self.link = link_from_cost(framework.spec, config.cost)
-        self.cost_model = ComputeCostModel(
-            framework.spec, config.cost, framework.compute_mode)
-        self.model_profile = model_profile(
-            model, dataset.feature_dim, dataset.num_classes,
-            hidden_dim=config.hidden_dim, num_layers=config.num_layers,
-        )
+        self.costs = framework.cost_context(dataset, config, model)
         #: FastGL-style profiles reorder the dispatch backlog by match
         #: degree (the serving analogue of Greedy Reorder).
         self.reorder_backlog = bool(getattr(framework, "use_reorder", False))
@@ -96,14 +93,10 @@ class ServingProfile:
         batches on the same device, which is what lets Match reuse rows
         across micro-batches.
         """
-        cost = self.config.cost
         subgraph = self.sampler.sample(np.asarray(seeds, dtype=np.int64))
-        sample_t = (self.sampler.modeled_sample_time(subgraph, cost)
-                    + subgraph.idmap_report.modeled_time(cost))
-        transfer = self.loader.plan(subgraph)
-        comp = self.cost_model.subgraph_report(subgraph, self.model_profile)
-        io_t = self.framework._io_time(transfer, comp, self.link, cost,
-                                       trainers=1)
-        times = ServiceTimes(sample=sample_t, memory_io=io_t,
-                             compute=comp.total_time)
-        return times, subgraph, transfer
+        priced = self.framework.price_batch(subgraph, self.sampler,
+                                            self.loader, self.costs,
+                                            trainers=1)
+        times = ServiceTimes(sample=priced.sample, memory_io=priced.memory_io,
+                             compute=priced.compute.total_time)
+        return times, subgraph, priced.transfer

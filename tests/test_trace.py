@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.frameworks import DGLFramework
-from repro.metrics.trace import PHASES, epoch_trace_events, write_chrome_trace
+from repro.obs.trace import PHASES, epoch_trace_events, write_chrome_trace
 
 
 @pytest.fixture()
