@@ -13,7 +13,13 @@ bits, and :mod:`repro.bench.kernels` times it against the reference:
   with numpy's ``np.unique``, a ``np.lexsort`` and ``np.add.at``;
 * :func:`hash_gather_legacy` —
   :meth:`repro.graph.features.HashFeatureStore.gather` with the float64
-  final scaling.
+  final scaling;
+* :class:`ResidentFeatureBuffer` — the functional counterpart of
+  :class:`~repro.transfer.loader.MatchLoader`'s byte accounting: it
+  assembles each batch's feature matrix from the previous batch's
+  resident rows plus a host gather of only the difference set, so tests
+  can assert that Match is exactness-preserving (the premise of the
+  paper's Fig. 16).
 
 Only the tests and the bench kernels import this module.
 """
@@ -22,9 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.match import MatchState
 from repro.core.reorder import _as_match_matrix
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.features import FeatureStore
 
 
 def match_degree_matrix_legacy(node_sets) -> np.ndarray:
@@ -135,3 +143,49 @@ def hash_gather_legacy(store, ids: np.ndarray) -> np.ndarray:
     mixed ^= mixed >> np.uint64(29)
     out[:] = (mixed >> np.uint64(40)).astype(np.float64) / 2**24 - 0.5
     return out
+
+
+class ResidentFeatureBuffer:
+    """Keeps the last mini-batch's feature rows 'on device'."""
+
+    def __init__(self, store: FeatureStore) -> None:
+        self.store = store
+        self._state = MatchState()
+        #: Resident rows, keyed by global node ID.
+        self._rows: dict = {}
+        self.host_rows_fetched = 0
+        self.rows_reused = 0
+
+    def reset(self) -> None:
+        """Flush residency (epoch boundary)."""
+        self._state.reset()
+        self._rows = {}
+
+    def fetch(self, input_nodes: np.ndarray) -> np.ndarray:
+        """Feature matrix for ``input_nodes`` (in their given order),
+        reusing resident rows and fetching only the difference set."""
+        input_nodes = np.asarray(input_nodes, dtype=np.int64)
+        result = self._state.step(input_nodes)
+        fresh = {}
+        if len(result.load_ids):
+            fetched = self.store.gather(result.load_ids)
+            fresh = {
+                int(node): fetched[i]
+                for i, node in enumerate(result.load_ids)
+            }
+        self.host_rows_fetched += len(result.load_ids)
+        self.rows_reused += result.num_reused
+
+        out = np.empty((len(input_nodes), self.store.dim), dtype=np.float32)
+        next_rows = {}
+        for i, node in enumerate(input_nodes):
+            node = int(node)
+            row = fresh.get(node)
+            if row is None:
+                row = self._rows[node]
+            out[i] = row
+            next_rows[node] = out[i]
+        # The new batch's buffer replaces the old one (same memory the
+        # previous batch needed — no extra device cost).
+        self._rows = next_rows
+        return out

@@ -2,10 +2,9 @@
 
 :class:`ClusterState` is what :meth:`Framework.run_epoch` builds when
 handed a :class:`~repro.cluster.spec.ClusterSpec`: the partition
-assignment, the fabric, the halo-exchange engine, and the two gradient
-synchronization costs (intra-node NCCL allreduce over a node's local
-trainers, inter-node fabric allreduce over the cluster — the standard
-hierarchical scheme).
+assignment, the fabric, the halo-exchange engine, and the inter-node
+fabric allreduce that follows the driver's intra-node NCCL allreduce
+over a node's local trainers (the standard hierarchical scheme).
 
 ``num_nodes=1`` short-circuits everywhere: the assignment is all-zeros,
 every batch's network time is exactly ``0.0``, and the inter-node sync
@@ -21,7 +20,6 @@ from repro.cluster.fabric import NetworkFabric
 from repro.cluster.halo import HaloExchange
 from repro.cluster.partitioner import partition_graph
 from repro.cluster.spec import ClusterSpec
-from repro.gpu.cluster import allreduce_time
 from repro.graph.partition import PartitionStats, partition_stats
 from repro.obs import get_registry
 
@@ -131,10 +129,6 @@ class ClusterState:
         )
         return report.exchange_s
 
-    def intra_sync_time(self, param_bytes: int, cost) -> float:
-        """One NCCL allreduce across the trainers *inside* a node."""
-        return allreduce_time(param_bytes, self.per_node_trainers, cost)
-
     def net_sync_time(self, param_bytes: int) -> float:
         """One inter-node allreduce over the fabric (0.0 at one node)."""
         return self.fabric.allreduce_time(param_bytes,
@@ -142,7 +136,7 @@ class ClusterState:
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict:
-        """What ``run_epoch`` publishes as ``extras['cluster']``."""
+        """What ``run_epoch`` publishes as the report's ``cluster``."""
         out = {
             "num_nodes": self.num_nodes,
             "per_node_trainers": self.per_node_trainers,

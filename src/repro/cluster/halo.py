@@ -164,9 +164,6 @@ class HaloExchange:
         hotness[self.assignment == node] = -1.0
         return PartitionAwarePageCache(capacity, hotness)
 
-    def cache_of(self, node: int):
-        return self._caches[node]
-
     def next_fault_key(self) -> int:
         """The next ``net_stall`` operation key (explicit sequence — stays
         deterministic as long as exchanges run in a fixed order)."""
@@ -278,7 +275,8 @@ class HaloExchange:
         return self.cache_hits / self.requested_rows
 
     def summary(self) -> dict:
-        """Cumulative exchange statistics (lands in ``extras['cluster']``)."""
+        """Cumulative exchange statistics (the report's
+        ``cluster["halo"]``)."""
         return {
             "requested_rows": self.requested_rows,
             "cache_hits": self.cache_hits,

@@ -124,6 +124,9 @@ class RunConfig:
     batch size, sampling fanouts (hop order: ``fanouts[0]`` is the first hop
     from the seed nodes), number of simulated GPUs, and the Match-Reorder
     window ``reorder_window`` (the paper's ``n`` mini-batches sampled ahead).
+    The counts (GPUs, hidden width, epochs, window, prefetch depth) must
+    be at least 1 and ``cache_ratio_override`` must lie in [0, 1];
+    construction raises :class:`~repro.errors.ConfigError` otherwise.
     """
 
     batch_size: int = 256
@@ -161,9 +164,15 @@ class RunConfig:
     cost: CostModelConfig = field(default_factory=CostModelConfig)
 
     def __post_init__(self) -> None:
-        if self.storage_prefetch_depth < 1:
-            raise ConfigError("storage_prefetch_depth must be >= 1, got "
-                              f"{self.storage_prefetch_depth}")
+        for name in ("num_gpus", "hidden_dim", "num_epochs",
+                     "reorder_window", "storage_prefetch_depth"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        ratio = self.cache_ratio_override
+        if ratio is not None and not 0.0 <= ratio <= 1.0:
+            raise ConfigError("cache_ratio_override must lie in [0, 1], "
+                              f"got {ratio}")
 
     @property
     def num_layers(self) -> int:

@@ -91,6 +91,10 @@ class FastGLTrainer:
         # loader must be built right after it.
         self.loader = self.framework.make_loader(
             dataset, self.config, self.sampler, rngs.child("trainer-cache"))
+        # Evaluation draws from its own stream, so validating never
+        # shifts the training sampler's draws.
+        self._eval_sampler = self.framework.make_sampler(
+            dataset, self.config, rngs.child("trainer-eval"))
         self.model = build_model(
             model_name, dataset.feature_dim, dataset.num_classes,
             hidden_dim=self.config.hidden_dim,
@@ -144,7 +148,7 @@ class FastGLTrainer:
     def evaluate(self, seeds: np.ndarray) -> float:
         """Accuracy of the current model on ``seeds`` (sampled inference)."""
         seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        subgraph = self.sampler.sample(seeds)
+        subgraph = self._eval_sampler.sample(seeds)
         with no_grad():
             features = Tensor(
                 self.dataset.features.gather(subgraph.input_nodes)

@@ -84,7 +84,7 @@ def run_strong_scaling(dataset_name: str = "papers100m",
                 "fastgl", dataset_name, config, model="gcn",
                 execution=_exec(num_nodes, partitioner, cache),
             )
-            cluster = report.extras["cluster"]
+            cluster = report.cluster
             speedup = base.epoch_time / report.epoch_time
             detail = report.phases.fractions(detail=True)
             result.rows.append([
@@ -144,7 +144,7 @@ def run_weak_scaling(dataset_name: str = "papers100m",
             if num_nodes == 1:
                 baselines["epoch"] = report.epoch_time
                 continue
-            cluster = report.extras["cluster"]
+            cluster = report.cluster
             result.rows.append([
                 num_nodes, label, dataset.spec.num_nodes,
                 round(report.epoch_time, 6),
@@ -179,7 +179,7 @@ def run_partitioners(dataset_name: str = "papers100m",
             "fastgl", dataset_name, config, model="gcn",
             execution=_exec(num_nodes, partitioner, "freq"),
         )
-        cluster = report.extras["cluster"]
+        cluster = report.cluster
         partition, halo = cluster["partition"], cluster["halo"]
         result.rows.append([
             partitioner,

@@ -74,7 +74,7 @@ def run_overlap(dataset_name: str = "papers100m",
         seq = epoch_report(name, dataset_name, config)
         piped = epoch_report(name, dataset_name, config,
                              execution=_exec())
-        info = piped.extras["pipeline"]
+        info = piped.pipeline
         totals = info["stage_totals"]
         bottleneck = max(totals, key=totals.get)
         # Overlap ratio: how much of the serially-paid time the graph
@@ -118,7 +118,7 @@ def run_queue_depths(dataset_name: str = "papers100m",
     for depth in QUEUE_DEPTHS:
         report = epoch_report(framework, dataset_name, config,
                               execution=_exec(depth=depth))
-        info = report.extras["pipeline"]
+        info = report.pipeline
         if base is None:
             base = report.epoch_time
         result.rows.append([
@@ -157,7 +157,7 @@ def run_staleness(dataset_name: str = "papers100m",
             framework, dataset_name, config,
             execution=_exec(staleness=staleness, cluster=cluster),
         )
-        info = report.extras["pipeline"]
+        info = report.pipeline
         result.rows.append([
             staleness,
             info["num_syncs"],

@@ -42,9 +42,13 @@ from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
 from repro.nn import Adam, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
-from repro.parallel import ParallelExecutor
-from repro.pipeline import ExecutionSpec, pipelined_epoch_layout
-from repro.pipeline.epoch import make_span
+from repro.parallel import ParallelExecutor, TransportStats
+from repro.pipeline import (
+    ExecutionSpec,
+    PipelineSpec,
+    pipelined_epoch_layout,
+)
+from repro.pipeline.epoch import make_span, merge_pipeline_info
 from repro.sampling import (
     BaselineIdMap,
     NeighborSampler,
@@ -160,7 +164,27 @@ class EpochReport:
     #: Device-memory accounting of the largest iteration (bytes).
     memory_peak_bytes: int = 0
     memory_detail: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    #: Trainer GPUs the epoch ran on (every node's, on cluster runs).
+    num_trainers: int = 1
+    #: Per trainer lane, the ``(sample, memory_io, compute)`` seconds of
+    #: each batch in execution order, across epochs; lanes are listed up
+    #: to the last one that ran a batch.
+    iterations: list = field(default_factory=list)
+    #: The modeled timeline as :func:`~repro.pipeline.epoch.make_span`
+    #: dicts (see :meth:`timeline` for typed spans).
+    spans: list = field(default_factory=list)
+    #: What the lane executor moved, summed over epochs (``mode`` is the
+    #: last epoch's). Job- and arena-dependent diagnostics: conformance
+    #: comparisons leave it out.
+    transport: TransportStats = field(default_factory=TransportStats)
+    #: Stage-graph accounting of pipelined runs
+    #: (:func:`repro.pipeline.epoch.merge_pipeline_info`).
+    pipeline: dict | None = None
+    #: :meth:`repro.cluster.engine.ClusterState.summary` of cluster runs.
+    cluster: dict | None = None
+    #: The trained parameters of ``train_model`` runs, so conformance
+    #: tests can assert bit-identical model state across configurations.
+    final_params: list | None = None
 
     @property
     def avg_loss(self) -> float:
@@ -168,16 +192,23 @@ class EpochReport:
             return float("nan")
         return float(np.mean(self.losses))
 
-    # -- typed views over ``extras`` -----------------------------------------
     @property
-    def num_trainers(self) -> int:
-        """Trainer GPUs the epoch ran on."""
-        return int(self.extras.get("num_trainers", 1))
+    def extras(self) -> dict:
+        """Read-only dict view of :attr:`spans` (as ``timeline``),
+        :attr:`cluster` and :attr:`final_params`, under the key names the
+        end-to-end benchmark harness still reads. Everything else reads
+        the fields."""
+        view = {"timeline": self.spans}
+        if self.cluster is not None:
+            view["cluster"] = self.cluster
+        if self.final_params is not None:
+            view["final_params"] = self.final_params
+        return view
 
     def timeline(self) -> list:
         """The modeled epoch timeline as :class:`repro.obs.trace.Span`
-        objects (one per phase interval per lane), replacing digging
-        through ``extras["timeline"]`` dicts.
+        objects (one per phase interval per lane), built from
+        :attr:`spans`.
 
         The layout is exactly what the framework's epoch-time model
         computed — including allreduce and pipeline overlap — so
@@ -198,7 +229,7 @@ class EpochReport:
                       if key not in ("name", "start", "dur", "lane", "cat",
                                      "depth")},
             )
-            for entry in self.extras.get("timeline", [])
+            for entry in self.spans
         ]
 
     def cache_stats(self) -> CacheStats:
@@ -246,7 +277,13 @@ class CostContext:
 
 @dataclass
 class BatchCost:
-    """One priced mini-batch: modeled seconds and the reports behind them."""
+    """One priced mini-batch: modeled seconds and the reports behind them.
+
+    The one per-batch record of an epoch: the lane step prices it, the
+    driver adds the halo exchange and accounts it, and every epoch
+    layout reads lanes of it (``list[list[BatchCost]]``, one list per
+    trainer lane in execution order).
+    """
 
     #: Draw + ID-map seconds (the whole sample phase).
     sample: float
@@ -255,6 +292,9 @@ class BatchCost:
     memory_io: float
     transfer: TransferReport
     compute: ComputeReport
+    #: Halo-exchange seconds: set by the epoch driver after the exchange
+    #: on cluster runs, 0.0 elsewhere.
+    network: float = 0.0
 
 
 def _chunk(batches: list, num_chunks: int) -> list:
@@ -276,35 +316,6 @@ def _chunk(batches: list, num_chunks: int) -> list:
 #: compute — remote rows must land before the forward pass — and is only
 #: populated by cluster runs.
 PHASE_SPAN_ORDER = ("sample", "memory_io", "network", "compute")
-
-
-@dataclass
-class ClusterNetworkTimes:
-    """Per-round fabric costs a cluster run adds to the epoch layout.
-
-    Built by ``run_epoch`` from the :class:`~repro.cluster.engine.
-    ClusterState`; ``None`` everywhere means "no cluster" and every
-    layout falls back to the single-node math bit-for-bit.
-    """
-
-    #: ``per_lane[lane][r]`` — halo-exchange seconds of lane ``lane``'s
-    #: round-``r`` batch (parallel to ``per_trainer_iters``).
-    per_lane: list
-    #: One NCCL allreduce across the trainers inside a node.
-    intra_sync_s: float
-    #: One inter-node allreduce over the fabric (0.0 at one node).
-    net_sync_s: float
-    num_nodes: int
-
-    def lane_time(self, lane: int, r: int) -> float:
-        if lane >= len(self.per_lane) or r >= len(self.per_lane[lane]):
-            return 0.0
-        return self.per_lane[lane][r]
-
-
-def halo_time(network, lane: int, r: int) -> float:
-    """Halo-exchange seconds of ``lane``'s round ``r`` (0 off-cluster)."""
-    return network.lane_time(lane, r) if network is not None else 0.0
 
 
 def carve_lane(spans: list, lane: int, r: int, start: float,
@@ -335,7 +346,7 @@ def barrier_spans(spans: list, lanes: int, r: int, start: float,
                                    start + sync, net_sync, r))
 
 
-def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
+def _inject_retry_spans(spans: list, lanes: list) -> None:
     """Overlay ``cat="retry"`` child spans on the memory-IO intervals
     whose loads were retried.
 
@@ -348,24 +359,26 @@ def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     (e.g. the out-of-core ``nvme`` lane, whose duration is the max across
     lanes) use the max retry seconds of the round.
     """
-    if not any(delay > 0 for lane in per_trainer_retries
-               for _, delay in lane):
+    if not any(batch.transfer.retry_delay_s > 0 for lane in lanes
+               for batch in lane):
         return
 
-    def round_retries(lane_name: str, batch: int):
+    def round_retries(lane_name: str, r: int):
         if lane_name.startswith("gpu"):
             try:
                 lane_index = int(lane_name[3:])
             except ValueError:
                 return 0, 0.0
-            lane = (per_trainer_retries[lane_index]
-                    if lane_index < len(per_trainer_retries) else [])
-            return lane[batch] if batch < len(lane) else (0, 0.0)
+            lane = lanes[lane_index] if lane_index < len(lanes) else []
+            if r >= len(lane):
+                return 0, 0.0
+            transfer = lane[r].transfer
+            return transfer.num_retries, transfer.retry_delay_s
         count, delay = 0, 0.0
-        for lane in per_trainer_retries:
-            if batch < len(lane):
-                count += lane[batch][0]
-                delay = max(delay, lane[batch][1])
+        for lane in lanes:
+            if r < len(lane):
+                count += lane[r].transfer.num_retries
+                delay = max(delay, lane[r].transfer.retry_delay_s)
         return count, delay
 
     overlays = []
@@ -384,42 +397,42 @@ def _inject_retry_spans(spans: list, per_trainer_retries: list) -> None:
     spans.extend(overlays)
 
 
-def _merge_pipeline_info(infos: list) -> dict:
-    """Fold per-epoch stage-graph accounting into ``extras["pipeline"]``.
-
-    Scalar seconds and sync counts sum across epochs; the per-stage
-    total/stall maps merge key-wise (the halo stage may be absent on
-    epochs with no remote rows). Mode knobs come from the spec and are
-    identical across epochs.
-    """
-    merged = {
-        "mode": infos[0]["mode"],
-        "queue_depth": infos[0]["queue_depth"],
-        "staleness": infos[0]["staleness"],
-        "stage_totals": {},
-        "stall_seconds": {},
-        "num_syncs": 0,
-        "serial_seconds": 0.0,
-        "fill_seconds": 0.0,
-        "bound_seconds": 0.0,
-        "epoch_seconds": 0.0,
-    }
-    for info in infos:
-        merged["num_syncs"] += info["num_syncs"]
-        for key in ("serial_seconds", "fill_seconds", "bound_seconds",
-                    "epoch_seconds"):
-            merged[key] += info[key]
-        for field, totals in (("stage_totals", info["stage_totals"]),
-                              ("stall_seconds", info["stall_seconds"])):
-            for name, value in totals.items():
-                merged[field][name] = merged[field].get(name, 0.0) + value
-    return merged
-
-
 def _consecutive_match(matrix, order) -> float:
     """Summed match degree of consecutive pairs under ``order``."""
     order = list(order)
     return float(sum(matrix[a][b] for a, b in zip(order, order[1:])))
+
+
+@dataclass
+class _EpochRun:
+    """What the steps of one :meth:`Framework.run_epoch` call share: the
+    run's fixed inputs, built once by ``_start_run``, and the report the
+    steps fill in."""
+
+    dataset: Dataset
+    config: RunConfig
+    costs: CostContext
+    rngs: RngFactory
+    plan: MinibatchPlan
+    sampler: Sampler
+    loaders: list
+    #: Trainers sharing one node's host link (all of them off-cluster).
+    per_node_trainers: int
+    #: :class:`~repro.cluster.engine.ClusterState`, or None.
+    cluster: object
+    model: object
+    optimizer: object
+    executor: ParallelExecutor
+    pipeline: PipelineSpec
+    #: Seconds of one sync round's intra-node allreduce and of its
+    #: inter-node hop (0.0 off-cluster).
+    sync: float
+    net_sync: float
+    obs_phase: dict
+    obs_batches: object
+    report: EpochReport
+    #: Per-epoch stage-graph accounting of pipelined runs.
+    pipeline_infos: list = field(default_factory=list)
 
 
 class Framework:
@@ -532,27 +545,47 @@ class Framework:
         sampler: Sampler | None,
         execution: ExecutionSpec,
     ) -> EpochReport:
-        jobs = execution.jobs
-        cluster = execution.cluster
-        pipeline = execution.pipeline
-        cost = config.cost
+        run = self._start_run(dataset, config, model_name, sampler,
+                              execution)
+        for epoch in range(config.num_epochs):
+            chunks, subgraphs = self._sample_lanes(run, epoch)
+            lanes = self._price_lanes(run, subgraphs)
+            # Lane-major, execution order within a lane: the order every
+            # accumulation, the halo caches and training run in.
+            for t, lane in enumerate(lanes):
+                for position, batch in lane:
+                    self._account_batch(run, t, batch,
+                                        subgraphs[t][position],
+                                        chunks[t][position])
+            self._lay_out_epoch(run, [[batch for _, batch in lane]
+                                      for lane in lanes])
+        report = run.report
+        if report.transfer is None:
+            report.transfer = TransferReport()
+        if run.pipeline_infos:
+            report.pipeline = merge_pipeline_info(run.pipeline_infos)
+        if run.cluster is not None:
+            report.cluster = run.cluster.summary()
+        if run.model is not None:
+            report.final_params = [param.data.copy()
+                                   for param in run.model.parameters()]
+        return report
+
+    def _start_run(self, dataset: Dataset, config: RunConfig,
+                   model_name: str, sampler: Sampler | None,
+                   execution: ExecutionSpec) -> _EpochRun:
+        """Build what every epoch of a run shares, and its empty report."""
         rngs = RngFactory(config.seed)
         costs = self.cost_context(dataset, config, model_name)
-        param_bytes = costs.param_bytes
         per_node_trainers = self.num_trainer_gpus(config)
-        cluster_state = None
-        if cluster is not None and cluster.num_nodes >= 1:
+        cluster = None
+        if execution.cluster is not None and execution.cluster.num_nodes >= 1:
             from repro.cluster.engine import ClusterState
 
-            cluster_state = ClusterState(dataset, config, cluster,
-                                         per_node_trainers)
+            cluster = ClusterState(dataset, config, execution.cluster,
+                                   per_node_trainers)
         trainers = per_node_trainers * (
-            cluster_state.num_nodes if cluster_state is not None else 1
-        )
-
-        plan = MinibatchPlan(dataset.train_ids, config.batch_size,
-                             locality=config.batch_locality)
-
+            cluster.num_nodes if cluster is not None else 1)
         if sampler is None:
             sampler = self.make_sampler(dataset, config,
                                         rngs.child("sampler"))
@@ -561,9 +594,7 @@ class Framework:
                              rngs.child(f"loader{t}"))
             for t in range(trainers)
         ]
-
-        model = None
-        optimizer = None
+        model = optimizer = None
         if config.train_model:
             model = build_model(
                 model_name, dataset.feature_dim, dataset.num_classes,
@@ -571,236 +602,185 @@ class Framework:
                 seed=rngs.child_seed("model"),
             )
             optimizer = Adam(model.parameters(), lr=3e-3)
-
-        phases = PhaseTimes()
-        #: Typed like the first report the loader produces, so storage-
-        #: backed loaders keep their SSD counters through the epoch merge.
-        transfer_total: TransferReport | None = None
-        compute_total = ComputeReport()
-        idmap_total = None
-        losses: list = []
-        memory_peak = 0
-        memory_detail: dict = {}
-        epoch_time = 0.0
-        num_batches = 0
-        iteration_log: list = []  # per trainer: [(sample, io, compute), ...]
-        timeline: list = []  # modeled spans laid out by _epoch_timeline
-        pipeline_log: list = []  # per-epoch stage-graph accounting
-
-        # Observability handles, fetched once per epoch run. With the
-        # registry disabled these are the shared no-op singletons, so the
-        # per-batch path below performs only no-op method calls.
+        # Multi-epoch runs with cross-epoch loader state (SSD page
+        # caches) must evolve that state in the parent process.
+        lane_jobs = execution.jobs
+        if config.num_epochs > 1 and any(
+            loader.carries_state_across_epochs for loader in loaders
+        ):
+            lane_jobs = 1
+        # Observability handles, fetched once per run. With the registry
+        # disabled these are the shared no-op singletons, so the
+        # per-batch path performs only no-op method calls.
         registry = get_registry()
         phase_hist = registry.histogram(
             "repro_phase_seconds",
             "Modeled per-batch seconds spent in each training phase",
         )
-        obs_phase = {
-            phase: phase_hist.labels(framework=self.name, phase=phase)
-            for phase in ("sample", "idmap", "memory_io", "network",
-                          "compute", "allreduce")
-        }
-        obs_batches = registry.counter(
-            "repro_batches_total", "Mini-batches processed",
-        ).labels(framework=self.name)
-
-        # Multi-epoch runs with cross-epoch loader state (SSD page
-        # caches) must evolve that state in the parent process.
-        lane_jobs = jobs
-        if max(1, config.num_epochs) > 1 and any(
-            loader.carries_state_across_epochs for loader in loaders
-        ):
-            lane_jobs = 1
-        lane_executor = ParallelExecutor(jobs=lane_jobs)
-        transport_totals = {"mode": "serial", "ipc_bytes": 0,
-                            "shm_bytes": 0, "spilled_bytes": 0}
-
-        for epoch in range(max(1, config.num_epochs)):
-            batches = plan.batches(rngs.child(f"epoch-shuffle:{epoch}"))
-            if cluster_state is not None:
-                # Owner-compute placement: each node trains the seeds
-                # its partition owns (identical to _chunk at one node).
-                chunks = cluster_state.place_batches(batches,
-                                                     config.batch_size)
-                num_batches += sum(len(c) for c in chunks)
-            else:
-                chunks = _chunk(batches, trainers)
-                num_batches += len(batches)
-            # Sample every lane in the parent: the shared sampler RNG's
-            # draw order is part of the results and must not depend on
-            # the job count.
-            lane_subgraphs = [
-                [sampler.sample(batch) for batch in chunk]
-                for chunk in chunks
-            ]
-
-            def lane_task(t):
-                # PCIe contention is per node: only the trainers sharing
-                # one host link compete (== all trainers without a
-                # cluster).
-                return self.run_lane(lane_subgraphs[t], sampler, loaders[t],
-                                     config, costs, per_node_trainers)
-
-            # Lane records come back in lane order; worker-side metric
-            # snapshots (loader counters, reorder histograms, storage
-            # schedulers) are merged in lane order too — the serial path
-            # runs the identical fresh-registry protocol, so the merged
-            # registry is the same at any job count.
-            lane_records = lane_executor.map(lane_task, range(len(chunks)))
-            transport = lane_executor.last_transport
-            transport_totals["mode"] = transport.mode
-            transport_totals["ipc_bytes"] += transport.ipc_bytes
-            transport_totals["shm_bytes"] += transport.shm_bytes
-            transport_totals["spilled_bytes"] += transport.spilled_bytes
-
-            per_trainer_iters: list = []  # per trainer: (sample, io, comp)
-            per_trainer_retries: list = []  # per trainer: (count, seconds)
-            per_trainer_net: list = []  # per trainer: halo seconds per round
-            for t, records in enumerate(lane_records):
-                chunk = chunks[t]
-                subgraphs = lane_subgraphs[t]
-                iters = []
-                lane_retries = []
-                lane_net = []
-                for position, priced in records:
-                    sg = subgraphs[position]
-                    seeds = chunk[position]
-                    sample_t = priced.sample
-                    idmap_t = priced.idmap
-                    io_t = priced.memory_io
-                    report = priced.transfer
-                    comp = priced.compute
-                    # Halo exchange runs in the parent, lane-major: the
-                    # per-node remote caches must evolve in one
-                    # deterministic order regardless of the job count.
-                    net_t = 0.0
-                    if cluster_state is not None:
-                        net_t = cluster_state.batch_network_time(t, sg)
-                    lane_net.append(net_t)
-
-                    phases.sample += sample_t
-                    phases.idmap += idmap_t
-                    phases.memory_io += io_t
-                    phases.network += net_t
-                    phases.compute += comp.total_time
-                    phases.preprocess += comp.preprocess_time
-                    obs_phase["sample"].observe(sample_t)
-                    obs_phase["idmap"].observe(idmap_t)
-                    obs_phase["memory_io"].observe(io_t)
-                    if net_t > 0:
-                        obs_phase["network"].observe(net_t)
-                    obs_phase["compute"].observe(comp.total_time)
-                    obs_batches.inc()
-                    if transfer_total is None:
-                        transfer_total = type(report)()
-                    transfer_total.merge(report)
-                    compute_total.merge(comp)
-                    idmap_total = (
-                        sg.idmap_report if idmap_total is None
-                        else idmap_total + sg.idmap_report
-                    )
-                    iters.append((sample_t, io_t, comp.total_time))
-                    lane_retries.append((
-                        getattr(report, "num_retries", 0),
-                        getattr(report, "retry_delay_s", 0.0),
-                    ))
-                    while len(iteration_log) <= t:
-                        iteration_log.append([])
-                    iteration_log[t].append(
-                        (sample_t, io_t, comp.total_time)
-                    )
-
-                    if model is not None:
-                        losses.append(self.train_batch(
-                            model, optimizer, dataset, sg, seeds))
-
-                    usage = self._workspace_bytes(sg, dataset, config, costs)
-                    if usage["total"] > memory_peak:
-                        memory_peak = usage["total"]
-                        memory_detail = usage
-                per_trainer_iters.append(iters)
-                per_trainer_retries.append(lane_retries)
-                per_trainer_net.append(lane_net)
-
-            network = None
-            if cluster_state is not None:
-                network = ClusterNetworkTimes(
-                    per_lane=per_trainer_net,
-                    intra_sync_s=cluster_state.intra_sync_time(
-                        param_bytes, cost
-                    ),
-                    net_sync_s=cluster_state.net_sync_time(param_bytes),
-                    num_nodes=cluster_state.num_nodes,
-                )
-            pipe_info = None
-            if pipeline.enabled:
-                epoch_seconds, epoch_spans, pipe_info = (
-                    self._pipelined_timeline(
-                        per_trainer_iters, param_bytes, trainers, config,
-                        network=network, pipeline=pipeline,
-                    )
-                )
-                pipe_info["epoch_seconds"] = epoch_seconds
-                pipeline_log.append(pipe_info)
-            else:
-                epoch_seconds, epoch_spans = self._epoch_timeline(
-                    per_trainer_iters, param_bytes, trainers, config,
-                    network=network,
-                )
-            _inject_retry_spans(epoch_spans, per_trainer_retries)
-            for span in epoch_spans:
-                span["start"] += epoch_time
-            timeline.extend(epoch_spans)
-            epoch_time += epoch_seconds
-            num_syncs = (pipe_info["num_syncs"] if pipe_info is not None
-                         else None)
-            epoch_allreduce = self._allreduce_total(
-                per_trainer_iters, param_bytes, trainers, config,
-                network=network, num_syncs=num_syncs,
-            )
-            phases.allreduce += epoch_allreduce
-            if epoch_allreduce > 0:
-                obs_phase["allreduce"].observe(epoch_allreduce)
-            if network is not None and network.net_sync_s > 0:
-                rounds = max(len(iters) for iters in per_trainer_iters)
-                syncs = num_syncs if num_syncs is not None else rounds
-                net_sync_total = syncs * network.net_sync_s
-                phases.network += net_sync_total
-                obs_phase["network"].observe(net_sync_total)
-        extras = {"iterations": iteration_log,
-                  "num_trainers": trainers,
-                  "timeline": timeline,
-                  # Transport-layer accounting of the lane executor
-                  # (zero in serial mode). Like the matching obs
-                  # counters, this is jobs/arena-dependent diagnostics —
-                  # conformance comparisons strip it.
-                  "parallel_transport": transport_totals}
-        if pipeline_log:
-            extras["pipeline"] = _merge_pipeline_info(pipeline_log)
-        if cluster_state is not None:
-            extras["cluster"] = cluster_state.summary()
-        if model is not None:
-            # Snapshot the trained parameters so conformance tests can
-            # assert bit-identical model state across configurations.
-            extras["final_params"] = [
-                param.data.copy() for param in model.parameters()
-            ]
-        return EpochReport(
-            framework=self.name,
-            dataset=dataset.name,
-            model=model_name,
-            num_batches=num_batches,
-            phases=phases,
-            epoch_time=epoch_time,
-            transfer=transfer_total if transfer_total is not None
-            else TransferReport(),
-            compute=compute_total,
-            idmap_report=idmap_total,
-            losses=losses,
-            memory_peak_bytes=memory_peak,
-            memory_detail=memory_detail,
-            extras=extras,
+        return _EpochRun(
+            dataset=dataset,
+            config=config,
+            costs=costs,
+            rngs=rngs,
+            plan=MinibatchPlan(dataset.train_ids, config.batch_size,
+                               locality=config.batch_locality),
+            sampler=sampler,
+            loaders=loaders,
+            per_node_trainers=per_node_trainers,
+            cluster=cluster,
+            model=model,
+            optimizer=optimizer,
+            executor=ParallelExecutor(jobs=lane_jobs),
+            pipeline=execution.pipeline,
+            # One sync round: the NCCL allreduce across a node's trainers
+            # (0.0 at one GPU), then on cluster runs the inter-node hop.
+            sync=allreduce_time(costs.param_bytes, per_node_trainers,
+                                config.cost),
+            net_sync=(cluster.net_sync_time(costs.param_bytes)
+                      if cluster is not None else 0.0),
+            obs_phase={
+                phase: phase_hist.labels(framework=self.name, phase=phase)
+                for phase in ("sample", "idmap", "memory_io", "network",
+                              "compute", "allreduce")
+            },
+            obs_batches=registry.counter(
+                "repro_batches_total", "Mini-batches processed",
+            ).labels(framework=self.name),
+            report=EpochReport(
+                framework=self.name, dataset=dataset.name, model=model_name,
+                num_batches=0, phases=PhaseTimes(), epoch_time=0.0,
+                transfer=None, compute=ComputeReport(),
+                num_trainers=trainers,
+            ),
         )
+
+    def _sample_lanes(self, run: _EpochRun, epoch: int) -> tuple:
+        """Place one epoch's mini-batches on the trainer lanes and sample
+        them; returns ``(chunks, subgraphs)``, one list per lane.
+
+        Sampling runs in the parent: the shared sampler RNG's draw order
+        is part of the results and must not depend on the job count.
+        """
+        batches = run.plan.batches(run.rngs.child(f"epoch-shuffle:{epoch}"))
+        if run.cluster is not None:
+            # Owner-compute placement: each node trains the seeds its
+            # partition owns (identical to _chunk at one node).
+            chunks = run.cluster.place_batches(batches,
+                                               run.config.batch_size)
+        else:
+            chunks = _chunk(batches, run.report.num_trainers)
+        run.report.num_batches += sum(len(chunk) for chunk in chunks)
+        subgraphs = [[run.sampler.sample(seeds) for seeds in chunk]
+                     for chunk in chunks]
+        return chunks, subgraphs
+
+    def _price_lanes(self, run: _EpochRun, subgraphs: list) -> list:
+        """Run every lane's :meth:`run_lane` (in forked workers when
+        ``jobs > 1``); returns each lane's ``(position, BatchCost)``
+        pairs in execution order.
+
+        Lanes come back in lane order, and worker-side metric snapshots
+        (loader counters, reorder histograms, storage schedulers) merge
+        in lane order too — the serial path runs the identical
+        fresh-registry protocol, so the merged registry is the same at
+        any job count.
+        """
+        def lane_task(t):
+            # PCIe contention is per node: only the trainers sharing one
+            # host link compete (== all trainers without a cluster).
+            return self.run_lane(subgraphs[t], run.sampler, run.loaders[t],
+                                 run.config, run.costs,
+                                 run.per_node_trainers)
+
+        lanes = run.executor.map(lane_task, range(len(subgraphs)))
+        moved, total = run.executor.last_transport, run.report.transport
+        total.mode = moved.mode
+        total.ipc_bytes += moved.ipc_bytes
+        total.shm_bytes += moved.shm_bytes
+        total.spilled_bytes += moved.spilled_bytes
+        return lanes
+
+    def _account_batch(self, run: _EpochRun, t: int, batch: BatchCost,
+                       subgraph: SampledSubgraph, seeds: np.ndarray) -> None:
+        """Fold lane ``t``'s next record into the report: its halo
+        exchange, the phase sums and report merges, the metrics, one
+        training step and the workspace peak."""
+        report, phases, obs = run.report, run.report.phases, run.obs_phase
+        if run.cluster is not None:
+            # Halo exchange runs in the parent, lane-major: the per-node
+            # remote caches must evolve in one deterministic order
+            # regardless of the job count.
+            batch.network = run.cluster.batch_network_time(t, subgraph)
+        comp = batch.compute
+        phases.sample += batch.sample
+        phases.idmap += batch.idmap
+        phases.memory_io += batch.memory_io
+        phases.network += batch.network
+        phases.compute += comp.total_time
+        phases.preprocess += comp.preprocess_time
+        obs["sample"].observe(batch.sample)
+        obs["idmap"].observe(batch.idmap)
+        obs["memory_io"].observe(batch.memory_io)
+        if batch.network > 0:
+            obs["network"].observe(batch.network)
+        obs["compute"].observe(comp.total_time)
+        run.obs_batches.inc()
+        if report.transfer is None:
+            # Typed like the loader's reports, so storage-backed loaders
+            # keep their SSD counters through the merge.
+            report.transfer = type(batch.transfer)()
+        report.transfer.merge(batch.transfer)
+        report.compute.merge(comp)
+        report.idmap_report = (
+            subgraph.idmap_report if report.idmap_report is None
+            else report.idmap_report + subgraph.idmap_report
+        )
+        while len(report.iterations) <= t:
+            report.iterations.append([])
+        report.iterations[t].append(
+            (batch.sample, batch.memory_io, comp.total_time))
+        if run.model is not None:
+            report.losses.append(self.train_batch(
+                run.model, run.optimizer, run.dataset, subgraph, seeds))
+        usage = self._workspace_bytes(subgraph, run.dataset, run.config,
+                                      run.costs)
+        if usage["total"] > report.memory_peak_bytes:
+            report.memory_peak_bytes = usage["total"]
+            report.memory_detail = usage
+
+    def _lay_out_epoch(self, run: _EpochRun, lanes: list) -> None:
+        """Lay one epoch's lanes out on the timeline, after the epochs
+        before it, and charge its sync rounds to the phases."""
+        report = run.report
+        if run.pipeline.enabled:
+            seconds, spans, info = self._pipelined_timeline(
+                lanes, run.sync, run.net_sync, run.config,
+                pipeline=run.pipeline,
+            )
+            info["epoch_seconds"] = seconds
+            run.pipeline_infos.append(info)
+            # Bounded-staleness accumulation syncs fewer than once per
+            # round; the other layouts sync every round.
+            syncs = info["num_syncs"]
+        else:
+            seconds, spans = self._epoch_timeline(lanes, run.sync,
+                                                  run.net_sync, run.config)
+            syncs = max(len(lane) for lane in lanes)
+        _inject_retry_spans(spans, lanes)
+        for span in spans:
+            span["start"] += report.epoch_time
+        report.spans.extend(spans)
+        report.epoch_time += seconds
+        # Hierarchical sync: the intra-node NCCL share is ``allreduce``;
+        # the inter-node hop is network-phase time.
+        allreduce = syncs * run.sync
+        report.phases.allreduce += allreduce
+        if allreduce > 0:
+            run.obs_phase["allreduce"].observe(allreduce)
+        if run.net_sync > 0:
+            net_sync = syncs * run.net_sync
+            report.phases.network += net_sync
+            run.obs_phase["network"].observe(net_sync)
 
     # -- one batch: pricing and training ---------------------------------------
     def cost_context(self, dataset: Dataset, config: RunConfig,
@@ -879,7 +859,7 @@ class Framework:
     def _reorder_windows(self, subgraphs: list, config: RunConfig) -> list:
         """Greedy-reorder each window of ``reorder_window`` mini-batches."""
         order: list = []
-        window = max(2, config.reorder_window)
+        window = config.reorder_window
         registry = get_registry()
         obs_match = registry.histogram(
             "repro_reorder_match_degree",
@@ -918,33 +898,7 @@ class Framework:
             io_t -= min(structure_t, comp.total_time)
         return max(0.0, io_t)
 
-    def _allreduce_total(self, per_trainer_iters, param_bytes, trainers,
-                         config, network=None, num_syncs=None) -> float:
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        # Bounded-staleness accumulation syncs fewer than ``rounds``
-        # times; the sequential layouts sync every round.
-        syncs = rounds if num_syncs is None else num_syncs
-        if network is not None:
-            # Hierarchical sync: only the intra-node NCCL share counts as
-            # ``allreduce``; the inter-node hop is network-phase time.
-            return syncs * network.intra_sync_s
-        if trainers <= 1:
-            return 0.0
-        return syncs * allreduce_time(param_bytes, trainers, config.cost)
-
-    def _sync_times(self, param_bytes, trainers, config,
-                    network=None) -> tuple:
-        """``(intra_sync, net_sync)`` per lockstep round: the NCCL
-        allreduce every layout charges after each round, plus the
-        inter-node fabric allreduce cluster runs append to it."""
-        if network is not None:
-            return network.intra_sync_s, network.net_sync_s
-        sync = (allreduce_time(param_bytes, trainers, config.cost)
-                if trainers > 1 else 0.0)
-        return sync, 0.0
-
-    def _pipeline_stage_times(self, per_trainer_iters, config,
-                              network=None) -> tuple:
+    def _pipeline_stage_times(self, lanes: list, config: RunConfig) -> tuple:
         """Per-round stage seconds the pipelined layout schedules.
 
         Returns ``(samples, ios, nets, computes)``, each one value per
@@ -954,66 +908,64 @@ class Framework:
         Frameworks with a dedicated sampling tier (GNNLab) override this
         to factor their sampler-GPU throughput into the sample stage.
         """
-        rounds = max(len(iters) for iters in per_trainer_iters)
+        rounds = max(len(lane) for lane in lanes)
         samples = [0.0] * rounds
         ios = [0.0] * rounds
         nets = [0.0] * rounds
         computes = [0.0] * rounds
-        for lane, iters in enumerate(per_trainer_iters):
-            for r, (sample_t, io_t, comp_t) in enumerate(iters):
-                samples[r] = max(samples[r], sample_t)
-                ios[r] = max(ios[r], io_t)
-                computes[r] = max(computes[r], comp_t)
-                nets[r] = max(nets[r], halo_time(network, lane, r))
+        for lane in lanes:
+            for r, batch in enumerate(lane):
+                samples[r] = max(samples[r], batch.sample)
+                ios[r] = max(ios[r], batch.memory_io)
+                computes[r] = max(computes[r], batch.compute.total_time)
+                nets[r] = max(nets[r], batch.network)
         return samples, ios, nets, computes
 
-    def _pipelined_timeline(self, per_trainer_iters, param_bytes, trainers,
-                            config, network=None, *, pipeline) -> tuple:
+    def _pipelined_timeline(self, lanes: list, sync: float, net_sync: float,
+                            config: RunConfig, *,
+                            pipeline: PipelineSpec) -> tuple:
         """Asynchronous layout: the epoch's rounds flow through the
         bounded stage graph so round ``i+2`` samples while ``i+1``
         transfers and ``i`` trains. Returns ``(epoch_seconds, spans,
         info)``; model state is untouched — only modeled time moves.
         """
-        samples, ios, nets, computes = self._pipeline_stage_times(
-            per_trainer_iters, config, network=network,
-        )
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
+        samples, ios, nets, computes = self._pipeline_stage_times(lanes,
+                                                                  config)
         return pipelined_epoch_layout(
             samples, ios, nets, computes,
             sync=sync, net_sync=net_sync, pipeline=pipeline,
             label=self.name or "epoch",
         )
 
-    def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
-                        config, network=None) -> tuple:
+    def _epoch_timeline(self, lanes: list, sync: float, net_sync: float,
+                        config: RunConfig) -> tuple:
         """Lockstep data-parallel layout: each round runs one batch per
-        trainer; gradient sync joins the round as a collective all lanes
-        attend (intra-node allreduce, then the inter-node hop on cluster
-        runs).
+        trainer lane; gradient sync joins the round as a collective all
+        lanes attend (``sync`` seconds of intra-node allreduce, then
+        ``net_sync`` of inter-node hop on cluster runs).
 
-        Returns ``(epoch_seconds, spans)`` where each span is a dict with
-        ``lane``/``name``/``cat``/``start``/``dur`` keys; every lane's
-        final span ends exactly at ``epoch_seconds``, so the exported
-        trace reconciles with the modeled epoch time.
+        Every layout takes the epoch's lanes of :class:`BatchCost` and
+        the two per-round sync seconds, and returns ``(epoch_seconds,
+        spans)`` where each span is a :func:`make_span` dict; here every
+        lane's final span ends exactly at ``epoch_seconds``, so the
+        exported trace reconciles with the modeled epoch time.
         """
-        rounds = max(len(iters) for iters in per_trainer_iters)
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
+        rounds = max(len(lane) for lane in lanes)
         spans: list = []
         total = 0.0
         for r in range(rounds):
             round_time = 0.0
-            for lane, iters in enumerate(per_trainer_iters):
-                if r >= len(iters):
+            for t, lane in enumerate(lanes):
+                if r >= len(lane):
                     continue
-                sample_t, io_t, comp_t = iters[r]
-                cursor = carve_lane(spans, lane, r, total, zip(
+                batch = lane[r]
+                cursor = carve_lane(spans, t, r, total, zip(
                     PHASE_SPAN_ORDER,
-                    (sample_t, io_t, halo_time(network, lane, r), comp_t)))
+                    (batch.sample, batch.memory_io, batch.network,
+                     batch.compute.total_time)))
                 round_time = max(round_time, cursor - total)
-            barrier_spans(spans, len(per_trainer_iters), r,
-                          total + round_time, sync, net_sync)
+            barrier_spans(spans, len(lanes), r, total + round_time, sync,
+                          net_sync)
             total += round_time + sync + net_sync
         return total, spans
 

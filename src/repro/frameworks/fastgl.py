@@ -105,8 +105,8 @@ class OutOfCoreFastGLFramework(FastGLFramework):
             return page_cache_budget_bytes(dataset, config)
         return 0
 
-    def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
-                        config, network=None) -> tuple:
+    def _epoch_timeline(self, lanes: list, sync: float, net_sync: float,
+                        config: RunConfig) -> tuple:
         """Sample -> storage-read -> train pipeline per lockstep round,
         at most ``storage_prefetch_depth`` rounds in flight.
 
@@ -121,10 +121,7 @@ class OutOfCoreFastGLFramework(FastGLFramework):
         time as ``repro_pipeline_stall_seconds_total{pipeline="storage"}``.
         """
         samples, reads, halos, computes = self._pipeline_stage_times(
-            per_trainer_iters, config, network=network,
-        )
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
+            lanes, config)
         trains = [halo + comp + sync + net_sync
                   for halo, comp in zip(halos, computes)]
         names = ("sample", "memory_io", "compute")

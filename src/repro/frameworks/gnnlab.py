@@ -18,7 +18,6 @@ from repro.frameworks.base import (
     Framework,
     barrier_spans,
     carve_lane,
-    halo_time,
 )
 from repro.graph.datasets import Dataset
 from repro.pipeline.epoch import make_span
@@ -31,8 +30,8 @@ from repro.transfer.loader import CachedLoader, FeatureLoader
 
 def _cache_budget(dataset: Dataset, config: RunConfig) -> int:
     if config.cache_ratio_override is not None:
-        ratio = max(0.0, float(config.cache_ratio_override))
-        return int(min(ratio, 1.0) * dataset.feature_table_bytes())
+        ratio = float(config.cache_ratio_override)
+        return int(ratio * dataset.feature_table_bytes())
     return dataset.cache_budget_bytes()
 
 
@@ -69,26 +68,24 @@ class GNNLabFramework(Framework):
                             config: RunConfig) -> int:
         return _cache_budget(dataset, config)
 
-    def _pipeline_stage_times(self, per_trainer_iters, config,
-                              network=None) -> tuple:
+    def _pipeline_stage_times(self, lanes: list, config: RunConfig) -> tuple:
         """GNNLab's sample stage is its dedicated sampler pool: a round's
         sample time is the *sum* across trainer lanes divided by the
         sampler GPUs (every simulated node factors its own pool on
         cluster runs), not the per-lane max the base hook assumes."""
         samples, ios, nets, computes = super()._pipeline_stage_times(
-            per_trainer_iters, config, network=network,
-        )
-        samplers = self.num_sampler_gpus(config)
-        if network is not None:
-            samplers *= network.num_nodes
+            lanes, config)
+        # One lane per trainer GPU of every node.
+        num_nodes = len(lanes) // self.num_trainer_gpus(config)
+        samplers = self.num_sampler_gpus(config) * num_nodes
         for r in range(len(samples)):
-            sample_sum = sum(iters[r][0] for iters in per_trainer_iters
-                             if r < len(iters))
+            sample_sum = sum(lane[r].sample for lane in lanes
+                             if r < len(lane))
             samples[r] = sample_sum / samplers
         return samples, ios, nets, computes
 
-    def _epoch_timeline(self, per_trainer_iters, param_bytes, trainers,
-                        config, network=None) -> tuple:
+    def _epoch_timeline(self, lanes: list, sync: float, net_sync: float,
+                        config: RunConfig) -> tuple:
         """Producer/consumer pipeline: sampler GPU(s) produce rounds, the
         trainer GPUs consume them in lockstep.
 
@@ -99,15 +96,12 @@ class GNNLabFramework(Framework):
         (the sampler pool); a round's consumption is its slowest lane's
         IO + halo + compute, then the gradient barrier.
         """
-        produce = self._pipeline_stage_times(per_trainer_iters, config,
-                                             network=network)[0]
-        sync, net_sync = self._sync_times(param_bytes, trainers, config,
-                                          network=network)
+        produce = self._pipeline_stage_times(lanes, config)[0]
         rest = [0.0] * len(produce)
-        for lane, iters in enumerate(per_trainer_iters):
-            for r, (_, io_t, comp_t) in enumerate(iters):
-                rest[r] = max(rest[r],
-                              io_t + halo_time(network, lane, r) + comp_t)
+        for lane in lanes:
+            for r, batch in enumerate(lane):
+                rest[r] = max(rest[r], batch.memory_io + batch.network
+                              + batch.compute.total_time)
         records: list = []
         makespan = stage_graph_makespan(
             [produce, [t + sync + net_sync for t in rest]],
@@ -120,12 +114,13 @@ class GNNLabFramework(Framework):
                 spans.append(make_span("sampler", "sample", "sample",
                                        starts["sample", r], sample_t, r))
             begin = starts["train", r]
-            for lane, iters in enumerate(per_trainer_iters):
-                if r < len(iters):
-                    _, io_t, comp_t = iters[r]
-                    carve_lane(spans, lane, r, begin, zip(
+            for t, lane in enumerate(lanes):
+                if r < len(lane):
+                    batch = lane[r]
+                    carve_lane(spans, t, r, begin, zip(
                         PHASE_SPAN_ORDER[1:],
-                        (io_t, halo_time(network, lane, r), comp_t)))
-            barrier_spans(spans, len(per_trainer_iters), r, begin + rest[r],
-                          sync, net_sync)
+                        (batch.memory_io, batch.network,
+                         batch.compute.total_time)))
+            barrier_spans(spans, len(lanes), r, begin + rest[r], sync,
+                          net_sync)
         return makespan, spans

@@ -161,8 +161,8 @@ def _cluster() -> tuple:
                     execution=ExecutionSpec(cluster=spec))
                 epoch[name, variant] = report.epoch_time
                 failures += _reconcile(f"{name}/{variant}", report)
-                halo = report.extras["cluster"].get("halo", {})
-                partition = report.extras["cluster"].get("partition", {})
+                halo = report.cluster.get("halo", {})
+                partition = report.cluster.get("partition", {})
                 _gauges(registry, "Cluster smoke summary statistic",
                         {"framework": name, "variant": variant}, (
                     ("repro_cluster_epoch_seconds", report.epoch_time),
@@ -201,7 +201,7 @@ def _pipeline() -> tuple:
                 dataset, config, model_name="gcn")
             pipelined = FRAMEWORKS[name]().run_epoch(
                 dataset, config, model_name="gcn", execution=pipelined_exec)
-            info = pipelined.extras["pipeline"]
+            info = pipelined.pipeline
             bound = info["bound_seconds"]
             hidden = sequential.epoch_time - pipelined.epoch_time
             hideable = sequential.epoch_time - bound

@@ -4,8 +4,7 @@ The paper's techniques are defined by *where bytes move* on a real GPU. This
 subpackage models the relevant hardware: the memory hierarchy of an RTX 3090
 (Table 3 of the paper), a set-associative cache simulator that reproduces the
 paper's Table-2 hit-rate measurements, a thread-block/occupancy model for the
-Memory-Aware kernel, an atomic-operation cost model for Fused-Map, the
-host<->device PCIe link, a device-memory allocator for the Table-1/Table-9
+Memory-Aware kernel, the host<->device PCIe link, a device-memory allocator for the Table-1/Table-9
 accounting, and a multi-GPU data-parallel model.
 """
 

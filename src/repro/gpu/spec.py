@@ -49,11 +49,6 @@ class GPUSpec:
     #: Host link bandwidth (PCIe 4.0 x16 as in the paper), bytes/second.
     pcie_bw: float = 32e9
 
-    @property
-    def total_l1_bytes(self) -> int:
-        """Aggregate L1 capacity across all SMs."""
-        return self.l1_bytes_per_sm * self.num_sms
-
     def spec_table_rows(self) -> list:
         """Rows reproducing the paper's Table 3 for this GPU."""
         return [

@@ -35,11 +35,6 @@ class SubgraphSizeEstimate:
     edges_per_hop: tuple
 
     @property
-    def num_input_nodes(self) -> float:
-        """Nodes whose features must be loaded (deepest frontier union)."""
-        return float(sum(self.frontiers))
-
-    @property
     def num_edges(self) -> float:
         return float(sum(self.edges_per_hop))
 

@@ -88,10 +88,10 @@ def pipelined_epoch_layout(
     ``_pipeline_stage_times`` hook). Returns ``(epoch_seconds, spans,
     info)`` where ``spans`` is the timeline (work spans per stage lane
     plus ``cat="stall"`` spans in the ``stalls`` lane) and ``info`` is
-    the accounting dict stored under ``extras["pipeline"]``:
-    per-stage totals, stall seconds, the sync-round count, and the
-    ``max(stage totals) + fill`` lower-bound estimate the overlap gate
-    compares against.
+    the accounting dict :func:`merge_pipeline_info` folds into the
+    report's ``pipeline`` field: per-stage totals, stall seconds, the
+    sync-round count, and the ``max(stage totals) + fill`` lower-bound
+    estimate the overlap gate compares against.
 
     When observability is enabled, the summed stall seconds per stage go
     to ``repro_pipeline_stall_seconds_total`` and the items in flight at
@@ -183,3 +183,37 @@ def pipelined_epoch_layout(
         "bound_seconds": float(totals[bottleneck] + fill),
     }
     return makespan, spans, info
+
+
+def merge_pipeline_info(infos: list) -> dict:
+    """Fold the per-epoch ``info`` dicts of :func:`pipelined_epoch_layout`
+    (each with its ``epoch_seconds`` added) into the run summary the
+    report carries as its ``pipeline`` field.
+
+    Scalar seconds and sync counts sum across epochs; the per-stage
+    total/stall maps merge key-wise (the halo stage may be absent on
+    epochs with no remote rows). Mode knobs come from the spec and are
+    identical across epochs.
+    """
+    merged = {
+        "mode": infos[0]["mode"],
+        "queue_depth": infos[0]["queue_depth"],
+        "staleness": infos[0]["staleness"],
+        "stage_totals": {},
+        "stall_seconds": {},
+        "num_syncs": 0,
+        "serial_seconds": 0.0,
+        "fill_seconds": 0.0,
+        "bound_seconds": 0.0,
+        "epoch_seconds": 0.0,
+    }
+    for info in infos:
+        merged["num_syncs"] += info["num_syncs"]
+        for key in ("serial_seconds", "fill_seconds", "bound_seconds",
+                    "epoch_seconds"):
+            merged[key] += info[key]
+        for field, totals in (("stage_totals", info["stage_totals"]),
+                              ("stall_seconds", info["stall_seconds"])):
+            for name, value in totals.items():
+                merged[field][name] = merged[field].get(name, 0.0) + value
+    return merged

@@ -59,10 +59,6 @@ class MicroBatch:
         """Seconds the batch spent open — bounded by the window."""
         return self.closed_at - self.opened_at
 
-    @property
-    def earliest_deadline(self) -> float:
-        return min((r.deadline for r in self.requests), default=float("inf"))
-
 
 class MicroBatcher:
     """Incremental batch former (one batch open at a time).

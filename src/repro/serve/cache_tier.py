@@ -115,10 +115,6 @@ class CacheTier:
         except Exception:  # /dev/shm unavailable, size limits, ...
             return None
 
-    @property
-    def backed_by_shm(self) -> bool:
-        return self._arena is not None
-
     def __len__(self) -> int:
         return len(self._index)
 

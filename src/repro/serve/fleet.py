@@ -43,6 +43,7 @@ from repro.serve.profiles import ServingProfile
 from repro.serve.routing import ROUTER_POLICIES, build_router
 from repro.serve.server import (
     ReplicaEngine,
+    RequestLedger,
     ServeConfig,
     ServeReport,
     schedule_requests,
@@ -78,7 +79,7 @@ class FleetSpec:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(RequestLedger):
     """Everything one fleet simulation produced."""
 
     framework: str
@@ -106,18 +107,6 @@ class FleetReport:
 
     # -- request outcomes ----------------------------------------------------
     @property
-    def num_completed(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "completed")
-
-    @property
-    def num_shed(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "shed")
-
-    @property
-    def num_dropped(self) -> int:
-        return sum(1 for r in self.requests if r.outcome == "dropped")
-
-    @property
     def num_terminal(self) -> int:
         return self.num_completed + self.num_shed + self.num_dropped
 
@@ -137,41 +126,6 @@ class FleetReport:
             if report.admission is not None:
                 total.merge(report.admission)
         return total
-
-    # -- latency / throughput ------------------------------------------------
-    @property
-    def latencies(self) -> np.ndarray:
-        return np.array([r.latency for r in self.requests
-                         if r.outcome == "completed"], dtype=float)
-
-    def percentile(self, q: float) -> float:
-        lat = self.latencies
-        if len(lat) == 0:
-            return float("nan")
-        return float(np.percentile(lat, q))
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    @property
-    def mean_latency(self) -> float:
-        lat = self.latencies
-        return float(lat.mean()) if len(lat) else float("nan")
-
-    @property
-    def throughput(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return self.num_completed / self.makespan
 
     # -- cache tiers ---------------------------------------------------------
     @property
@@ -195,7 +149,7 @@ class FleetReport:
         return self.cache.stale_rate if self.cache is not None else 0.0
 
     # -- timeline ------------------------------------------------------------
-    def merged_timeline(self) -> list:
+    def spans(self) -> list:
         """Every replica's spans plus fleet-level orphan spans."""
         spans = []
         for report in self.replicas:
@@ -203,19 +157,11 @@ class FleetReport:
         spans.extend(self.orphan_timeline)
         return spans
 
-    @property
-    def timeline_extent(self) -> float:
-        spans = self.merged_timeline()
-        if not spans:
-            return 0.0
-        return max(s["start"] + s["dur"] for s in spans)
-
     def reconciles(self, tol: float = 1e-6) -> bool:
         """Fleet timeline extent must match the fleet makespan, and each
         replica's own timeline must reconcile with its lifetime."""
-        if abs(self.timeline_extent - self.makespan) > tol:
-            return False
-        return all(r.reconciles(tol) for r in self.replicas)
+        return (super().reconciles(tol)
+                and all(r.reconciles(tol) for r in self.replicas))
 
     def summary(self) -> str:
         tier = (f", tier hit {self.tier_hit_rate:.0%}"

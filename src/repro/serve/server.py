@@ -72,26 +72,21 @@ class ServeConfig:
     num_users: int = 0
 
 
-@dataclass
-class ServeReport:
-    """Everything one serving simulation produced."""
+class RequestLedger:
+    """Request outcomes, latency percentiles, throughput and timeline
+    reconciliation over a run's ``requests`` and ``makespan``.
 
-    framework: str
-    dataset: str
-    config: ServeConfig
+    Shared by :class:`ServeReport` and
+    :class:`~repro.serve.fleet.FleetReport`; a subclass provides those
+    two attributes and :meth:`spans`, its modeled timeline.
+    """
+
     requests: list
-    batches: list
-    #: Event-loop end time: when the last request left the system.
     makespan: float
-    #: Per-phase busy seconds on the GPU lane.
-    phase_busy: dict = field(default_factory=dict)
-    #: Merged byte accounting across all serviced batches.
-    transfer: object = None
-    #: Modeled spans (same dict layout as training timelines).
-    timeline: list = field(default_factory=list)
-    #: The admission controller's counters (shed vs deadline-dropped vs
-    #: degraded-mode shed stay distinguishable).
-    admission: object = None
+
+    def spans(self) -> list:
+        """Every modeled span of the run (``make_span``-style dicts)."""
+        raise NotImplementedError
 
     # -- request outcomes ----------------------------------------------------
     @property
@@ -109,24 +104,6 @@ class ServeReport:
     @property
     def num_dropped(self) -> int:
         return sum(1 for r in self.requests if r.outcome == "dropped")
-
-    @property
-    def num_degraded_shed(self) -> int:
-        """Sheds attributable to degraded-mode capacity reduction."""
-        if self.admission is None:
-            return 0
-        return self.admission.degraded_shed
-
-    @property
-    def shed_rate(self) -> float:
-        if not self.requests:
-            return 0.0
-        return self.num_shed / len(self.requests)
-
-    @property
-    def sla_misses(self) -> int:
-        """Completed requests that finished after their deadline."""
-        return sum(1 for r in self.completed if not r.met_deadline)
 
     # -- latency/throughput --------------------------------------------------
     @property
@@ -163,6 +140,60 @@ class ServeReport:
             return 0.0
         return self.num_completed / self.makespan
 
+    # -- timeline ------------------------------------------------------------
+    @property
+    def timeline_extent(self) -> float:
+        """Latest span end — must reconcile with :attr:`makespan`."""
+        spans = self.spans()
+        if not spans:
+            return 0.0
+        return max(s["start"] + s["dur"] for s in spans)
+
+    def reconciles(self, tol: float = 1e-6) -> bool:
+        return abs(self.timeline_extent - self.makespan) <= tol
+
+
+@dataclass
+class ServeReport(RequestLedger):
+    """Everything one serving simulation produced."""
+
+    framework: str
+    dataset: str
+    config: ServeConfig
+    requests: list
+    batches: list
+    #: Event-loop end time: when the last request left the system.
+    makespan: float
+    #: Per-phase busy seconds on the GPU lane.
+    phase_busy: dict = field(default_factory=dict)
+    #: Merged byte accounting across all serviced batches.
+    transfer: object = None
+    #: Modeled spans (same dict layout as training timelines).
+    timeline: list = field(default_factory=list)
+    #: The admission controller's counters (shed vs deadline-dropped vs
+    #: degraded-mode shed stay distinguishable).
+    admission: object = None
+
+    # -- request outcomes ----------------------------------------------------
+    @property
+    def num_degraded_shed(self) -> int:
+        """Sheds attributable to degraded-mode capacity reduction."""
+        if self.admission is None:
+            return 0
+        return self.admission.degraded_shed
+
+    @property
+    def shed_rate(self) -> float:
+        if not self.requests:
+            return 0.0
+        return self.num_shed / len(self.requests)
+
+    @property
+    def sla_misses(self) -> int:
+        """Completed requests that finished after their deadline."""
+        return sum(1 for r in self.completed if not r.met_deadline)
+
+    # -- batches -------------------------------------------------------------
     @property
     def mean_batch_size(self) -> float:
         sizes = [b.size for b in self.batches]
@@ -176,15 +207,8 @@ class ServeReport:
         return sum(self.phase_busy.values()) / self.makespan
 
     # -- timeline ------------------------------------------------------------
-    @property
-    def timeline_extent(self) -> float:
-        """Latest span end — must reconcile with :attr:`makespan`."""
-        if not self.timeline:
-            return 0.0
-        return max(s["start"] + s["dur"] for s in self.timeline)
-
-    def reconciles(self, tol: float = 1e-6) -> bool:
-        return abs(self.timeline_extent - self.makespan) <= tol
+    def spans(self) -> list:
+        return self.timeline
 
     def to_tracer(self) -> Tracer:
         tracer = Tracer(enabled=True)

@@ -7,6 +7,7 @@ the output can be diffed and pasted into EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 
@@ -29,7 +30,9 @@ def format_bytes(num_bytes: float) -> str:
     return f"{value:.4g}TiB"  # pragma: no cover - unreachable
 
 def format_seconds(seconds: float) -> str:
-    """Format a duration, auto-selecting s/ms/µs."""
+    """Format a duration, auto-selecting s/ms/µs (``"n/a"`` for NaN)."""
+    if math.isnan(seconds):
+        return "n/a"
     if seconds >= 1.0:
         return f"{seconds:.3g}s"
     if seconds >= 1e-3:

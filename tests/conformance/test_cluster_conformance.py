@@ -49,9 +49,9 @@ class TestOneNodeIsIdentity:
         )
         assert one_node.epoch_time == plain.epoch_time
         assert one_node.losses == plain.losses
-        assert one_node.extras["iterations"] == plain.extras["iterations"]
-        for ours, theirs in zip(one_node.extras["final_params"],
-                                plain.extras["final_params"]):
+        assert one_node.iterations == plain.iterations
+        for ours, theirs in zip(one_node.final_params,
+                                plain.final_params):
             np.testing.assert_array_equal(ours, theirs)
         assert one_node.phases.network == 0.0
         ours = one_node.timeline()
@@ -65,7 +65,7 @@ class TestOneNodeIsIdentity:
             conformance_dataset, _run_config(), model_name="gcn",
             execution=ExecutionSpec(cluster=ClusterSpec(num_nodes=1)),
         )
-        cluster = report.extras["cluster"]
+        cluster = report.cluster
         assert cluster["num_nodes"] == 1
         assert "partition" not in cluster
         assert "halo" not in cluster
@@ -96,7 +96,7 @@ class TestTwoNodeAccounting:
         assert abs(extent - report.epoch_time) <= RECONCILE_TOL
 
     def test_halo_accounting_conserved(self, report):
-        halo = report.extras["cluster"]["halo"]
+        halo = report.cluster["halo"]
         assert halo["fetched_rows"] == (halo["requested_rows"]
                                         - halo["cache_hits"])
         assert halo["bytes_moved"] > 0

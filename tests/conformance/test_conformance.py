@@ -80,8 +80,8 @@ class TestConformance:
         # Model state: losses and final parameters, bit for bit.
         assert faulted.losses == baseline.losses
         assert len(baseline.losses) == baseline.num_batches
-        base_params = baseline.extras["final_params"]
-        fault_params = faulted.extras["final_params"]
+        base_params = baseline.final_params
+        fault_params = faulted.final_params
         assert len(base_params) == len(fault_params) > 0
         for expected, actual in zip(base_params, fault_params):
             np.testing.assert_array_equal(expected, actual)

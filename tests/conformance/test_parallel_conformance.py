@@ -9,8 +9,8 @@ modeled epoch time and phase breakdown, the iteration log, and the
 final parameters.
 
 The *only* admissible differences are the transport byte counters
-(:data:`repro.parallel.TRANSPORT_METRICS`) and the ``parallel_transport``
-extras entry — physical bookkeeping of how results moved between
+(:data:`repro.parallel.TRANSPORT_METRICS`) and the report's
+``transport`` field — physical bookkeeping of how results moved between
 processes, explicitly excluded from the determinism contract.
 """
 
@@ -57,10 +57,9 @@ def _assert_reports_identical(baseline, candidate):
     assert candidate.memory_peak_bytes == baseline.memory_peak_bytes
     assert (candidate.transfer.feature_bytes
             == baseline.transfer.feature_bytes)
-    assert (candidate.extras["iterations"]
-            == baseline.extras["iterations"])
-    base_params = baseline.extras["final_params"]
-    cand_params = candidate.extras["final_params"]
+    assert candidate.iterations == baseline.iterations
+    base_params = baseline.final_params
+    cand_params = candidate.final_params
     assert len(base_params) == len(cand_params) > 0
     for expected, actual in zip(base_params, cand_params):
         np.testing.assert_array_equal(expected, actual)
@@ -86,8 +85,8 @@ class TestTransportConformance:
         # and byte counters reflect the transport used. (A framework
         # with a single lane legitimately stays serial at any ``jobs``.)
         for report, mode in ((pipes, "pipes"), (arena, "arena")):
-            transport = report.extras.get("parallel_transport")
-            if transport is None or transport["mode"] == "serial":
+            transport = report.transport
+            if transport.mode == "serial":
                 continue
-            assert transport["mode"] == mode
-            assert transport["ipc_bytes"] > 0
+            assert transport.mode == mode
+            assert transport.ipc_bytes > 0

@@ -39,10 +39,10 @@ def _run_config() -> RunConfig:
 
 def _assert_same_model_state(ours, theirs):
     assert ours.losses == theirs.losses
-    assert len(ours.extras["final_params"]) == \
-        len(theirs.extras["final_params"])
-    for a, b in zip(ours.extras["final_params"],
-                    theirs.extras["final_params"]):
+    assert len(ours.final_params) == \
+        len(theirs.final_params)
+    for a, b in zip(ours.final_params,
+                    theirs.final_params):
         np.testing.assert_array_equal(a, b)
 
 
@@ -57,13 +57,13 @@ class TestPipelineOffIsSeedDriver:
         )
         assert off.epoch_time == seed.epoch_time
         assert off.phases == seed.phases
-        assert off.extras["iterations"] == seed.extras["iterations"]
+        assert off.iterations == seed.iterations
         _assert_same_model_state(off, seed)
         ours = off.timeline()
         theirs = seed.timeline()
         assert len(ours) == len(theirs)
         assert max(s.end for s in ours) == max(s.end for s in theirs)
-        assert "pipeline" not in off.extras
+        assert off.pipeline is None
 
 
 @pytest.mark.parametrize("name", available_frameworks())
@@ -90,7 +90,7 @@ class TestPipelinedConformance:
 
     def test_stage_accounting_bounds_epoch(self, reports):
         _, pipelined = reports
-        info = pipelined.extras["pipeline"]
+        info = pipelined.pipeline
         assert info["mode"] == "pipelined"
         bottleneck = max(info["stage_totals"].values())
         assert pipelined.epoch_time >= bottleneck - 1e-9
@@ -120,6 +120,6 @@ def test_staleness_never_slower(name, conformance_dataset):
             pipeline=PipelineSpec(mode="pipelined", staleness=3)),
     )
     assert sparse.epoch_time <= every.epoch_time + 1e-12
-    assert sparse.extras["pipeline"]["num_syncs"] <= \
-        every.extras["pipeline"]["num_syncs"]
+    assert sparse.pipeline["num_syncs"] <= \
+        every.pipeline["num_syncs"]
     _assert_same_model_state(sparse, every)

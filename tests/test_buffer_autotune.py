@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bench.oracles import ResidentFeatureBuffer
 from repro.errors import ConfigError
 from repro.gpu.kernels import ThreadBlockConfig, autotune_thread_block
 from repro.gpu.spec import A100, RTX3090
 from repro.sampling import NeighborSampler
-from repro.transfer.buffer import ResidentFeatureBuffer
 
 
 class TestResidentFeatureBuffer:

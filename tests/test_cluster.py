@@ -449,7 +449,7 @@ class TestRunWithCluster:
         assert any(span.category == "network" for span in spans)
 
     def test_cluster_summary_in_extras(self, report):
-        cluster = report.extras["cluster"]
+        cluster = report.cluster
         assert cluster["num_nodes"] == 2
         assert cluster["partition"]["sizes"][0] > 0
         halo = cluster["halo"]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core.match import MatchState
+from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
 from repro.sampling import NeighborSampler
 
@@ -66,7 +67,7 @@ class TestEightGpuRuns:
         report = GNNLabFramework().run_epoch(tiny_dataset, config)
         assert report.epoch_time > 0
         # 8 GPUs -> 2 samplers, 6 trainers.
-        assert report.extras["num_trainers"] == 6
+        assert report.num_trainers == 6
 
     def test_dgl_eight_gpus_faster_than_two(self, tiny_dataset):
         from repro.frameworks import DGLFramework
@@ -114,3 +115,25 @@ class TestHugeGlobalIds:
         table.fused_map_insert(huge)
         table.fused_map_insert(huge)
         assert table.mapping() == {huge: 0}
+
+
+class TestRunConfigValidation:
+    """Inputs that used to be clamped or silently accepted are rejected
+    when the config is built."""
+
+    @pytest.mark.parametrize("name", ["num_gpus", "hidden_dim",
+                                      "num_epochs", "reorder_window"])
+    def test_count_below_one(self, name):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: 0})
+
+    @pytest.mark.parametrize("ratio", [-0.5, 2.0, float("nan")])
+    def test_cache_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(ConfigError, match="cache_ratio_override"):
+            RunConfig(cache_ratio_override=ratio)
+
+    def test_boundaries_accepted(self):
+        for ratio in (0.0, 1.0):
+            assert RunConfig(cache_ratio_override=ratio)
+        assert RunConfig(num_gpus=1, hidden_dim=1, num_epochs=1,
+                         reorder_window=1)

@@ -6,6 +6,7 @@ import pytest
 from repro.config import RunConfig
 from repro.core.memory_aware import ComputeReport
 from repro.frameworks.base import (
+    BatchCost,
     Framework,
     PhaseTimes,
     _chunk,
@@ -17,6 +18,16 @@ from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import PCIeLink
 from repro.pipeline.graph import stage_graph_reference
 from repro.transfer.loader import TransferReport
+
+
+def _lanes(iters):
+    """Layout input: per-lane ``(sample, memory_io, compute)`` seconds as
+    lanes of :class:`BatchCost`."""
+    return [[BatchCost(sample=sample, idmap=0.0, memory_io=io,
+                       transfer=TransferReport(),
+                       compute=ComputeReport(agg_time=compute))
+             for sample, io, compute in lane]
+            for lane in iters]
 
 
 class TestChunk:
@@ -80,26 +91,29 @@ class TestPhaseTimes:
 class TestLockstepEpochTime:
     def test_single_trainer_is_sum(self):
         fw = DGLFramework()
-        iters = [[(1.0, 1.0, 1.0), (0.5, 0.5, 1.0)]]
+        lanes = _lanes([[(1.0, 1.0, 1.0), (0.5, 0.5, 1.0)]])
         config = RunConfig(num_gpus=1)
-        assert fw._epoch_timeline(iters, 0, 1, config)[0] == pytest.approx(5.0)
+        time = fw._epoch_timeline(lanes, 0.0, 0.0, config)[0]
+        assert time == pytest.approx(5.0)
 
     def test_two_trainers_lockstep_max(self):
         fw = DGLFramework()
-        iters = [[(1.0, 0.5, 0.5)], [(2.0, 1.0, 2.0)]]
+        lanes = _lanes([[(1.0, 0.5, 0.5)], [(2.0, 1.0, 2.0)]])
         config = RunConfig(num_gpus=2)
-        time = fw._epoch_timeline(iters, 0, 2, config)[0]
         sync = allreduce_time(0, 2, config.cost)
+        time = fw._epoch_timeline(lanes, sync, 0.0, config)[0]
         assert time == pytest.approx(5.0 + sync)
 
     def test_allreduce_added_per_round(self):
         fw = DGLFramework()
-        iters = [[(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)],
-                 [(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]]
+        lanes = _lanes([[(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)],
+                        [(1.0, 0.5, 0.5), (1.0, 0.5, 0.5)]])
         config = RunConfig(num_gpus=2)
         grad = 10_000_000
-        with_sync = fw._epoch_timeline(iters, grad, 2, config)[0]
-        without = fw._epoch_timeline(iters, 0, 2, config)[0]
+        with_sync = fw._epoch_timeline(
+            lanes, allreduce_time(grad, 2, config.cost), 0.0, config)[0]
+        without = fw._epoch_timeline(
+            lanes, allreduce_time(0, 2, config.cost), 0.0, config)[0]
         expected = 2 * (allreduce_time(grad, 2, config.cost)
                         - allreduce_time(0, 2, config.cost))
         assert with_sync - without == pytest.approx(expected)
@@ -111,8 +125,8 @@ class TestGNNLabPipeline:
         fw = GNNLabFramework()
         config = RunConfig(num_gpus=2)
         # 4 rounds, sampling 1s each, io+training 1s each.
-        iters = [[(1.0, 0.5, 0.5)] * 4]
-        time = fw._epoch_timeline(iters, 0, 1, config)[0]
+        lanes = _lanes([[(1.0, 0.5, 0.5)] * 4])
+        time = fw._epoch_timeline(lanes, 0.0, 0.0, config)[0]
         assert time == pytest.approx(5.0)  # 1 + 4 (pipeline fill + drain)
         serial = 8.0
         assert time < serial
@@ -130,7 +144,7 @@ class TestGNNLabPipeline:
         config = RunConfig(num_gpus=2)
         iters = [[(0.7, 0.4, 0.9), (1.1, 0.2, 0.2),
                   (0.2, 0.4, 0.5), (0.5, 0.25, 0.25)]]
-        simulated = fw._epoch_timeline(iters, 0, 1, config)[0]
+        simulated = fw._epoch_timeline(_lanes(iters), 0.0, 0.0, config)[0]
         produce = [s for s, _, _ in iters[0]]
         consume = [io + c for _, io, c in iters[0]]
         assert simulated == pytest.approx(

@@ -118,8 +118,8 @@ class TestEpochChaosDeterminism:
         assert chaos.phases == serial.phases
         assert chaos.memory_peak_bytes == serial.memory_peak_bytes
         assert chaos.transfer.feature_bytes == serial.transfer.feature_bytes
-        for expected, actual in zip(serial.extras["final_params"],
-                                    chaos.extras["final_params"]):
+        for expected, actual in zip(serial.final_params,
+                                    chaos.final_params):
             np.testing.assert_array_equal(expected, actual)
 
         # Merged metrics agree except the crash bookkeeping and the

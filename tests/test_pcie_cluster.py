@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import DEFAULT_COST_MODEL
-from repro.gpu.atomics import AtomicCounters, atomic_time
 from repro.gpu.cluster import allreduce_time, effective_pcie_bandwidth
 from repro.gpu.pcie import PCIeLink, link_from_cost
 from repro.gpu.spec import RTX3090
@@ -74,29 +73,3 @@ class TestEffectivePCIe:
     def test_invalid(self):
         with pytest.raises(ValueError):
             effective_pcie_bandwidth(32e9, 0)
-
-
-class TestAtomics:
-    def test_counter_addition(self):
-        a = AtomicCounters(cas_ops=2, add_ops=1, probe_retries=3)
-        b = AtomicCounters(cas_ops=1)
-        total = a + b
-        assert total.cas_ops == 3
-        assert total.total_ops == 7
-
-    def test_atomic_time(self):
-        counters = AtomicCounters(cas_ops=1000)
-        cost = DEFAULT_COST_MODEL
-        assert atomic_time(counters) == pytest.approx(
-            1000 / cost.atomic_ops_per_s
-        )
-
-    def test_contention_slows(self):
-        counters = AtomicCounters(add_ops=1000)
-        assert atomic_time(counters, contention_factor=4.0) == pytest.approx(
-            4 * atomic_time(counters)
-        )
-
-    def test_invalid_contention(self):
-        with pytest.raises(ValueError):
-            atomic_time(AtomicCounters(), contention_factor=0.5)

@@ -56,6 +56,17 @@ class TestFastGLTrainer:
         accuracy = trainer.evaluate(tiny_dataset.train_ids[:128])
         assert accuracy > 2.0 / tiny_dataset.num_classes
 
+    def test_validation_leaves_training_draws_alone(self, tiny_dataset):
+        """Evaluation samples from its own stream, so validating after
+        each epoch must not change the later epochs' losses."""
+        config = RunConfig(batch_size=64, fanouts=(3, 4), hidden_dim=8,
+                           reorder_window=4, seed=2)
+        plain = FastGLTrainer(tiny_dataset, "gcn", config).train(2)
+        validated = FastGLTrainer(tiny_dataset, "gcn", config).train(
+            2, validate=True)
+        assert validated.val_accuracies
+        assert validated.losses == plain.losses
+
     def test_invalid_epochs(self, trainer):
         with pytest.raises(ValueError):
             trainer.train(0)

@@ -18,12 +18,12 @@ def report(tiny_dataset):
 
 class TestIterationLog:
     def test_recorded_per_trainer(self, report):
-        iterations = report.extras["iterations"]
-        assert len(iterations) == report.extras["num_trainers"] == 2
+        iterations = report.iterations
+        assert len(iterations) == report.num_trainers == 2
         assert sum(len(lane) for lane in iterations) == report.num_batches
 
     def test_phase_sums_match_report(self, report):
-        iterations = report.extras["iterations"]
+        iterations = report.iterations
         total_sample = sum(t[0] for lane in iterations for t in lane)
         total_io = sum(t[1] for lane in iterations for t in lane)
         total_compute = sum(t[2] for lane in iterations for t in lane)
@@ -57,7 +57,7 @@ class TestTraceEvents:
         total = sum(e["dur"] for e in events) / 1e6
         # Allreduce is a collective: every trainer lane carries a span for
         # each sync, while phases.allreduce counts each sync once.
-        trainers = report.extras["num_trainers"]
+        trainers = report.num_trainers
         expected = (report.phases.sample + report.phases.memory_io
                     + report.phases.compute
                     + trainers * report.phases.allreduce)
@@ -70,9 +70,9 @@ class TestTraceEvents:
         assert events
         lanes = {e["tid"] for e in events}
         assert lanes == {f"gpu{t}"
-                         for t in range(report.extras["num_trainers"])}
+                         for t in range(report.num_trainers)}
         total = sum(e["dur"] for e in events) / 1e6
-        expected = report.extras["num_trainers"] * report.phases.allreduce
+        expected = report.num_trainers * report.phases.allreduce
         assert total == pytest.approx(expected, rel=1e-6)
 
     def test_empty_report(self):

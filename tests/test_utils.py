@@ -69,6 +69,7 @@ class TestFormat:
         assert format_seconds(2.5) == "2.5s"
         assert format_seconds(0.0021) == "2.1ms"
         assert "µs" in format_seconds(3e-6)
+        assert format_seconds(float("nan")) == "n/a"
 
     def test_ascii_table_alignment(self):
         text = ascii_table(["a", "long"], [[1, 2.34567], [10, 3]])
