@@ -28,7 +28,8 @@ tenth the dataset build that runs before it:
   frontier plus the per-peer feature-row gather (:mod:`repro.cluster`);
 * ``a3_aggregate`` — the A3 aggregation's forward scatter and its
   ``dL/dx`` backward scatter over a sampled block (vs the multi-column
-  ``np.add.at`` formula), output bits asserted identical;
+  ``np.add.at`` formula), output bits asserted identical; ``small`` rows
+  take the flat scatter and ``medium`` rows the occurrence rounds;
 * ``graph_build`` — :meth:`repro.graph.csr.CSRGraph.from_edges` on a
   power-law edge list the size of the 30k-node ``products`` build (vs
   the kept ``np.unique`` + ``np.lexsort`` + ``np.add.at`` build),
@@ -108,7 +109,8 @@ SIZES = {
     },
     # A sampled block at two row widths: one GAT head (8), on a block
     # large enough to time stably, and the products feature width (200),
-    # which train-dgl's first GCN layer aggregates.
+    # which train-dgl's first GCN layer aggregates. They straddle
+    # repro.nn.functional._ROUNDS_MIN_WIDTH, so both scatter paths run.
     "a3_aggregate": {
         "small": {"num_nodes": 50_000, "batch_size": 4096,
                   "fanouts": (10, 15), "width": 8},
@@ -457,8 +459,10 @@ def bench_a3_aggregate(size: str, repeats: int, seed: int) -> dict:
     """Forward scatter plus ``dL/dx`` backward scatter of
     :func:`repro.nn.a3_aggregate` on the deepest block of a sampled
     subgraph, against the multi-column ``np.add.at`` formula it replaced.
-    Output and gradient bits must be identical, or the record refuses to
-    report a speedup at all."""
+    The row width picks the scatter path: flat at ``small``'s width,
+    occurrence rounds at ``medium``'s. Output and gradient bits must be
+    identical on either path, or the record refuses to report a speedup
+    at all."""
     params = SIZES["a3_aggregate"][size]
     dataset = _bench_dataset(params["num_nodes"], seed)
     batch = np.random.default_rng(seed + 1).choice(
@@ -491,7 +495,8 @@ def bench_a3_aggregate(size: str, repeats: int, seed: int) -> dict:
     got, want = run(), run_add_at()
     if any(a.tobytes() != b.tobytes()
            for a, b in zip(got, want)):  # pragma: no cover - pinned by tests
-        raise AssertionError("flat scatter diverged from np.add.at")
+        raise AssertionError(f"a3_aggregate's scatter at width "
+                             f"{params['width']} diverged from np.add.at")
     # Interleaved, so a slow spell of the machine hits both sides.
     times, add_at_times = [], []
     for _ in range(max(1, repeats)):

@@ -161,10 +161,17 @@ class FaultPlan:
         deterministic across process topologies; sequence keys are only
         deterministic for a fixed call order within one process.
         """
+        return self.reserve_keys(site, 1)
+
+    def reserve_keys(self, site: str, count: int) -> int:
+        """Advance ``site``'s sequence by ``count`` keys and return the
+        first. The caller hands ``first + i`` to its ``i``-th operation,
+        so the keys stay the ones ``count`` :meth:`next_key` calls would
+        draw here, even when the operations run in forked workers."""
         with self._lock:
-            key = self._counters.get(site, 0)
-            self._counters[site] = key + 1
-        return key
+            first = self._counters.get(site, 0)
+            self._counters[site] = first + count
+        return first
 
     def failures_planned(self, site: str, key: int) -> int:
         """How many consecutive attempts the operation ``key`` at ``site``

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.core.memory_aware import (
     model_profile,
 )
 from repro.core.reorder import greedy_reorder, match_degree_matrix
+from repro.faults import get_fault_plan
 from repro.gpu.cluster import allreduce_time
 from repro.gpu.pcie import PCIeLink, link_from_cost
 from repro.gpu.spec import GPUSpec, RTX3090
@@ -685,12 +687,19 @@ class Framework:
         fresh-registry protocol, so the merged registry is the same at
         any job count.
         """
+        # The epoch's pcie_stall keys, reserved lane-major, one per batch:
+        # the sequence one process draws, whichever worker prices a lane.
+        sizes = [len(lane) for lane in subgraphs]
+        first = get_fault_plan().reserve_keys("pcie_stall", sum(sizes))
+        firsts = list(accumulate(sizes[:-1], initial=first))
+
         def lane_task(t):
             # PCIe contention is per node: only the trainers sharing one
             # host link compete (== all trainers without a cluster).
             return self.run_lane(subgraphs[t], run.sampler, run.loaders[t],
                                  run.config, run.costs,
-                                 run.per_node_trainers)
+                                 run.per_node_trainers,
+                                 first_key=firsts[t])
 
         lanes = run.executor.map(lane_task, range(len(subgraphs)))
         moved, total = run.executor.last_transport, run.report.transport
@@ -802,19 +811,21 @@ class Framework:
 
     def price_batch(self, subgraph: SampledSubgraph, sampler: Sampler,
                     loader: FeatureLoader, costs: CostContext,
-                    trainers: int) -> BatchCost:
+                    trainers: int, fault_key: int | None = None
+                    ) -> BatchCost:
         """Modeled cost of one sampled mini-batch — the paper's Fig. 5
         iteration: sample + ID map, the loader's transfer plan, the
         compute report, and the memory IO left after topology prefetch.
 
         ``loader.plan`` advances the loader's residency state, so
         consecutive calls price consecutive batches on one device;
-        ``trainers`` GPUs share the host link.
+        ``trainers`` GPUs share the host link. ``fault_key`` is the
+        transfer's ``pcie_stall`` key (default: the next in sequence).
         """
         cost = costs.cost
         idmap_t = subgraph.idmap_report.modeled_time(cost)
         sample_t = sampler.modeled_sample_time(subgraph, cost) + idmap_t
-        transfer = loader.plan(subgraph)
+        transfer = loader.plan(subgraph, key=fault_key)
         comp = costs.cost_model.subgraph_report(subgraph, costs.profile)
         io_t = self._io_time(transfer, comp, costs.link, cost, trainers)
         return BatchCost(sample=sample_t, idmap=idmap_t, memory_io=io_t,
@@ -822,7 +833,8 @@ class Framework:
 
     def run_lane(self, subgraphs: list, sampler: Sampler,
                  loader: FeatureLoader, config: RunConfig,
-                 costs: CostContext, trainers: int) -> list:
+                 costs: CostContext, trainers: int,
+                 first_key: int | None = None) -> list:
         """One trainer lane's post-sampling work: reorder each window,
         then price the batches in execution order.
 
@@ -831,15 +843,18 @@ class Framework:
         run it in a forked worker. Metric side effects (loader counters,
         reorder histograms) go to whatever registry is current — the
         executor's per-chunk registry protocol captures and merges them.
+        With ``first_key``, the ``i``-th priced batch gets ``pcie_stall``
+        key ``first_key + i``; without it, the next keys in sequence.
         """
         loader.reset_epoch()
         order = list(range(len(subgraphs)))
         if self.use_reorder and len(subgraphs) > 2:
             order = self._reorder_windows(subgraphs, config)
         return [
-            (position, self.price_batch(subgraphs[position], sampler,
-                                        loader, costs, trainers))
-            for position in order
+            (position, self.price_batch(
+                subgraphs[position], sampler, loader, costs, trainers,
+                fault_key=None if first_key is None else first_key + i))
+            for i, position in enumerate(order)
         ]
 
     @staticmethod

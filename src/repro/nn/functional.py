@@ -21,10 +21,17 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import ensure_rng
 
 #: Elements (rows x row width) one chunk of :func:`_scatter_add_rows`
-#: scatters. It bounds the per-chunk index and product buffers to a few MiB.
-#: Chunks of 2**14 to 2**20 elements time within about 10% of each other;
-#: larger ones are slower once the buffers outgrow the CPU cache.
-_SCATTER_CHUNK = 1 << 18
+#: scatters. It bounds the per-chunk index, product and partial-sum
+#: buffers to well under a MiB. The flat path times within about 10% from
+#: 2**14 to 2**20 elements; the round path is about 20% faster at 2**16
+#: than at 2**18, because its buffers then stay in the CPU cache.
+_SCATTER_CHUNK = 1 << 16
+
+#: Row width (elements per row) from which :func:`_scatter_add_rows`
+#: accumulates in occurrence rounds instead of the flat 1-D ``np.add.at``.
+#: Narrower rows are cheaper flat than the edge sort the rounds need; the
+#: crossover is measured in docs/performance.md §5.
+_ROUNDS_MIN_WIDTH = 16
 
 
 def _scatter_add_rows(num_rows, index, rows, gather=None, scale=None):
@@ -33,20 +40,38 @@ def _scatter_add_rows(num_rows, index, rows, gather=None, scale=None):
 
     Bit-identical to ``np.add.at(out, index, rows[gather] * scale[:, None])``
     on ``out = np.zeros((num_rows,) + rows.shape[1:], np.float32)``
-    (``gather`` defaults to every row in order, ``scale`` to no scaling).
-    A multi-column ``np.add.at`` has no fast path in numpy and costs
-    several times more per element than the 1-D form, so the rows are
-    scattered into the flattened output at ``index * width + col``: each
-    output element then receives the same float32 additions in the same
-    edge order. Edges go in bounded chunks whose products are formed
-    inside the loop, so no ``(edges x width)`` array is ever built.
-    The output is allocated here, C-ordered, because the scatter writes
-    through its flat view, and flattening any other layout copies.
+    (``gather`` defaults to every row in order, ``scale`` to no scaling):
+    each output element receives the same float32 additions in the same
+    edge order, starting from +0.0. A multi-column ``np.add.at`` has no
+    fast path in numpy, so rows of at least ``_ROUNDS_MIN_WIDTH``
+    elements go through :func:`_scatter_rounds` and narrower ones through
+    :func:`_scatter_flat`. Both work in bounded chunks, so no
+    ``(edges x width)`` array is ever built. The output is allocated
+    here, C-ordered, because both write through views of it, and
+    reshaping any other layout copies.
     """
     out = np.zeros((num_rows,) + rows.shape[1:], dtype=np.float32)
-    flat_out = out.reshape(-1)
     width = math.prod(rows.shape[1:])
     rows = rows.reshape(len(rows), width)
+    if width >= _ROUNDS_MIN_WIDTH and len(index):
+        _scatter_rounds(out.reshape(num_rows, width), index, rows, gather,
+                        scale)
+    else:
+        _scatter_flat(out.reshape(-1), index, rows, gather, scale)
+    return out
+
+
+def _scatter_flat(flat_out, index, rows, gather, scale):
+    """Scatter into the flattened output at ``index * width + col``.
+
+    ``ufunc.at`` applies a 1-D index in order, so output element
+    ``(t, c)`` receives ``values[e, c]`` for every edge with
+    ``index[e] == t``, in increasing ``e``. Edges go in chunks of at most
+    ``_SCATTER_CHUNK`` elements whose products are formed inside the
+    loop. Negative indices wrap, because ``-k * width + c`` lands in row
+    ``num_rows - k``.
+    """
+    width = rows.shape[1]
     cols = np.arange(width, dtype=np.int64)
     step = max(1, _SCATTER_CHUNK // max(width, 1))
     for lo in range(0, len(index), step):
@@ -58,7 +83,66 @@ def _scatter_add_rows(num_rows, index, rows, gather=None, scale=None):
             values = values * scale[lo:hi, None]
         flat_index = (index[lo:hi, None] * width + cols).reshape(-1)
         np.add.at(flat_out, flat_index, values.reshape(-1))
-    return out
+
+
+def _scatter_rounds(out, index, rows, gather, scale):
+    """Accumulate the edges in occurrence rounds into dense partial sums.
+
+    An edge's rank is its occurrence number among its target's edges, in
+    edge order. Round ``r`` holds every edge of rank ``r``, so no target
+    repeats within a round, and each target meets its edges in edge
+    order. With the targets ordered by descending edge count, round ``r``
+    touches exactly the first ``sizes[r]`` of them, so it is one
+    contiguous in-place add into a prefix of the partial sums: the
+    paper's per-target ``h_u`` accumulated one neighbour at a time. The
+    targets go in blocks of at most ``_SCATTER_CHUNK`` elements, each
+    written back through the target permutation once its rounds are done.
+    """
+    num_rows, width = out.shape
+    num_edges = len(index)
+    lowest = index.min()
+    if lowest < -num_rows or index.max() >= num_rows:
+        raise IndexError(f"scatter index out of bounds for {num_rows} rows")
+    if lowest < 0:
+        index = np.where(index < 0, index + num_rows, index)
+    # The edge number in the low bits makes every key unique, so numpy's
+    # fast unstable sort gives the stable order: by target, then by edge.
+    # Keys stay below num_rows << bits: an int64 holds 2**40 rows at 2**22
+    # edges.
+    bits = num_edges.bit_length()
+    key = np.sort(index << bits | np.arange(num_edges))
+    target = key >> bits
+    edge = key & ((1 << bits) - 1)
+    counts = np.bincount(target, minlength=num_rows)
+    by_count = np.argsort(-counts, kind="stable")
+    # sizes[r]: targets with more than r edges; round r starts at starts[r].
+    sizes = num_rows - np.cumsum(np.bincount(counts))[:-1]
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(num_edges) - np.repeat(np.cumsum(counts) - counts,
+                                            counts)
+    position = np.empty(num_rows, dtype=np.int64)
+    position[by_count] = np.arange(num_rows)
+    in_round_order = np.empty(num_edges, dtype=np.int64)
+    in_round_order[starts[rank] + position[target]] = edge
+    source = (in_round_order if gather is None
+              else gather[in_round_order])
+    if scale is not None:
+        scale = scale[in_round_order]
+    active = sizes[0]
+    step = max(1, _SCATTER_CHUNK // width)
+    partial = np.empty((min(step, active), width), dtype=np.float32)
+    for lo in range(0, active, step):
+        hi = min(lo + step, active)
+        block = partial[:hi - lo]
+        block.fill(0.0)
+        # The block's first target has the most edges, hence its rounds.
+        for r in range(counts[by_count[lo]]):
+            sel = slice(starts[r] + lo, starts[r] + min(hi, sizes[r]))
+            values = np.take(rows, source[sel], axis=0)
+            if scale is not None:
+                values = values * scale[sel, None]
+            block[:len(values)] += values
+        out[by_count[lo:hi]] = block
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:

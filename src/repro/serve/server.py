@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import RunConfig
+from repro.errors import ConfigError
 from repro.faults import get_fault_plan
 from repro.obs import get_registry
 from repro.obs.trace import Tracer
@@ -70,6 +71,13 @@ class ServeConfig:
     #: Simulated user-population size for locality-skewed seed draws
     #: (0 keeps the legacy uniform draw — bit-identical schedules).
     num_users: int = 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("num_requests", 0), ("seeds_per_request", 1),
+                            ("num_users", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 class RequestLedger:

@@ -96,7 +96,8 @@ class FeatureLoader(ABC):
     def reset_epoch(self) -> None:
         """Hook: drop any cross-batch state at epoch boundaries."""
 
-    def plan(self, subgraph: SampledSubgraph) -> TransferReport:
+    def plan(self, subgraph: SampledSubgraph,
+             key: int | None = None) -> TransferReport:
         """Decide what to load for ``subgraph`` (byte accounting only).
 
         Template method: the strategy lives in :meth:`_plan`; this
@@ -105,6 +106,8 @@ class FeatureLoader(ABC):
         invalidates any provisional residency and raises
         :class:`~repro.errors.TransferStallError`) and reports the plan's
         accounting to the metrics registry when observability is enabled.
+        ``key`` names the transfer's ``pcie_stall`` operation; without it
+        the plan draws the site's next sequence key.
         """
         fault_plan = get_fault_plan()
         if fault_plan.enabled:
@@ -116,6 +119,7 @@ class FeatureLoader(ABC):
                     exc_factory=lambda attempts: TransferStallError(
                         f"{type(self).__name__} feature transfer", attempts),
                     plan=fault_plan,
+                    key=key,
                 )
             except FaultError:
                 # Stalled transfer or an unrecovered storage read below

@@ -8,6 +8,7 @@ from repro.core.match import MatchState
 from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
 from repro.sampling import NeighborSampler
+from repro.serve import ServeConfig
 
 
 class TestPaperFig6Example:
@@ -137,3 +138,23 @@ class TestRunConfigValidation:
             assert RunConfig(cache_ratio_override=ratio)
         assert RunConfig(num_gpus=1, hidden_dim=1, num_epochs=1,
                          reorder_window=1)
+
+
+class TestServeConfigValidation:
+    """Serving inputs that used to run silently as another config, or
+    fail mid-run, are rejected when the config is built."""
+
+    def test_negative_num_users(self):
+        with pytest.raises(ConfigError, match="num_users"):
+            ServeConfig(num_users=-1)
+
+    def test_seeds_per_request_below_one(self):
+        with pytest.raises(ConfigError, match="seeds_per_request"):
+            ServeConfig(seeds_per_request=0)
+
+    def test_negative_num_requests(self):
+        with pytest.raises(ConfigError, match="num_requests"):
+            ServeConfig(num_requests=-1)
+
+    def test_boundaries_accepted(self):
+        assert ServeConfig(num_requests=0, seeds_per_request=1, num_users=0)

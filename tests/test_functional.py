@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import assert_grad_close, numerical_gradient
+from repro.bench.kernels import SIZES
 from repro.core.memory_aware import A3
 from repro.nn import Adam, build_model
 from repro.nn import functional
@@ -141,36 +142,60 @@ def as_layout(x, layout):
     return leaf, lambda: leaf.grad
 
 
+#: Rows at least this wide take the round path, narrower ones the flat one.
+ROUNDS = functional._ROUNDS_MIN_WIDTH
+
+
 @st.composite
 def scatter_cases(draw):
     """Random edge lists for the scatter ops.
 
-    Edge counts straddle the scatter's chunk boundary at every width, and
-    include empty lists. Edges are drawn from ``distinct`` base pairs, so
+    Widths straddle ``ROUNDS``, so both scatter paths run. Edge counts
+    straddle the chunk boundary at every width, and include empty lists.
+    ``pairs`` cases draw edges from ``distinct`` base pairs, so
     ``(src, dst)`` pairs repeat, and only from the first ``used_dst``
-    targets, so the remaining targets get no edges. Feature magnitudes
+    targets, so the remaining targets get no edges. ``hub`` cases then
+    send at least 100 of them from one source to one target, which gives
+    many rounds of size 1. ``spread`` cases give every source and every
+    target an edge, over more of them than one block holds, so the round
+    path writes back two or three blocks each way. Feature magnitudes
     span six decades, so a different summation order changes the bits.
     """
-    width = draw(st.sampled_from([1, 8, 64, 200]))
+    width = draw(st.sampled_from([1, 8, ROUNDS - 1, ROUNDS, 64, 200]))
     step = max(1, functional._SCATTER_CHUNK // width)
-    num_edges = draw(st.one_of(
-        st.integers(0, 40),
-        st.sampled_from([step - 1, step, step + 1, 2 * step + 7]),
-    ))
-    num_src = draw(st.integers(1, 40))
-    num_dst = draw(st.integers(1, 40))
-    used_dst = draw(st.integers(1, num_dst))
-    distinct = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["pairs", "hub", "spread"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base_src = rng.integers(0, num_src, distinct)
-    base_dst = rng.integers(0, used_dst, distinct)
-    pick = rng.integers(0, distinct, num_edges)
+    if shape == "spread":
+        num_src = num_dst = draw(st.sampled_from([step + 1, 2 * step + 7]))
+        extra = rng.integers(0, num_dst, draw(st.integers(0, num_dst)))
+        edge_dst = rng.permutation(np.concatenate([np.arange(num_dst),
+                                                   extra]))
+        edge_src = rng.permutation(len(edge_dst)) % num_src
+    else:
+        num_edges = draw(st.one_of(
+            st.integers(0, 40),
+            st.sampled_from([step - 1, step, step + 1, 2 * step + 7]),
+        ) if shape == "pairs" else st.integers(100, 400))
+        num_src = draw(st.integers(1, 40))
+        num_dst = draw(st.integers(1, 40))
+        used_dst = draw(st.integers(1, num_dst))
+        distinct = draw(st.integers(1, 64))
+        base_src = rng.integers(0, num_src, distinct)
+        base_dst = rng.integers(0, used_dst, distinct)
+        pick = rng.integers(0, distinct, num_edges)
+        edge_src, edge_dst = base_src[pick], base_dst[pick]
+        if shape == "hub":
+            hub = rng.choice(num_edges, draw(st.integers(100, num_edges)),
+                             replace=False)
+            edge_src[hub] = rng.integers(0, num_src)
+            edge_dst[hub] = rng.integers(0, used_dst)
+    num_edges = len(edge_dst)
     scale = 10.0 ** rng.integers(-3, 4, size=(num_src, 1))
     x = (rng.standard_normal((num_src, width)) * scale).astype(np.float32)
     return {
         "x": x,
-        "edge_src": base_src[pick],
-        "edge_dst": base_dst[pick],
+        "edge_src": edge_src,
+        "edge_dst": edge_dst,
         "weight": rng.random(num_edges).astype(np.float32),
         "grad_dst": rng.standard_normal((num_dst, width)).astype(np.float32),
         "grad_edges": rng.standard_normal(
@@ -179,9 +204,18 @@ def scatter_cases(draw):
     }
 
 
+def wrap_some(index, num_rows, rng):
+    """``index`` with a random subset written as its negative alias."""
+    index = index.copy()
+    flip = rng.random(len(index)) < 0.5
+    index[flip] -= num_rows
+    return index
+
+
 class TestScatterBitExact:
-    """The flat 1-D scatter reproduces multi-column ``np.add.at`` bit for
-    bit: same float32 additions, same edge order, per output element."""
+    """Both scatter paths, flat 1-D and occurrence rounds, reproduce
+    multi-column ``np.add.at`` bit for bit: same float32 additions, same
+    edge order, per output element."""
 
     @settings(max_examples=60, deadline=None)
     @given(scatter_cases(), LAYOUTS)
@@ -204,28 +238,49 @@ class TestScatterBitExact:
         assert_same_bits(w_t.grad, want_gw)
 
     @settings(max_examples=40, deadline=None)
-    @given(scatter_cases(), st.booleans())
-    def test_segment_sum(self, case, flat):
+    @given(scatter_cases(), st.booleans(), st.booleans())
+    def test_segment_sum(self, case, flat, negative):
         rows = case["grad_edges"]
         if flat and rows.shape[1] == 1:
             rows = rows[:, 0]
-        out = segment_sum(Tensor(rows), case["edge_dst"], case["num_dst"])
+        ids = case["edge_dst"]
+        if negative:
+            ids = wrap_some(ids, case["num_dst"], np.random.default_rng(0))
+        out = segment_sum(Tensor(rows), ids, case["num_dst"])
         want = np.zeros((case["num_dst"],) + rows.shape[1:],
                         dtype=np.float32)
-        np.add.at(want, case["edge_dst"], rows)
+        np.add.at(want, ids, rows)
         assert_same_bits(out.data, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(scatter_cases(), st.booleans(), LAYOUTS)
-    def test_gather_rows_backward(self, case, flat, layout):
+    @given(scatter_cases(), st.booleans(), LAYOUTS, st.booleans())
+    def test_gather_rows_backward(self, case, flat, layout, negative):
         x, grad = case["x"], case["grad_edges"]
         if flat and x.shape[1] == 1:
             x, grad = x[:, 0], grad[:, 0]
+        index = case["edge_src"]
+        if negative:
+            index = wrap_some(index, len(x), np.random.default_rng(0))
         x_t, x_grad = as_layout(x, layout)
-        gather_rows(x_t, case["edge_src"]).backward(grad)
+        gather_rows(x_t, index).backward(grad)
         want = np.zeros_like(x)
-        np.add.at(want, case["edge_src"], grad)
+        np.add.at(want, index, grad)
         assert_same_bits(x_grad(), want)
+
+    @pytest.mark.parametrize("width", [ROUNDS - 1, ROUNDS])
+    @pytest.mark.parametrize("bad", [5, 6, -6])
+    def test_index_out_of_range_raises(self, width, bad):
+        """An index at or beyond ``num_rows``, or below ``-num_rows``,
+        raises on both paths, as ``np.add.at`` does."""
+        rows = Tensor(np.ones((3, width), dtype=np.float32))
+        with pytest.raises(IndexError):
+            segment_sum(rows, np.array([0, bad, 1]), 5)
+
+    def test_bench_times_both_paths(self):
+        """``python -m repro.gate bench`` runs the ``a3_aggregate`` kernel's
+        small and medium blocks, one on each scatter path."""
+        sizes = SIZES["a3_aggregate"]
+        assert sizes["small"]["width"] < ROUNDS <= sizes["medium"]["width"]
 
     @pytest.mark.parametrize("layout", ["F", "T"])
     @pytest.mark.parametrize("op", ["gather_rows", "a3_aggregate", "A3"])

@@ -7,13 +7,17 @@ bit-identical to a crash-free serial run, because chunks are pure
 functions of ``(chunk_index, seed)``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import RunConfig
 from repro.errors import WorkerCrashError
 from repro.faults import FaultPlan, FaultSpec, fault_scope, set_fault_plan
 from repro.frameworks import FastGLFramework
+from repro.graph.datasets import DATASETS, Dataset
 from repro.obs import get_registry, set_registry
 from repro.obs.exporters import flatten_snapshot, to_snapshot
 from repro.obs.registry import MetricsRegistry
@@ -135,3 +139,24 @@ class TestEpochChaosDeterminism:
                    if key not in crash_keys}
         assert trimmed == serial_metrics
         assert any("worker_crashes" in key for key in crash_keys)
+
+    @needs_fork
+    def test_pcie_stall_time_independent_of_jobs(self):
+        """Recovered ``pcie_stall`` faults cost the same modeled time at
+        any job count: the epoch reserves one key per batch, lane-major,
+        so a forked lane prices its transfers with the keys a serial run
+        draws."""
+        spec = replace(DATASETS["products"], num_nodes=900,
+                       train_fraction=0.3)
+        dataset = Dataset(spec, seed=0)
+        config = RunConfig(num_gpus=5, num_epochs=3, batch_size=32, seed=0)
+        runs = []
+        for jobs in (1, 2):
+            plan = FaultPlan(seed=99, sites={
+                "pcie_stall": FaultSpec(probability=0.3, max_failures=2)})
+            report = api.run("pyg", dataset, config=config,
+                             exec=ExecutionSpec(jobs=jobs, faults=plan))
+            runs.append((report.epoch_time.hex(),
+                         report.transfer.num_retries, report.phases))
+        assert runs[1] == runs[0]
+        assert runs[0][1] > 0
