@@ -8,8 +8,9 @@ machine; the work counters are seeded and bit-stable, which is what the
 ``bench`` gate pins (:func:`build_bench_baseline`, checked by
 ``python -m repro.gate bench``).
 
-The first nine kernels cover the per-batch hot path end to end, and the
-tenth the dataset build that runs before it:
+The first nine kernels cover the per-batch hot path end to end, the
+tenth the dataset build that runs before it, and the eleventh the
+cluster tier's remote-row cache:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
   product (vs the legacy O(n^2) ``np.intersect1d`` loop);
@@ -33,7 +34,11 @@ tenth the dataset build that runs before it:
 * ``graph_build`` — :meth:`repro.graph.csr.CSRGraph.from_edges` on a
   power-law edge list the size of the 30k-node ``products`` build (vs
   the kept ``np.unique`` + ``np.lexsort`` + ``np.add.at`` build),
-  ``indptr`` and ``indices`` asserted identical.
+  ``indptr`` and ``indices`` asserted identical;
+* ``halo_cache`` — the halo exchange's remote-feature frequency cache
+  over a ``cluster-fastgl``-sized stream of remote rows, one batch call
+  per exchange (vs the kept dict-based cache driven one row at a time),
+  miss masks asserted identical.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import time
 import numpy as np
 
 from repro.bench.oracles import (
+    FrequencyPageCacheLegacy,
     from_edges_legacy,
     greedy_reorder_legacy,
     match_degree_matrix_legacy,
@@ -61,6 +67,7 @@ from repro.sampling.idmap.hash_table import (
     VectorOpenAddressTable,
     table_capacity,
 )
+from repro.storage.cache import FrequencyPageCache, PageCache
 
 #: Per-kernel parameters at the two benchmark scales. ``large`` for
 #: ``match_degree_matrix`` is the acceptance size: 256 batches of 4k
@@ -121,6 +128,12 @@ SIZES = {
     # from: ~0.6M drawn edges, ~1.2M once symmetrized.
     "graph_build": {
         "small": {"num_nodes": 30_000, "avg_degree": 40.0},
+    },
+    # cluster-fastgl's remote rows: 4 nodes, each caching 5% of a
+    # 20k-node graph, 24 exchanges of 10k rows with a recurring hot set.
+    "halo_cache": {
+        "small": {"num_nodes": 20_000, "parts": 4, "capacity": 1000,
+                  "rows": 10_000, "batches": 24},
     },
 }
 
@@ -557,6 +570,59 @@ def bench_graph_build(size: str, repeats: int, seed: int) -> dict:
     return _record("graph_build", size, params, times, work, reference)
 
 
+def bench_halo_cache(size: str, repeats: int, seed: int) -> dict:
+    """The remote-feature cache of
+    :class:`repro.cluster.halo.HaloExchange` under the ``freq`` policy:
+    each exchange's owner-grouped remote rows go through
+    :meth:`~repro.storage.cache.FrequencyPageCache.access` in one call,
+    against :class:`~repro.bench.oracles.FrequencyPageCacheLegacy` driven
+    one row at a time ("lookup, then insert on a miss"). Every miss mask
+    must be identical, or the record refuses to report a speedup at
+    all."""
+    from repro.cluster.halo import group_by_owner
+
+    params = SIZES["halo_cache"][size]
+    num_nodes, parts = params["num_nodes"], params["parts"]
+    rng = np.random.default_rng(seed)
+    owners = rng.integers(0, parts, size=num_nodes, dtype=np.int64)
+    weights = power_law_degrees(num_nodes, 15.0, rng=rng)
+    cut = num_nodes - params["rows"]
+    requests = []
+    for batch in range(params["batches"]):
+        # A weighted draw without replacement (the largest u**(1/w)).
+        keys = rng.random(num_nodes) ** (1.0 / weights)
+        ids = np.sort(np.argpartition(keys, cut)[cut:])
+        node = batch % parts
+        remote = ids[owners[ids] != node]
+        requests.append((node, group_by_owner(remote, owners, parts)[0]))
+
+    def replay(cache_type, access):
+        caches = [cache_type(params["capacity"]) for _ in range(parts)]
+        masks = [access(caches[node], ids) for node, ids in requests]
+        return caches, masks
+
+    caches, masks = replay(FrequencyPageCache, FrequencyPageCache.access)
+    _, legacy_masks = replay(FrequencyPageCacheLegacy, PageCache.access)
+    if any(not np.array_equal(a, b)  # pragma: no cover - pinned by tests
+           for a, b in zip(masks, legacy_masks)):
+        raise AssertionError("the batch halo cache diverged from the "
+                             "per-row frequency cache")
+    times = _time(lambda: replay(FrequencyPageCache,
+                                 FrequencyPageCache.access), repeats)
+    legacy_times = _time(lambda: replay(FrequencyPageCacheLegacy,
+                                        PageCache.access), min(repeats, 2))
+    work = {
+        "requested": sum(ids.size for _, ids in requests),
+        "hits": sum(cache.hits for cache in caches),
+        "evictions": sum(cache.evictions for cache in caches),
+    }
+    reference = {
+        "legacy_s": min(legacy_times),
+        "speedup_vs_legacy": min(legacy_times) / min(times),
+    }
+    return _record("halo_cache", size, params, times, work, reference)
+
+
 #: Kernel name -> callable(size, repeats, seed) in report order.
 KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
@@ -569,6 +635,7 @@ KERNELS = {
     "halo_gather": bench_halo_gather,
     "a3_aggregate": bench_a3_aggregate,
     "graph_build": bench_graph_build,
+    "halo_cache": bench_halo_cache,
 }
 
 

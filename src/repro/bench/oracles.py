@@ -14,6 +14,17 @@ bits, and :mod:`repro.bench.kernels` times it against the reference:
 * :func:`hash_gather_legacy` —
   :meth:`repro.graph.features.HashFeatureStore.gather` with the float64
   final scaling;
+* :func:`in_sorted_legacy`, :func:`dense_first_occurrence_legacy` and
+  :func:`sample_hop_legacy` — the clipped-``searchsorted`` membership
+  test behind :func:`repro.sampling.idmap.base.in_sorted`, the
+  gather-and-compare first occurrence behind
+  :func:`~repro.sampling.idmap.base.first_occurrence_unique`'s dense
+  path, and the neighbor draw behind
+  :meth:`repro.sampling.neighbor.NeighborSampler._sample_hop`;
+* :class:`FrequencyPageCacheLegacy` — the dict-based
+  :class:`~repro.storage.cache.FrequencyPageCache` whose per-page
+  ``lookup``/``insert`` the dense batch path
+  (:meth:`~repro.storage.cache.FrequencyPageCache.access`) must match;
 * :class:`ResidentFeatureBuffer` — the functional counterpart of
   :class:`~repro.transfer.loader.MatchLoader`'s byte accounting: it
   assembles each batch's feature matrix from the previous batch's
@@ -26,6 +37,8 @@ Only the tests and the bench kernels import this module.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.core.match import MatchState
@@ -33,6 +46,7 @@ from repro.core.reorder import _as_match_matrix
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.features import FeatureStore
+from repro.storage.cache import MISS, PageCache
 
 
 def match_degree_matrix_legacy(node_sets) -> np.ndarray:
@@ -145,6 +159,81 @@ def hash_gather_legacy(store, ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def in_sorted_legacy(values, sorted_set) -> np.ndarray:
+    """Reference ``in_sorted``: one clipped ``np.searchsorted``."""
+    if len(sorted_set) == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
+    return sorted_set[pos] == values
+
+
+def dense_first_occurrence_legacy(ids: np.ndarray) -> tuple:
+    """Reference dense first occurrence of non-negative int64 ``ids``:
+    ``np.minimum.at`` into an ID-indexed scratch, then every input ID
+    gathered and compared with its own position."""
+    position = np.arange(ids.size)
+    scratch = np.empty(int(ids.max()) + 1, dtype=np.int64)
+    scratch[ids] = ids.size
+    np.minimum.at(scratch, ids, position)
+    unique = ids[scratch[ids] == position]
+    scratch[unique] = np.arange(unique.size)
+    return unique, scratch[ids]
+
+
+def _draw_without_replacement_legacy(deg, fanout, rng):
+    n = len(deg)
+    out = np.empty((n, fanout), dtype=np.int64)
+    order = np.argsort(deg, kind="stable")
+    sorted_deg = deg[order]
+    for start in range(0, n, 8192):
+        rows = order[start:start + 8192]
+        chunk_deg = sorted_deg[start:start + 8192]
+        width = int(chunk_deg[-1])
+        keys = rng.random((len(rows), width))
+        cols = np.arange(width)
+        keys += (cols[None, :] >= chunk_deg[:, None]) * 2.0
+        picks = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
+        out[rows] = picks
+    return out
+
+
+def sample_hop_legacy(graph: CSRGraph, frontier: np.ndarray, fanout: int,
+                      rng) -> tuple:
+    """Reference one-hop draw: ``(edge_dst_pos, drawn_src_global)`` with
+    the degree mask built as a float product, two ``np.repeat`` calls for
+    the small rows' addresses and int64 copies of the outputs."""
+    deg = graph.degrees[frontier]
+    small = deg <= fanout
+    parts_dst = []
+    parts_src = []
+    small_nodes = frontier[small]
+    if len(small_nodes):
+        small_deg = deg[small]
+        row_starts = graph.indptr[small_nodes]
+        total = int(small_deg.sum())
+        if total:
+            offsets = np.repeat(row_starts, small_deg)
+            within = np.arange(total) - np.repeat(
+                np.concatenate([[0], np.cumsum(small_deg)[:-1]]), small_deg
+            )
+            parts_src.append(graph.indices[offsets + within])
+            parts_dst.append(np.repeat(np.flatnonzero(small), small_deg))
+    large_pos = np.flatnonzero(~small)
+    if len(large_pos):
+        large_nodes = frontier[large_pos]
+        picks = _draw_without_replacement_legacy(deg[large_pos], fanout, rng)
+        addr = graph.indptr[large_nodes][:, None] + picks
+        parts_src.append(graph.indices[addr.ravel()])
+        parts_dst.append(np.repeat(large_pos, fanout))
+    if parts_src:
+        edge_dst = np.concatenate(parts_dst)
+        edge_src = np.concatenate(parts_src)
+    else:
+        edge_dst = np.empty(0, dtype=np.int64)
+        edge_src = np.empty(0, dtype=np.int64)
+    return edge_dst.astype(np.int64), edge_src.astype(np.int64)
+
+
 class ResidentFeatureBuffer:
     """Keeps the last mini-batch's feature rows 'on device'."""
 
@@ -189,3 +278,88 @@ class ResidentFeatureBuffer:
         # previous batch needed — no extra device cost).
         self._rows = next_rows
         return out
+
+
+class FrequencyPageCacheLegacy(PageCache):
+    """Reference :class:`~repro.storage.cache.FrequencyPageCache`: the same
+    policy over dicts, one page per call.
+
+    Frequency counts accumulate on every lookup, resident or not, so the
+    cache converges on the workload's true hot set instead of its recent
+    one. Admission: a missing page is only admitted over the coldest
+    resident page when its count is strictly higher — one-off scans
+    cannot flush established hot pages. Ties and victim selection break
+    on the lower page ID, keeping the policy fully deterministic.
+    """
+
+    def __init__(self, capacity_pages: int) -> None:
+        super().__init__(capacity_pages)
+        self._counts: dict = {}
+        self._frames: dict = {}
+        # Lazy min-heap of (count-at-push, page_id) over resident pages:
+        # victim selection stays the exact (count, id) minimum, but in
+        # O(log n) amortized instead of a full scan per admission.
+        self._heap: list = []
+        # Admission floor: the count of the last coldest resident seen by
+        # a full-cache admission. Counts only grow and an admission only
+        # replaces the coldest page by a hotter one, so once the cache is
+        # full its coldest count never decreases; a miss counted at or
+        # below the floor would lose to the coldest resident anyway.
+        self._floor = -1
+
+    @property
+    def num_resident(self) -> int:
+        return len(self._frames)
+
+    def _bump(self, page_id: int) -> None:
+        self._counts[page_id] = self._counts.get(page_id, 0) + 1
+
+    def lookup(self, page_id: int):
+        self._bump(page_id)
+        if page_id in self._frames:
+            self.hits += 1
+            return self._frames[page_id]
+        self.misses += 1
+        return MISS
+
+    def _pop_coldest(self) -> tuple:
+        """The resident page with the smallest (count, id) key. Stale
+        heap entries (evicted pages, outdated counts) are discarded or
+        refreshed on the way; counts only grow, so the first entry that
+        matches its current count is the true minimum."""
+        while True:
+            count, pid = heapq.heappop(self._heap)
+            if pid not in self._frames:
+                continue
+            current = self._counts.get(pid, 0)
+            if current != count:
+                heapq.heappush(self._heap, (current, pid))
+                continue
+            return count, pid
+
+    def insert(self, page_id: int, frame) -> None:
+        if self.capacity_pages == 0:
+            return
+        if page_id in self._frames:
+            self._frames[page_id] = frame
+            return
+        count = self._counts.get(page_id, 0)
+        if len(self._frames) < self.capacity_pages:
+            self._frames[page_id] = frame
+            heapq.heappush(self._heap, (count, page_id))
+            return
+        if count <= self._floor:
+            return
+        victim = self._pop_coldest()
+        self._floor = victim[0]
+        if count > victim[0]:
+            del self._frames[victim[1]]
+            self.evictions += 1
+            self._frames[page_id] = frame
+            heapq.heappush(self._heap, (count, page_id))
+        else:
+            heapq.heappush(self._heap, victim)
+
+    def update(self, page_id: int, frame) -> None:
+        if page_id in self._frames:
+            self._frames[page_id] = frame

@@ -38,15 +38,10 @@ from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.obs import get_registry
 from repro.sampling.idmap.base import sorted_unique
 from repro.storage.cache import (
-    MISS,
     FrequencyPageCache,
     LRUPageCache,
     PartitionAwarePageCache,
 )
-
-#: Resident-marker frame for cached remote rows — the sim caches row
-#: *identity*, not payload.
-_RESIDENT = True
 
 
 def group_by_owner(ids, owners, num_parts: int):
@@ -62,8 +57,13 @@ def group_by_owner(ids, owners, num_parts: int):
     ids = np.asarray(ids, dtype=np.int64)
     owners = np.asarray(owners, dtype=np.int64)
     parts = owners[ids]
-    order = np.argsort(parts, kind="stable")
     counts = np.bincount(parts, minlength=num_parts).astype(np.int64)
+    # Every part is below len(counts); a stable sort of the narrowest
+    # unsigned copy gives the same order through numpy's radix sort.
+    if len(counts) <= 1 << 16:
+        parts = parts.astype(np.uint8 if len(counts) <= 1 << 8
+                             else np.uint16)
+    order = np.argsort(parts, kind="stable")
     return ids[order], counts
 
 
@@ -191,16 +191,11 @@ class HaloExchange:
             remote, self.assignment, self.num_nodes)
         cache = self._caches[node]
         if cache is not None:
-            misses = []
-            for node_id in sorted_ids.tolist():
-                if cache.lookup(node_id) is MISS:
-                    misses.append(node_id)
-                    cache.insert(node_id, _RESIDENT)
-            report.cache_hits = report.requested_rows - len(misses)
-            fetched_by_peer = np.bincount(
-                self.assignment[np.asarray(misses, dtype=np.int64)],
-                minlength=self.num_nodes,
-            )
+            # The cache holds row identity, not payload: one batch call.
+            missed = sorted_ids[cache.access(sorted_ids)]
+            report.cache_hits = report.requested_rows - missed.size
+            fetched_by_peer = np.bincount(self.assignment[missed],
+                                          minlength=self.num_nodes)
         report.fetched_rows = report.requested_rows - report.cache_hits
         # Ascending peer order: it fixes the net_stall fault-key sequence.
         report.bytes_by_peer = {

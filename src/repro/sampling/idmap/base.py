@@ -114,6 +114,7 @@ class MapResult:
 #: otherwise. The bound caps the scratch at 16 int64 slots per input ID.
 #: Far above it, a large scratch is mapped fresh on every call and mostly
 #: left untouched, and the sort is faster (``docs/performance.md`` §6).
+#: :func:`in_sorted` uses the same ratio for its bitmap.
 DENSE_ID_RATIO = 16
 
 
@@ -162,21 +163,36 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
 def in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     """Boolean mask: which ``values`` occur in the ascending ``sorted_set``.
 
-    One clipped ``np.searchsorted``; an empty set gives an all-false mask.
+    For signed integer values, when the set is non-negative and its
+    largest element is below :data:`DENSE_ID_RATIO` times the number of
+    values and set elements, the set is scattered into a bitmap that the
+    values index; otherwise one clipped ``np.searchsorted`` answers. An
+    empty set gives an all-false mask.
     """
     if len(sorted_set) == 0:
         return np.zeros(np.shape(values), dtype=bool)
+    values = np.asarray(values)
+    high = int(sorted_set[-1])
+    if (values.dtype.kind == "i" and sorted_set[0] >= 0
+            and high < DENSE_ID_RATIO * (values.size + len(sorted_set))):
+        # Slot high + 1 stays False: values above the set clip onto it,
+        # and negative ones clip to -1, which is the same slot.
+        bitmap = np.zeros(high + 2, dtype=bool)
+        bitmap[sorted_set] = True
+        return bitmap[np.clip(values, -1, high + 1)]
     pos = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
     return sorted_set[pos] == values
 
 
 def _dense_first_occurrence(ids: np.ndarray, high: int) -> tuple:
-    """O(n) first occurrences through a scratch array indexed by ID."""
-    position = np.arange(ids.size)
-    scratch = np.empty(high + 1, dtype=np.int64)
-    scratch[ids] = ids.size
-    np.minimum.at(scratch, ids, position)
-    unique = ids[scratch[ids] == position]
+    """First occurrences through a scratch array indexed by ID: each
+    present ID's slot ends at its first position, and sorting those
+    positions orders the unique IDs by first occurrence."""
+    scratch = np.full(high + 1, ids.size, dtype=np.int64)
+    np.minimum.at(scratch, ids, np.arange(ids.size))
+    firsts = scratch[scratch < ids.size]
+    firsts.sort()
+    unique = ids[firsts]
     # The first positions are consumed; reuse the scratch for local IDs.
     scratch[unique] = np.arange(unique.size)
     return unique, scratch[ids]

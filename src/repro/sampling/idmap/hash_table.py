@@ -279,8 +279,13 @@ def estimate_probe_stats(
     unique_ids = np.asarray(unique_ids, dtype=np.int64)
     if capacity is None:
         capacity = table_capacity(len(unique_ids), load_factor)
-    slots = unique_ids % capacity
-    counts = np.bincount(slots % capacity, minlength=1)
+    if capacity & (capacity - 1) == 0:
+        # The mod hash of a power-of-two table is a mask (also for
+        # negative IDs, whose floored modulus is the two's-complement mask).
+        slots = unique_ids & (capacity - 1)
+    else:
+        slots = unique_ids % capacity
+    counts = np.bincount(slots, minlength=1)
     counts = counts[counts > 1].astype(np.float64)
     cluster_retries = float((counts * (counts - 1) / 2).sum())
     inserts = len(unique_ids)

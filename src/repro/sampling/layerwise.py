@@ -58,19 +58,17 @@ class LayerWiseSampler(Sampler):
         """(edge_dst_pos, edge_src_global): candidate->frontier edges that
         exist in the graph."""
         candidate_set = sorted_unique(candidates)
-        edge_dst, edge_src = [], []
-        for position, node in enumerate(frontier):
-            neighbors = self.graph.neighbors(int(node))
-            if len(neighbors) == 0:
-                continue
-            kept = neighbors[in_sorted(neighbors, candidate_set)]
-            if len(kept):
-                edge_dst.append(np.full(len(kept), position,
-                                        dtype=np.int64))
-                edge_src.append(kept.astype(np.int64))
-        if edge_dst:
-            return np.concatenate(edge_dst), np.concatenate(edge_src)
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        graph = self.graph
+        deg = graph.degrees[frontier]
+        # Every frontier row's neighbors, concatenated in frontier order,
+        # then one membership test over all of them.
+        ends = np.cumsum(deg)
+        addr = np.repeat(graph.indptr[frontier] - (ends - deg), deg)
+        addr += np.arange(addr.size)
+        neighbors = graph.indices[addr]
+        kept = in_sorted(neighbors, candidate_set)
+        edge_dst = np.repeat(np.arange(len(frontier)), deg)[kept]
+        return edge_dst, neighbors[kept]
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
         seeds = np.asarray(seeds, dtype=np.int64)

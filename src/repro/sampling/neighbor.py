@@ -30,7 +30,10 @@ def _draw_without_replacement(deg, fanout, rng):
     """
     n = len(deg)
     out = np.empty((n, fanout), dtype=np.int64)
-    order = np.argsort(deg, kind="stable")
+    # Degrees are non-negative: below 2**16 a stable sort of a uint16 copy
+    # gives the same order through numpy's radix sort.
+    narrow = deg.astype(np.uint16) if n and deg.max() < 1 << 16 else deg
+    order = np.argsort(narrow, kind="stable")
     sorted_deg = deg[order]
     for start in range(0, n, _CHUNK_ROWS):
         rows = order[start:start + _CHUNK_ROWS]
@@ -40,7 +43,7 @@ def _draw_without_replacement(deg, fanout, rng):
         # Push out-of-degree columns past any valid key so argpartition
         # never selects them (valid keys are < 1.0).
         cols = np.arange(width)
-        keys += (cols[None, :] >= chunk_deg[:, None]) * 2.0
+        np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
         picks = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
         out[rows] = picks
     return out
@@ -94,16 +97,15 @@ class NeighborSampler(Sampler):
         small_nodes = frontier[small]
         if len(small_nodes):
             small_deg = deg[small]
-            # Gather each small node's full row.
-            row_starts = graph.indptr[small_nodes]
             total = int(small_deg.sum())
             if total:
-                offsets = np.repeat(row_starts, small_deg)
-                # within-row offset: 0..deg-1 per node
-                within = np.arange(total) - np.repeat(
-                    np.concatenate([[0], np.cumsum(small_deg)[:-1]]), small_deg
-                )
-                parts_src.append(graph.indices[offsets + within])
+                # Gather each small node's full row: the row start minus
+                # the row's offset in the output, repeated, plus 0..total-1.
+                starts = np.cumsum(small_deg) - small_deg
+                addr = np.repeat(graph.indptr[small_nodes] - starts,
+                                 small_deg)
+                addr += np.arange(total)
+                parts_src.append(graph.indices[addr])
                 parts_dst.append(
                     np.repeat(np.flatnonzero(small), small_deg)
                 )
@@ -113,17 +115,13 @@ class NeighborSampler(Sampler):
             large_nodes = frontier[large_pos]
             large_deg = deg[large_pos]
             picks = _draw_without_replacement(large_deg, fanout, self.rng)
-            addr = self.graph.indptr[large_nodes][:, None] + picks
-            parts_src.append(self.graph.indices[addr.ravel()])
+            picks += graph.indptr[large_nodes][:, None]
+            parts_src.append(graph.indices[picks.ravel()])
             parts_dst.append(np.repeat(large_pos, fanout))
 
         if parts_src:
-            edge_dst = np.concatenate(parts_dst)
-            edge_src = np.concatenate(parts_src)
-        else:
-            edge_dst = np.empty(0, dtype=np.int64)
-            edge_src = np.empty(0, dtype=np.int64)
-        return edge_dst.astype(np.int64), edge_src.astype(np.int64)
+            return np.concatenate(parts_dst), np.concatenate(parts_src)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
         seeds = np.asarray(seeds, dtype=np.int64)

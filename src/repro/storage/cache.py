@@ -106,6 +106,18 @@ class PageCache:
         used when a stats-only placeholder is later materialized."""
         raise NotImplementedError
 
+    def access(self, ids: np.ndarray) -> np.ndarray:
+        """Look up each of the unique pages ``ids`` in order, inserting a
+        missed page (with no frame) right after its lookup; returns the
+        miss mask."""
+        missed = []
+        for page_id in np.asarray(ids, dtype=np.int64).tolist():
+            miss = self.lookup(page_id) is MISS
+            if miss:
+                self.insert(page_id, None)
+            missed.append(miss)
+        return np.array(missed, dtype=bool)
+
 
 class LRUPageCache(PageCache):
     """Recency-only page cache (the OS-page-cache baseline)."""
@@ -200,6 +212,14 @@ class PartitionAwarePageCache(PageCache):
         self._lru.reset_stats()
 
 
+#: Heap and snapshot keys pack ``count << _ID_BITS | page_id`` into one
+#: int, so the victim search compares plain ints in ``(count, id)`` order.
+#: Page IDs stay below ``2**32``: a dense array indexed by a larger ID
+#: could not be allocated anyway.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
 class FrequencyPageCache(PageCache):
     """Access-frequency cache with admission control (FastSample-style).
 
@@ -209,16 +229,27 @@ class FrequencyPageCache(PageCache):
     resident page when its count is strictly higher — one-off scans
     cannot flush established hot pages. Ties and victim selection break
     on the lower page ID, keeping the policy fully deterministic.
+
+    Counts and residency live in dense arrays indexed by page ID (IDs
+    must be non-negative). :meth:`lookup` and :meth:`insert` serve one
+    page at a time; :meth:`access` runs a whole batch of unique pages
+    with exactly the per-page semantics of "``lookup``, then ``insert``
+    on a miss", in order.
     """
 
     def __init__(self, capacity_pages: int) -> None:
         super().__init__(capacity_pages)
-        self._counts: dict = {}
+        self._counts = np.zeros(1, dtype=np.int64)
+        self._resident = np.zeros(1, dtype=bool)
+        self._num_resident = 0
+        #: Frames stored by :meth:`insert`; pages admitted by
+        #: :meth:`access` have none, so ``lookup`` returns ``None``.
         self._frames: dict = {}
-        # Lazy min-heap of (count-at-push, page_id) over resident pages:
-        # victim selection stays the exact (count, id) minimum, but in
-        # O(log n) amortized instead of a full scan per admission.
-        self._heap: list = []
+        # Lazy min-heap of packed (count-at-push, page_id) keys over
+        # resident pages: victim selection stays the exact (count, id)
+        # minimum, but in O(log n) amortized instead of a full scan per
+        # admission. ``None`` after a batch access; rebuilt on demand.
+        self._heap: list | None = []
         # Admission floor: the count of the last coldest resident seen by
         # a full-cache admission. Counts only grow and an admission only
         # replaces the coldest page by a hotter one, so once the cache is
@@ -228,60 +259,226 @@ class FrequencyPageCache(PageCache):
 
     @property
     def num_resident(self) -> int:
-        return len(self._frames)
+        return self._num_resident
 
-    def _bump(self, page_id: int) -> None:
-        self._counts[page_id] = self._counts.get(page_id, 0) + 1
+    def _reserve(self, low: int, high: int) -> None:
+        """Grow the dense arrays (by doubling) to cover page ``high``."""
+        if low < 0:
+            raise ValueError("page IDs must be non-negative")
+        size = self._counts.size
+        if high < size:
+            return
+        while size <= high:
+            size *= 2
+        counts = np.zeros(size, dtype=np.int64)
+        counts[:self._counts.size] = self._counts
+        resident = np.zeros(size, dtype=bool)
+        resident[:self._resident.size] = self._resident
+        self._counts, self._resident = counts, resident
 
     def lookup(self, page_id: int):
-        self._bump(page_id)
-        if page_id in self._frames:
+        self._reserve(page_id, page_id)
+        self._counts[page_id] += 1
+        if self._resident[page_id]:
             self.hits += 1
-            return self._frames[page_id]
+            return self._frames.get(page_id)
         self.misses += 1
         return MISS
 
-    def _pop_coldest(self) -> tuple:
-        """The resident page with the smallest (count, id) key. Stale
-        heap entries (evicted pages, outdated counts) are discarded or
-        refreshed on the way; counts only grow, so the first entry that
-        matches its current count is the true minimum."""
+    def _resident_keys(self) -> np.ndarray:
+        """Packed ``(count, id)`` keys of every resident page, ascending
+        (a sorted list is a valid heap)."""
+        pages = np.flatnonzero(self._resident)
+        return np.sort((self._counts[pages] << _ID_BITS) | pages)
+
+    def _pop_coldest(self) -> int:
+        """The packed key of the resident page with the smallest (count,
+        id). Stale heap entries (evicted pages, outdated counts) are
+        discarded or refreshed on the way; counts only grow, so the first
+        entry that matches its current count is the true minimum."""
+        if self._heap is None:
+            self._heap = self._resident_keys().tolist()
+        heap, resident, counts = self._heap, self._resident, self._counts
         while True:
-            count, pid = heapq.heappop(self._heap)
-            if pid not in self._frames:
+            key = heapq.heappop(heap)
+            page = key & _ID_MASK
+            if not resident[page]:
                 continue
-            current = self._counts.get(pid, 0)
-            if current != count:
-                heapq.heappush(self._heap, (current, pid))
+            current = int(counts[page])
+            if current != key >> _ID_BITS:
+                heapq.heappush(heap, (current << _ID_BITS) | page)
                 continue
-            return count, pid
+            return key
+
+    def _admit(self, page_id: int, frame, count: int) -> None:
+        self._resident[page_id] = True
+        self._frames[page_id] = frame
+        self._num_resident += 1
+        if self._heap is not None:
+            heapq.heappush(self._heap, (count << _ID_BITS) | page_id)
 
     def insert(self, page_id: int, frame) -> None:
         if self.capacity_pages == 0:
             return
-        if page_id in self._frames:
+        self._reserve(page_id, page_id)
+        if self._resident[page_id]:
             self._frames[page_id] = frame
             return
-        count = self._counts.get(page_id, 0)
-        if len(self._frames) < self.capacity_pages:
-            self._frames[page_id] = frame
-            heapq.heappush(self._heap, (count, page_id))
+        count = int(self._counts[page_id])
+        if self._num_resident < self.capacity_pages:
+            self._admit(page_id, frame, count)
             return
         if count <= self._floor:
             return
         victim = self._pop_coldest()
-        self._floor = victim[0]
-        if count > victim[0]:
-            del self._frames[victim[1]]
+        self._floor = victim >> _ID_BITS
+        if count > self._floor:
+            victim_id = victim & _ID_MASK
+            self._resident[victim_id] = False
+            self._frames.pop(victim_id, None)
+            self._num_resident -= 1
             self.evictions += 1
-            self._frames[page_id] = frame
-            heapq.heappush(self._heap, (count, page_id))
+            self._admit(page_id, frame, count)
         else:
             heapq.heappush(self._heap, victim)
 
     def update(self, page_id: int, frame) -> None:
-        if page_id in self._frames:
+        if 0 <= page_id < self._resident.size and self._resident[page_id]:
             self._frames[page_id] = frame
+
+    def access(self, ids: np.ndarray) -> np.ndarray:
+        """Look up a batch of unique pages, in order, admitting each miss
+        as :meth:`insert` would; returns the miss mask.
+
+        Every page's lookup bumps its count, so its count at its own
+        admission is its count before the batch plus one. While the
+        cache has room the first misses are admitted in order; after
+        that only a miss counted above the admission floor (an *event*)
+        needs a victim, and everything else is vectorized.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
+            return np.zeros(0, dtype=bool)
+        self._reserve(int(ids.min()), int(ids.max()))
+        counts, resident = self._counts, self._resident
+        bumped = counts[ids] + 1
+        miss = ~resident[ids]
+        pending = np.flatnonzero(miss)
+        if self.capacity_pages and pending.size:
+            free = self.capacity_pages - self._num_resident
+            admitted = pending[:free]
+            full = pending[admitted.size:]
+            events = full[bumped[full] > self._floor]
+            # Residents before the batch, keyed by their counts before it.
+            snapshot = self._resident_keys() if events.size else None
+            counts[ids] = bumped
+            resident[ids[admitted]] = True
+            self._num_resident += admitted.size
+            if events.size:
+                self._sweep(ids, bumped, miss, events, snapshot,
+                            (bumped[admitted] << _ID_BITS) | ids[admitted])
+            self._heap = None
+        else:
+            counts[ids] = bumped
+        num_misses = int(np.count_nonzero(miss))
+        self.misses += num_misses
+        self.hits += ids.size - num_misses
+        return miss
+
+    def _sweep(self, ids, bumped, miss, events, snapshot, admitted) -> None:
+        """The full-cache events of :meth:`access`, in batch order.
+
+        The victim of an event at batch position ``e`` is the resident
+        with the smallest ``(count, id)`` at that moment. Three sorted
+        sources hold every resident exactly once:
+
+        * ``keys[taken:]`` — residents before the batch, keyed by their
+          counts before it. Entries the batch has already hit are moved
+          out as the front reaches them, so the front is unreached;
+        * ``reached`` — those hit entries, one count higher. They move
+          over in snapshot order, so this queue stays sorted;
+        * ``newcomers`` — a heap of pages admitted during the batch, keyed
+          by their counts at admission (the batch does not meet them
+          again).
+
+        A snapshot victim that the batch has not reached yet becomes a
+        miss at its own position, and an event there if its count still
+        beats the floor then. The floor only rises, and when it does the
+        remaining candidates are filtered again.
+        """
+        n = ids.size
+        hit = np.flatnonzero(~miss)
+        where = np.full(self._resident.size, n, dtype=np.int64)
+        where[ids[hit]] = hit
+        # A sentinel above every key ends the snapshot: the cache is full,
+        # so some resident always beats it.
+        keys = snapshot.tolist() + [1 << 64]
+        positions = where[snapshot & _ID_MASK].tolist() + [n]
+        newcomers = np.sort(admitted).tolist()
+        reached: list = []
+        later: list = []
+        resident, frames = self._resident, self._frames
+        floor = self._floor
+        one = 1 << _ID_BITS
+        taken = next_reached = 0
+        pending = _candidates(events, bumped, ids)
+        head = next(pending, None)
+        while True:
+            if later and (head is None or later[0] < head[0]):
+                e = heapq.heappop(later)
+                count, page = int(bumped[e]), int(ids[e])
+            elif head is not None:
+                e, count, page = head
+                head = next(pending, None)
+            else:
+                break
+            if count <= floor:
+                continue
+            while positions[taken] < e:
+                reached.append(keys[taken] + one)
+                taken += 1
+            victim, source = keys[taken], 0
+            if (next_reached < len(reached)
+                    and reached[next_reached] < victim):
+                victim, source = reached[next_reached], 1
+            if newcomers and newcomers[0] < victim:
+                victim, source = newcomers[0], 2
+            victim_count = victim >> _ID_BITS
+            if count > victim_count:
+                if source == 0:
+                    position = positions[taken]
+                    taken += 1
+                    if position < n:
+                        miss[position] = True
+                        heapq.heappush(later, position)
+                elif source == 1:
+                    next_reached += 1
+                else:
+                    heapq.heappop(newcomers)
+                victim_id = victim & _ID_MASK
+                resident[victim_id] = False
+                if frames:
+                    frames.pop(victim_id, None)
+                self.evictions += 1
+                resident[page] = True
+                heapq.heappush(newcomers, (count << _ID_BITS) | page)
+            if victim_count != floor:
+                floor = victim_count
+                rest = events[np.searchsorted(events, e, side="right"):]
+                events = rest[bumped[rest] > floor]
+                pending = _candidates(events, bumped, ids)
+                head = next(pending, None)
+        self._floor = floor
+
+
+def _candidates(events, bumped, ids):
+    """``(position, count, page)`` of each event candidate, converted to
+    Python ints 256 at a time: most candidates are dropped unread when
+    the floor rises."""
+    for start in range(0, events.size, 256):
+        part = events[start:start + 256]
+        yield from zip(part.tolist(), bumped[part].tolist(),
+                       ids[part].tolist())
 
 
 def partition_page_hotness(

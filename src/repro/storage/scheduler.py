@@ -81,13 +81,16 @@ class IOScheduler:
         )
         return int(np.sum(-(-run_lengths // self.max_coalesce)))
 
-    def submit(self, ids: np.ndarray, fetch: bool = False):
+    def submit(self, ids: np.ndarray, fetch: bool = False,
+               key: int | None = None):
         """Schedule the page reads behind the row requests ``ids``.
 
         Returns ``(plan, frames)``: ``frames`` maps page ID -> row block
         when ``fetch`` is true (the functional gather path), else ``None``
         (stats-only accounting; resident placeholders are admitted so the
         cache state still evolves exactly as a fetching run's would).
+        ``key`` names the submit's ``storage_slow`` draw (the batch's
+        fault key); without it the site's next sequence key is drawn.
         """
         ids = np.asarray(ids, dtype=np.int64)
         unique_pages = sorted_unique(self.page_store.page_of(ids))
@@ -135,7 +138,7 @@ class IOScheduler:
         if fault_plan.enabled and miss_list:
             # NVMe latency outlier (throttle / GC pause): one draw per
             # faultable submit, modeled as extra IO seconds.
-            fault_delay += fault_plan.stall("storage_slow")
+            fault_delay += fault_plan.stall("storage_slow", key=key)
         misses = np.asarray(miss_list, dtype=np.int64)
         plan = IOPlan(
             num_rows=len(ids),

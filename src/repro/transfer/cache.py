@@ -107,5 +107,21 @@ class PresampleCachePolicy:
         if graph is not None:
             deg = graph.degrees.astype(np.float64)
             counts += deg / (deg.max() + 1.0)  # sub-integer tiebreak
-        ranked = np.argsort(counts, kind="stable")[::-1][:slots]
-        return StaticFeatureCache(ranked, store.bytes_per_node)
+        return StaticFeatureCache(_top_ranked(counts, slots),
+                                  store.bytes_per_node)
+
+
+def _top_ranked(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[::-1][:k]`` for ``1 <= k <=
+    len(values)``, sorting only the ``k`` winners.
+
+    That order is descending by value with ties by descending index, so
+    the winners are every value above the ``k``-th largest plus the
+    highest-index ties at it.
+    """
+    kth = np.partition(values, values.size - k)[values.size - k]
+    above = np.flatnonzero(values > kth)
+    ties = np.flatnonzero(values == kth)
+    chosen = np.sort(np.concatenate(
+        [above, ties[ties.size - (k - above.size):]]))
+    return chosen[np.argsort(values[chosen], kind="stable")[::-1]]

@@ -106,14 +106,15 @@ class FeatureLoader(ABC):
         invalidates any provisional residency and raises
         :class:`~repro.errors.TransferStallError`) and reports the plan's
         accounting to the metrics registry when observability is enabled.
-        ``key`` names the transfer's ``pcie_stall`` operation; without it
-        the plan draws the site's next sequence key.
+        ``key`` names the transfer's ``pcie_stall`` operation (and, on
+        the storage tier, its ``storage_slow`` draw); without it each
+        site draws its next sequence key.
         """
         fault_plan = get_fault_plan()
         if fault_plan.enabled:
             try:
                 report, stats = call_with_faults(
-                    lambda: self._plan(subgraph),
+                    lambda: self._plan(subgraph, key),
                     site="pcie_stall",
                     policy=DEFAULT_RETRY_POLICY,
                     exc_factory=lambda attempts: TransferStallError(
@@ -129,7 +130,7 @@ class FeatureLoader(ABC):
             report.num_retries += stats.num_retries
             report.retry_delay_s += stats.delay_s
         else:
-            report = self._plan(subgraph)
+            report = self._plan(subgraph, key)
         registry = get_registry()
         if registry.enabled:
             handles = self._obs_handles(registry)
@@ -142,8 +143,12 @@ class FeatureLoader(ABC):
         return report
 
     @abstractmethod
-    def _plan(self, subgraph: SampledSubgraph) -> TransferReport:
-        """Strategy hook: the actual per-mini-batch load decision."""
+    def _plan(self, subgraph: SampledSubgraph,
+              key: int | None) -> TransferReport:
+        """Strategy hook: the actual per-mini-batch load decision.
+
+        ``key`` is the batch's fault key from :meth:`plan`; the storage
+        tier draws its ``storage_slow`` fault with it."""
 
     def _on_load_failure(self, subgraph: SampledSubgraph) -> None:
         """Hook: a feature load failed for good (retries exhausted).
@@ -207,7 +212,8 @@ class FeatureLoader(ABC):
 class NaiveLoader(FeatureLoader):
     """Load every input node's features (DGL/PyG behaviour)."""
 
-    def _plan(self, subgraph: SampledSubgraph) -> TransferReport:
+    def _plan(self, subgraph: SampledSubgraph,
+              key: int | None) -> TransferReport:
         report = self._base_report(subgraph)
         report.num_loaded = subgraph.num_nodes
         report.feature_bytes = subgraph.num_nodes * self.store.bytes_per_node
@@ -221,7 +227,8 @@ class CachedLoader(FeatureLoader):
         super().__init__(store)
         self.cache = cache
 
-    def _plan(self, subgraph: SampledSubgraph) -> TransferReport:
+    def _plan(self, subgraph: SampledSubgraph,
+              key: int | None) -> TransferReport:
         report = self._base_report(subgraph)
         hits, misses = self.cache.partition(subgraph.input_nodes)
         report.num_cache_hits = len(hits)
@@ -249,7 +256,8 @@ class MatchLoader(FeatureLoader):
         # drop residency entirely so Match never serves a corrupt row.
         self._state.invalidate()
 
-    def _plan(self, subgraph: SampledSubgraph) -> TransferReport:
+    def _plan(self, subgraph: SampledSubgraph,
+              key: int | None) -> TransferReport:
         report = self._base_report(subgraph)
         result = self._state.step(subgraph.input_nodes,
                                   sorted_wanted=subgraph.unique_input_nodes())

@@ -152,7 +152,8 @@ class StorageBackedLoader(FeatureLoader):
         if self._state is not None:
             self._state.invalidate()
 
-    def _plan(self, subgraph: SampledSubgraph) -> StorageTransferReport:
+    def _plan(self, subgraph: SampledSubgraph,
+              key: int | None) -> StorageTransferReport:
         report = StorageTransferReport(
             num_wanted=subgraph.num_nodes,
             structure_bytes=subgraph.structure_bytes(),
@@ -171,7 +172,8 @@ class StorageBackedLoader(FeatureLoader):
             to_fetch = result.load_ids
         else:
             to_fetch = wanted
-        plan, _ = self.store.scheduler.submit(to_fetch, fetch=False)
+        plan, _ = self.store.scheduler.submit(to_fetch, fetch=False,
+                                              key=key)
         report.num_loaded = len(to_fetch)
         report.page_hits = plan.page_hits
         report.page_misses = plan.page_misses

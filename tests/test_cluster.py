@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.bench.oracles import FrequencyPageCacheLegacy
 from repro.cluster import ClusterSpec, HaloExchange, NetworkFabric
 from repro.cluster.halo import HaloReport, group_by_owner
 from repro.cluster.fabric import NetworkFabric as Fabric
@@ -17,7 +18,7 @@ from repro.errors import ConfigError, NetworkStallError
 from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.graph.datasets import Dataset
-from repro.storage.cache import MISS, FrequencyPageCache
+from repro.storage.cache import MISS, FrequencyPageCache, PageCache
 
 import helpers
 
@@ -144,12 +145,15 @@ class TestFrequencyCache:
 
     def test_heap_matches_scan_reference(self):
         """The lazy-heap victim selection is behaviorally identical to
-        the full (count, id) min-scan it replaced."""
+        the full (count, id) min-scan it replaced, and the dense cache
+        follows the dict-based one page by page."""
         rng = np.random.default_rng(0)
+        legacy = FrequencyPageCacheLegacy(16)
         cache = FrequencyPageCache(16)
         shadow_frames: dict = {}
         for page in rng.integers(0, 64, size=2000).tolist():
-            resident = cache.lookup(page) is not MISS
+            resident = legacy.lookup(page) is not MISS
+            assert resident == (cache.lookup(page) is not MISS)
             assert resident == (page in shadow_frames)
             if resident:
                 continue
@@ -158,14 +162,15 @@ class TestFrequencyCache:
                 shadow_frames[page] = True
             else:
                 victim = min(shadow_frames,
-                             key=lambda p: (cache._counts.get(p, 0), p))
-                if (cache._counts.get(page, 0)
-                        > cache._counts.get(victim, 0)):
+                             key=lambda p: (legacy._counts.get(p, 0), p))
+                if (legacy._counts.get(page, 0)
+                        > legacy._counts.get(victim, 0)):
                     del shadow_frames[victim]
                     shadow_frames[page] = True
+            legacy.insert(page, True)
             cache.insert(page, True)
-            assert set(cache._frames) == set(shadow_frames)
-
+            assert set(legacy._frames) == set(shadow_frames)
+            assert observed(cache) == observed(legacy)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -195,13 +200,121 @@ class TestFrequencyCache:
             if missed and action < 0.95:
                 cache.insert(page, page)
                 reference.insert(page, page)
-        assert cache._frames == reference._frames
-        assert cache._counts == reference._counts
-        assert ((cache.hits, cache.misses, cache.evictions)
-                == (reference.hits, reference.misses, reference.evictions))
+        assert observed(cache) == observed(reference)
+
+    def test_lookup_returns_inserted_frame(self):
+        cache = FrequencyPageCache(2)
+        cache.lookup(3)
+        cache.insert(3, "frame")
+        cache.update(3, "fresh")
+        cache.update(7, "absent")
+        assert cache.lookup(3) == "fresh"
+        assert cache.access(np.array([3])).tolist() == [False]
+        assert cache.lookup(7) is MISS
+        with pytest.raises(ValueError):
+            cache.lookup(-1)
 
 
-class FrequencyCacheReference(FrequencyPageCache):
+def observed(cache) -> tuple:
+    """What a frequency cache shows: its resident pages, every page's
+    access count and its hit/miss/eviction counters."""
+    if isinstance(cache, FrequencyPageCacheLegacy):
+        resident = set(cache._frames)
+        counts = {page: n for page, n in cache._counts.items() if n}
+    else:
+        resident = set(np.flatnonzero(cache._resident).tolist())
+        pages = np.flatnonzero(cache._counts)
+        counts = dict(zip(pages.tolist(), cache._counts[pages].tolist()))
+    return resident, counts, (cache.hits, cache.misses, cache.evictions)
+
+
+def _batch_sequence(draw_rng, capacity, batches):
+    universe = int(draw_rng.integers(1, 4 * capacity + 8))
+    for _ in range(batches):
+        hot = int(draw_rng.integers(1, universe + 1))
+        size = int(draw_rng.integers(0, universe + 1))
+        pool = draw_rng.permutation(hot if draw_rng.random() < 0.5
+                                    else universe)
+        yield pool[:size]
+
+
+class TestFrequencyCacheBatch:
+    """``FrequencyPageCache.access`` against the dict-based cache it
+    replaced on the halo path, driven page by page."""
+
+    @staticmethod
+    def _pair(capacity):
+        return FrequencyPageCache(capacity), FrequencyPageCacheLegacy(capacity)
+
+    def _check(self, cache, legacy, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        got = cache.access(ids)
+        want = PageCache.access(legacy, ids)
+        assert got.dtype == bool and got.shape == ids.shape
+        np.testing.assert_array_equal(got, want)
+        assert observed(cache) == observed(legacy)
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(min_value=1, max_value=32),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           per_row=st.floats(min_value=0.0, max_value=0.3))
+    def test_matches_per_row_oracle(self, capacity, seed, per_row):
+        rng = np.random.default_rng(seed)
+        cache, legacy = self._pair(capacity)
+        for ids in _batch_sequence(rng, capacity, 12):
+            if rng.random() < per_row and ids.size:
+                # Per-row calls between batches share the same state.
+                page = int(ids[0])
+                missed = cache.lookup(page) is MISS
+                assert missed == (legacy.lookup(page) is MISS)
+                if missed:
+                    cache.insert(page, None)
+                    legacy.insert(page, None)
+                continue
+            self._check(cache, legacy, ids)
+
+    def test_victim_later_in_batch_is_a_miss_and_an_event(self):
+        cache, legacy = self._pair(2)
+        self._check(cache, legacy, [1, 2])   # fills: both at count 1
+        self._check(cache, legacy, [5])      # count 1 loses: floor 1
+        # Page 5 (count 2) evicts page 1, the coldest. The batch then
+        # reaches page 1 as a miss at count 2, which evicts page 2.
+        # Bumping page 1 before the first event would have made page 2
+        # the first victim instead.
+        assert self._check(cache, legacy, [5, 1]).tolist() == [True, True]
+        assert cache.evictions == 2
+        assert observed(cache)[0] == {1, 5}
+
+    def test_cache_fills_mid_batch(self):
+        cache, legacy = self._pair(3)
+        self._check(cache, legacy, [7])
+        # Two free slots go to the first two misses in batch order (9 and
+        # 1); page 2 then finds the cache full, loses to page 1 and sets
+        # the floor that turns pages 3 and 8 away unheard.
+        got = self._check(cache, legacy, [9, 1, 7, 2, 3, 8])
+        assert got.tolist() == [True, True, False, True, True, True]
+        assert observed(cache)[0] == {1, 7, 9}
+        self._check(cache, legacy, [3, 2, 1, 0, 8])
+
+    def test_ties_break_on_the_lower_id(self):
+        cache, legacy = self._pair(3)
+        self._check(cache, legacy, [30, 10, 20])
+        self._check(cache, legacy, [40])       # count 1: rejected
+        # Page 40 now beats the three count-1 residents; the victim is
+        # the lowest ID, page 10.
+        self._check(cache, legacy, [40])
+        assert observed(cache)[0] == {20, 30, 40}
+
+    def test_zero_capacity_and_empty_batch(self):
+        cache, legacy = self._pair(0)
+        assert self._check(cache, legacy, [4, 2]).all()
+        assert self._check(cache, legacy, []).size == 0
+        with pytest.raises(ValueError):
+            cache.access(np.array([3, -2]))
+
+
+class FrequencyCacheReference(FrequencyPageCacheLegacy):
     """The frequency cache with no admission floor: every full-cache miss
     pops the coldest resident and pushes it back if the newcomer loses."""
 
@@ -229,7 +342,14 @@ class FrequencyCacheReference(FrequencyPageCache):
 
 class PerRowHaloReference(HaloExchange):
     """The halo exchange with per-row miss accounting: one dict update per
-    missed row, peers sorted at the end."""
+    missed row, peers sorted at the end, and the dict-based frequency
+    cache driven one row at a time."""
+
+    def _build_cache(self, node, capacity, degrees, train_ids):
+        cache = super()._build_cache(node, capacity, degrees, train_ids)
+        if isinstance(cache, FrequencyPageCache):
+            return FrequencyPageCacheLegacy(capacity)
+        return cache
 
     def exchange(self, node, input_nodes):
         report = HaloReport(node=node)

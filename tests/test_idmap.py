@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.oracles import dense_first_occurrence_legacy
 from repro.config import DEFAULT_COST_MODEL
 from repro.sampling.idmap import (
     BaselineIdMap,
@@ -77,6 +78,12 @@ class TestFirstOccurrenceIdentity:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and ids.max() < DENSE_ID_RATIO * ids.size:
+            # The dense path also equals the gather-and-compare it replaced.
+            for g, w in zip(got, dense_first_occurrence_legacy(ids)):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
     @settings(max_examples=200, deadline=None)
     @given(ids_around_dense_threshold())

@@ -160,3 +160,23 @@ class TestEpochChaosDeterminism:
                          report.transfer.num_retries, report.phases))
         assert runs[1] == runs[0]
         assert runs[0][1] > 0
+
+    def test_storage_slow_time_independent_of_jobs(self):
+        """Out-of-core ``storage_slow`` delays cost the same modeled time
+        at any job count: each batch's submit draws the delay with the
+        batch's lane-reserved fault key, not a per-process sequence."""
+        spec = replace(DATASETS["products"], num_nodes=900,
+                       train_fraction=0.3)
+        dataset = Dataset(spec, seed=0)
+        config = RunConfig(num_gpus=5, num_epochs=1, batch_size=32, seed=0)
+        times = []
+        for jobs in (1, 2):
+            plan = FaultPlan(seed=99, sites={
+                "storage_slow": FaultSpec(probability=0.5, delay_s=1e-4)})
+            report = api.run("dgl-ooc", dataset, config=config,
+                             exec=ExecutionSpec(jobs=jobs, faults=plan))
+            times.append(report.epoch_time.hex())
+            if jobs == 1:
+                assert any(event.site == "storage_slow"
+                           for event in plan.events)
+        assert times[1] == times[0]

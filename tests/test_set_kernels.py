@@ -21,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.oracles import in_sorted_legacy
 from repro.core.match import MatchState, match_degree, match_split
 from repro.errors import SamplingError
 from repro.graph.features import HashFeatureStore
 from repro.graph.generators import chung_lu_graph
 from repro.graph.partition import partition_stats
 from repro.sampling import NeighborSampler, RandomWalkSampler
-from repro.sampling.idmap.base import sorted_unique
+from repro.sampling.idmap.base import in_sorted, sorted_unique
 from repro.sampling.layerwise import LayerWiseSampler
 from repro.serve import (
     CacheTier,
@@ -180,6 +181,50 @@ class TestSortedUniqueIdentity:
     def test_strictly_increasing_input_is_not_copied(self):
         ids = np.array([1, 4, 9], dtype=np.int64)
         assert np.shares_memory(sorted_unique(ids), ids)
+
+
+# -- in_sorted: the bitmap and searchsorted paths vs the replaced formula -----
+@st.composite
+def membership_cases(draw):
+    """A sorted unique set and values to test against it: negatives,
+    values above the set's maximum, empties, int32, and sets offset by
+    2**40 (the sparse searchsorted path)."""
+    members = draw(st.lists(st.integers(0, 300), max_size=40, unique=True))
+    values = draw(st.lists(st.integers(-5, 320), max_size=60))
+    offset = draw(st.sampled_from([0, 0, 2**40]))
+    sorted_set = np.array(sorted(members), dtype=np.int64) + offset
+    values = np.array(values, dtype=np.int64) + offset
+    if offset == 0 and draw(st.booleans()):
+        values = values.astype(np.int32)
+    if draw(st.booleans()) and values.size >= 2:
+        values = values[:values.size // 2 * 2].reshape(2, -1)
+    return values, sorted_set
+
+
+class TestInSortedIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(membership_cases())
+    def test_matches_searchsorted(self, case):
+        values, sorted_set = case
+        assert_same_array(in_sorted(values, sorted_set),
+                          in_sorted_legacy(values, sorted_set))
+
+    @pytest.mark.parametrize("values,members", [
+        ([], []),
+        ([], [3, 9]),
+        ([1, 2], []),
+        ([-1, -2**40, 0, 8, 9, 10, 2**40], [0, 9]),
+        ([9, 10, 11], [9]),
+        ([0], [0]),
+        (np.array([5, -1, 6], dtype=np.int32), [5, 6]),
+        ([2**40 + 3, 3, 2**40 + 4], [2**40 + 3]),
+    ], ids=["both-empty", "no-values", "empty-set", "out-of-range",
+            "above-max", "zero", "int32", "2**40"])
+    def test_edge_cases(self, values, members):
+        values = np.asarray(values, dtype=getattr(values, "dtype", np.int64))
+        sorted_set = np.asarray(members, dtype=np.int64)
+        assert_same_array(in_sorted(values, sorted_set),
+                          in_sorted_legacy(values, sorted_set))
 
 
 # -- match_degree vs np.unique + np.intersect1d -------------------------------

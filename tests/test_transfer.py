@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_COST_MODEL
 from repro.gpu.pcie import PCIeLink
@@ -10,6 +12,7 @@ from repro.transfer.cache import (
     DegreeCachePolicy,
     PresampleCachePolicy,
     StaticFeatureCache,
+    _top_ranked,
 )
 from repro.transfer.loader import (
     CachedLoader,
@@ -93,6 +96,21 @@ class TestPolicies:
         )
         rhits, _ = random_cache.partition(sg.input_nodes)
         assert len(hits) > len(rhits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=60),
+           fractions=st.booleans(), data=st.data())
+    def test_presample_ranking_matches_full_argsort(self, counts,
+                                                    fractions, data):
+        """The top-``k`` selection ranks exactly as the reversed stable
+        argsort it replaced, ties at the cut included."""
+        values = np.array(counts, dtype=np.float64)
+        if fractions:
+            values += np.arange(values.size) % 3 / 4
+        k = data.draw(st.integers(1, values.size))
+        np.testing.assert_array_equal(
+            _top_ranked(values, k),
+            np.argsort(values, kind="stable")[::-1][:k])
 
 
 class TestNaiveLoader:
