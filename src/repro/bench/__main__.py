@@ -57,8 +57,8 @@ def main(argv=None) -> int:
                         help="small sizes only (smoke)")
     parser.add_argument("--medium", action="store_true",
                         help="small + medium sizes (what the bench gate "
-                             "runs: includes the 256x4k reorder and the "
-                             "jobs=4 IPC-bytes acceptance workloads)")
+                             "runs: includes the 256x4k reorder "
+                             "acceptance workload)")
     parser.add_argument("--legacy", action="store_true",
                         help="also record the legacy reference "
                              "implementations as standalone entries")

@@ -41,6 +41,7 @@ from repro.storage.cache import (
     FrequencyPageCache,
     LRUPageCache,
     PartitionAwarePageCache,
+    partition_node_hotness,
 )
 
 
@@ -141,26 +142,11 @@ class HaloExchange:
         if policy == "freq":
             return FrequencyPageCache(capacity)
         # "partition": pin the rows whose owner partitions are training-hot
-        # (degree mass x train density, as the storage tier does), with the
-        # node's own rows scored out — local rows never cross the fabric.
-        num_graph_nodes = len(self.assignment)
-        sizes = np.bincount(self.assignment, minlength=self.num_nodes)
-        if train_ids is None:
-            train_counts = np.zeros(self.num_nodes)
-        else:
-            train_counts = np.bincount(
-                self.assignment[np.asarray(train_ids, dtype=np.int64)],
-                minlength=self.num_nodes,
-            )
-        density = train_counts / np.maximum(sizes, 1)
-        mean_density = density.mean() if density.size else 0.0
-        if mean_density > 0:
-            density = density / mean_density
-        if degrees is None:
-            degrees = np.ones(num_graph_nodes, dtype=np.float64)
-        hotness = np.asarray(degrees, dtype=np.float64) * (
-            0.25 + density[self.assignment]
-        )
+        # (the storage tier's score over every cluster node's partition),
+        # with the node's own rows scored out — local rows never cross
+        # the fabric.
+        hotness = partition_node_hotness(self.assignment, train_ids,
+                                         self.num_nodes, degrees)
         hotness[self.assignment == node] = -1.0
         return PartitionAwarePageCache(capacity, hotness)
 

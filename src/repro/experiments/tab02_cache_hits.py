@@ -37,8 +37,8 @@ def aggregation_trace(block, feature_dim: int, max_edges: int = 15000,
     disjointly, as a kernel's global buffers are.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    row_bytes = feature_dim * 4
-    lines_per_row = max(1, row_bytes // 128)
+    bytes_per_row = feature_dim * 4
+    lines_per_row = max(1, bytes_per_row // 128)
     num_edges = block.num_edges
     if num_edges > max_edges:
         picks = np.sort(rng.choice(num_edges, size=max_edges, replace=False))
@@ -52,14 +52,14 @@ def aggregation_trace(block, feature_dim: int, max_edges: int = 15000,
     dst = block.edge_dst[picks].astype(np.int64)
 
     x_base = 0
-    w_base = x_base + block.num_src * row_bytes
+    w_base = x_base + block.num_src * bytes_per_row
     h_base = w_base + num_edges * 4
     offsets = np.arange(lines_per_row, dtype=np.int64) * 128
     trace = np.empty((len(picks), 2 * lines_per_row + 1), dtype=np.int64)
-    trace[:, :lines_per_row] = x_base + src[:, None] * row_bytes + offsets
+    trace[:, :lines_per_row] = x_base + src[:, None] * bytes_per_row + offsets
     trace[:, lines_per_row] = w_base + picks * 4
     trace[:, lines_per_row + 1:] = (
-        h_base + dst[:, None] * row_bytes + offsets
+        h_base + dst[:, None] * bytes_per_row + offsets
     )
     return trace.ravel()
 

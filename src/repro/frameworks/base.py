@@ -176,8 +176,8 @@ class EpochReport:
     #: dicts (see :meth:`timeline` for typed spans).
     spans: list = field(default_factory=list)
     #: What the lane executor moved, summed over epochs (``mode`` is the
-    #: last epoch's). Job- and arena-dependent diagnostics: conformance
-    #: comparisons leave it out.
+    #: last epoch's). Job-dependent diagnostics: conformance comparisons
+    #: leave it out.
     transport: TransportStats = field(default_factory=TransportStats)
     #: Stage-graph accounting of pipelined runs
     #: (:func:`repro.pipeline.epoch.merge_pipeline_info`).
@@ -705,8 +705,6 @@ class Framework:
         moved, total = run.executor.last_transport, run.report.transport
         total.mode = moved.mode
         total.ipc_bytes += moved.ipc_bytes
-        total.shm_bytes += moved.shm_bytes
-        total.spilled_bytes += moved.spilled_bytes
         return lanes
 
     def _account_batch(self, run: _EpochRun, t: int, batch: BatchCost,

@@ -8,10 +8,8 @@ survives worker loss: crashed workers (real or injected via the
 ``worker_crash`` fault site) are replaced and their chunks reassigned,
 bit-identically, up to a per-chunk crash budget.
 
-Result payloads ride the zero-copy shared-memory arena of
-:mod:`repro.parallel.shm` by default — descriptors over the pipes,
-never bytes — with ``REPRO_PARALLEL_ARENA=0`` restoring pure pickled
-pipes.
+Results come back pickled over one pipe per worker, and the executor
+counts those bytes (:class:`TransportStats`).
 """
 
 from repro.errors import ParallelTaskError, WorkerCrashError
@@ -26,35 +24,17 @@ from repro.parallel.executor import (
     strip_transport_metrics,
     task_rng,
 )
-from repro.parallel.shm import (
-    ARENA_ENV_VAR,
-    MIN_ARENA_BYTES,
-    ArenaRef,
-    BumpAllocator,
-    SharedArena,
-    arena_enabled_default,
-    swizzle,
-    unswizzle,
-)
 
 __all__ = [
-    "ARENA_ENV_VAR",
-    "ArenaRef",
-    "BumpAllocator",
     "CRASH_EXIT_CODE",
-    "MIN_ARENA_BYTES",
     "ParallelExecutor",
     "ParallelTaskError",
-    "SharedArena",
     "TRANSPORT_METRICS",
     "TransportStats",
     "WorkerCrashError",
-    "arena_enabled_default",
     "fork_available",
     "parallel_map",
     "resolve_jobs",
     "strip_transport_metrics",
-    "swizzle",
     "task_rng",
-    "unswizzle",
 ]

@@ -9,16 +9,13 @@ cost); a row found **stale** counts separately — it must be re-fetched,
 which is exactly the consistency price a TTL cache pays for embeddings
 that retrain underneath it.
 
-The row index lives in ordinary process memory: a dense insertion-stamp
-array by node ID (NaN where the tier holds no row) that lookups read in
-one vectorized pass, plus an insertion-ordered map of node ID to slot for
-FIFO eviction. The stamp array grows by doubling to the largest node ID
-ever inserted, 8 bytes per ID. The row *payload* lives in a
-:class:`repro.parallel.shm.SharedArena` slab (one slot per cached row)
-when shared memory is available, with a plain ``numpy`` slab as the
-fallback — same observable behavior either way, which the tests
-pin. Eviction is deterministic FIFO by insertion order (slot reuse in
-arrival order), so fleet runs replay bit-identically.
+The tier tracks row identity, not row payload: no reported number
+depends on the cached bytes. Its index is a dense insertion-stamp array
+by node ID (NaN where the tier holds no row) that lookups read in one
+vectorized pass, plus an insertion-ordered set of node IDs for FIFO
+eviction. The stamp array grows by doubling to the largest node ID ever
+inserted, 8 bytes per ID. Eviction is deterministic FIFO by insertion
+order, so fleet runs replay bit-identically.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ class CacheTierConfig:
     enabled: bool = False
     #: Rows the tier can hold (FIFO eviction beyond this).
     capacity_rows: int = 4096
-    #: Bytes per cached row payload (feature dim x dtype size).
-    row_bytes: int = 256
     #: Seconds a row stays fresh; <= 0 means rows never go stale.
     ttl_s: float = 1.0
     #: Fraction of the per-row host-fetch cost a fresh hit saves.
@@ -46,8 +41,6 @@ class CacheTierConfig:
     def __post_init__(self) -> None:
         if self.capacity_rows < 1:
             raise ValueError("capacity_rows must be >= 1")
-        if self.row_bytes < 1:
-            raise ValueError("row_bytes must be >= 1")
         if not 0.0 <= self.io_savings <= 1.0:
             raise ValueError("io_savings must be in [0, 1]")
 
@@ -81,7 +74,7 @@ def _node_ids(nodes: np.ndarray) -> np.ndarray:
 
 
 class CacheTier:
-    """Shared-memory embedding row cache with TTL freshness.
+    """Fleet-shared embedding row cache with TTL freshness.
 
     ``lookup(nodes, now)`` partitions the requested rows into
     ``(fresh_hits, stale, misses)``; ``insert(nodes, now)`` (re)fills
@@ -89,48 +82,23 @@ class CacheTier:
     pure functions of the call sequence — no clocks, no RNG.
     """
 
-    def __init__(self, config: CacheTierConfig, arena=None) -> None:
+    def __init__(self, config: CacheTierConfig) -> None:
         self.config = config
         self.stats = CacheTierStats()
-        #: node id -> slot; OrderedDict gives FIFO age.
-        self._index: OrderedDict = OrderedDict()
+        #: Held node IDs, oldest first (the values are unused).
+        self._order: OrderedDict = OrderedDict()
         #: node id -> insertion time; NaN where no row is held.
         self._stamp = np.full(1, np.nan)
-        self._free_slots = list(range(config.capacity_rows - 1, -1, -1))
-        self._owns_arena = False
-        nbytes = config.capacity_rows * config.row_bytes
-        if arena is None:
-            arena = self._try_arena(nbytes)
-            self._owns_arena = arena is not None
-        self._arena = arena
-        if self._arena is None:
-            # Fallback slab: same shape/behavior, private memory.
-            self._slab = np.zeros(nbytes, dtype=np.uint8)
-
-    @staticmethod
-    def _try_arena(nbytes: int):
-        try:
-            from repro.parallel.shm import SharedArena
-            return SharedArena(nbytes=nbytes)
-        except Exception:  # /dev/shm unavailable, size limits, ...
-            return None
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def _row(self, slot: int) -> np.ndarray:
-        offset = slot * self.config.row_bytes
-        if self._arena is not None:
-            return np.ndarray((self.config.row_bytes,), dtype=np.uint8,
-                              buffer=self._arena.buf, offset=offset)
-        return self._slab[offset:offset + self.config.row_bytes]
+        return len(self._order)
 
     def lookup(self, nodes: np.ndarray, now: float):
         """Partition ``nodes`` into ``(fresh_hits, stale, misses)``, each in
         input order.
 
-        Stale rows stay indexed (their slot is reused on re-insert);
-        only the counters distinguish them from fresh hits.
+        Stale rows stay indexed (a re-insert refreshes them); only the
+        counters distinguish them from fresh hits.
         """
         nodes = _node_ids(nodes)
         stamp = np.take(self._stamp, nodes, mode="clip")
@@ -151,7 +119,10 @@ class CacheTier:
     def insert(self, nodes: np.ndarray, now: float) -> int:
         """(Re)fill rows for ``nodes`` at time ``now``; returns how many
         evictions that cost. Re-inserting a present row refreshes its
-        timestamp in place (no eviction)."""
+        timestamp and makes it the newest (no eviction).
+
+        The walk is per row: a row inserted and then evicted by a later
+        row of the same call must end with a NaN stamp."""
         nodes = _node_ids(nodes)
         if np.isnan(now):
             raise ValueError("now must not be NaN (NaN marks an absent row)")
@@ -163,37 +134,18 @@ class CacheTier:
             grown = np.full(size, np.nan)
             grown[:self._stamp.size] = self._stamp
             self._stamp = grown
+        order, capacity = self._order, self.config.capacity_rows
         evicted = 0
         for node in nodes.tolist():
-            slot = self._index.pop(node, None)
-            if slot is None:
-                if not self._free_slots:
-                    victim, slot = self._index.popitem(last=False)
+            if node in order:
+                order.move_to_end(node)
+            else:
+                if len(order) >= capacity:
+                    victim, _ = order.popitem(last=False)
                     self._stamp[victim] = np.nan
                     evicted += 1
-                else:
-                    slot = self._free_slots.pop()
-                # Touch the payload slot: the write is what a real tier
-                # pays; the simulation only needs the addressing right.
-                tag = np.frombuffer(np.int64(node).tobytes(),
-                                    dtype=np.uint8)
-                width = min(len(tag), self.config.row_bytes)
-                self._row(slot)[:width] = tag[:width]
-            self._index[node] = slot
+                order[node] = None
             self._stamp[node] = now
         self.stats.inserts += len(nodes)
         self.stats.evictions += evicted
         return evicted
-
-    def close(self) -> None:
-        """Release the arena segment (idempotent; owning tiers only)."""
-        if self._owns_arena and self._arena is not None:
-            self._arena.close()
-            self._arena = None
-            self._slab = np.zeros(0, dtype=np.uint8)
-
-    def __enter__(self) -> "CacheTier":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -12,8 +12,7 @@ mechanisms:
   occupancy (EWMA) and a running p99 estimate, adding or draining
   replicas mid-trace under cooldown + hysteresis;
 * a fleet-shared :class:`~repro.serve.cache_tier.CacheTier` of
-  embedding rows with TTL staleness, backed by a
-  :class:`~repro.parallel.shm.SharedArena` when available;
+  embedding rows with TTL staleness, indexed in process memory;
 * **replica loss** via the ``replica_crash`` fault site: a killed
   replica's queued/batching/in-flight requests are recovered and
   re-routed (never silently lost), the router re-anchors, and the
@@ -339,12 +338,6 @@ class FleetSim:
                 span = max(span, engine.crashed_at)
             replica_reports.append(engine.report(touched, span))
 
-        if cache is not None:
-            cache_stats = cache.stats
-            cache.close()
-        else:
-            cache_stats = None
-
         report = FleetReport(
             framework=engines[0].profile.name,
             dataset=engines[0].profile.dataset.name,
@@ -359,7 +352,7 @@ class FleetSim:
             rerouted=state["rerouted"],
             outage_shed=state["outage"],
             orphan_timeline=orphan_timeline,
-            cache=cache_stats,
+            cache=cache.stats if cache is not None else None,
         )
         registry.gauge(
             "repro_fleet_availability",

@@ -254,8 +254,8 @@ def schedule_requests(profile: ServingProfile, cfg: ServeConfig) -> list:
     dataset = profile.dataset
     pool = dataset.test_ids if len(dataset.test_ids) else dataset.train_ids
     return build_schedule(
-        cfg.arrival, cfg.rate, cfg.num_requests,
-        seed_pool=pool, seeds_per_request=cfg.seeds_per_request,
+        cfg.arrival, cfg.rate, cfg.num_requests, pool,
+        seeds_per_request=cfg.seeds_per_request,
         slo_s=cfg.slo_s, seed=cfg.seed, replay_times=cfg.replay_times,
         num_users=cfg.num_users,
     )

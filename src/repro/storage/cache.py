@@ -481,38 +481,55 @@ def _candidates(events, bumped, ids):
                        ids[part].tolist())
 
 
-def partition_page_hotness(
-    page_store,
+def partition_node_hotness(
     partition_of_node: np.ndarray,
-    train_ids: np.ndarray,
+    train_ids: np.ndarray | None,
+    num_parts: int,
     degrees: np.ndarray | None = None,
     base_density: float = 0.25,
 ) -> np.ndarray:
-    """Expected access frequency of every page, partition-aware.
+    """Expected access frequency of every node, partition-aware (BGL).
 
     A node is touched roughly in proportion to its degree (neighbor draws)
     scaled by how training-hot its partition is: partitions dense in train
     seeds are entered by ~every batch, cold partitions only via the
     minority of cross-partition edges (``base_density`` floors them).
-    Page hotness is the sum over its resident rows.
+    Train densities are normalized by their mean over ``num_parts``
+    partitions, empty ones included; ``train_ids=None`` means no seeds.
     """
     partition_of_node = np.asarray(partition_of_node, dtype=np.int64)
-    num_nodes = page_store.backing.num_nodes
-    if len(partition_of_node) != num_nodes:
-        raise ValueError("partition_of_node must label every node")
-    num_parts = int(partition_of_node.max()) + 1 if num_nodes else 1
+    train_ids = np.asarray([] if train_ids is None else train_ids,
+                           dtype=np.int64)
     size = np.bincount(partition_of_node, minlength=num_parts)
-    train_count = np.bincount(partition_of_node[np.asarray(train_ids)],
+    train_count = np.bincount(partition_of_node[train_ids],
                               minlength=num_parts)
     density = train_count / np.maximum(size, 1)
     mean_density = density.mean() if density.size else 0.0
     if mean_density > 0:
         density = density / mean_density
     if degrees is None:
-        degrees = np.ones(num_nodes, dtype=np.float64)
-    node_score = np.asarray(degrees, dtype=np.float64) * (
+        degrees = np.ones(len(partition_of_node), dtype=np.float64)
+    return np.asarray(degrees, dtype=np.float64) * (
         base_density + density[partition_of_node]
     )
+
+
+def partition_page_hotness(
+    page_store,
+    partition_of_node: np.ndarray,
+    train_ids: np.ndarray | None,
+    degrees: np.ndarray | None = None,
+    base_density: float = 0.25,
+) -> np.ndarray:
+    """Expected access frequency of every page, partition-aware: the sum
+    of :func:`partition_node_hotness` over the page's resident rows."""
+    partition_of_node = np.asarray(partition_of_node, dtype=np.int64)
+    num_nodes = page_store.backing.num_nodes
+    if len(partition_of_node) != num_nodes:
+        raise ValueError("partition_of_node must label every node")
+    num_parts = int(partition_of_node.max()) + 1 if num_nodes else 1
+    node_score = partition_node_hotness(partition_of_node, train_ids,
+                                        num_parts, degrees, base_density)
     pages = np.arange(num_nodes, dtype=np.int64) // page_store.rows_per_page
     return np.bincount(pages, weights=node_score,
                        minlength=page_store.num_pages)
@@ -536,8 +553,6 @@ def build_page_cache(
             raise ValueError(
                 "partition policy needs page_store and partition_of_node"
             )
-        if train_ids is None:
-            train_ids = np.empty(0, dtype=np.int64)
         hotness = partition_page_hotness(
             page_store, partition_of_node, train_ids, degrees=degrees
         )

@@ -16,27 +16,13 @@ from repro.graph.features import FeatureStore
 
 
 class PageStore:
-    """Fixed-size-page wrapper over a backing feature store.
+    """Fixed-size-page wrapper over a backing feature store."""
 
-    ``pool`` (a :class:`repro.parallel.shm.BumpAllocator` over a shared
-    arena) turns materialised page reads into shared-memory residents:
-    the gathered rows land in the pool and come back as a zero-copy
-    arena view, so every OOC framework (and every forked worker) sharing
-    the arena reads the same buffer instead of holding private copies.
-    Several ``PageStore`` instances may share one pool — that is the
-    "one buffer pool" the out-of-core tier hands to the executor. When
-    the pool fills, reads fall back to private arrays (counted in
-    ``pool_spill_bytes``); the page *contents* are identical either way.
-    """
-
-    def __init__(self, backing: FeatureStore, page_bytes: int = 4096,
-                 pool=None) -> None:
+    def __init__(self, backing: FeatureStore,
+                 page_bytes: int = 4096) -> None:
         if page_bytes <= 0:
             raise ValueError("page_bytes must be positive")
         self.backing = backing
-        self.pool = pool
-        self.pool_bytes = 0
-        self.pool_spill_bytes = 0
         #: A page always holds at least one row; tiny nominal pages are
         #: rounded up (drives cannot split a row across a read smaller
         #: than the row itself).
@@ -79,11 +65,4 @@ class PageStore:
         self.bytes_read += self.page_bytes
         if not materialize:
             return None
-        rows = self.backing.gather(np.arange(start, start + count))
-        if self.pool is not None:
-            ref = self.pool.put(rows)
-            if ref is not None:
-                self.pool_bytes += ref.nbytes
-                return self.pool.arena.view(ref)
-            self.pool_spill_bytes += int(rows.nbytes)
-        return rows
+        return self.backing.gather(np.arange(start, start + count))

@@ -182,14 +182,14 @@ class StorageBackedLoader(FeatureLoader):
         report.ssd_bytes = plan.ssd_bytes
         report.num_retries = plan.num_retries
         report.retry_delay_s = plan.fault_delay_s
-        row_bytes = len(to_fetch) * self.store.bytes_per_node
+        fetched_bytes = len(to_fetch) * self.store.bytes_per_node
         if self.access == "direct":
             # Missed pages cross PCIe peer-to-peer; cache hits are already
             # device-resident and move nothing.
             report.feature_bytes = plan.ssd_bytes
         else:
-            report.feature_bytes = row_bytes
-            report.host_bounce_bytes = plan.ssd_bytes + row_bytes
+            report.feature_bytes = fetched_bytes
+            report.host_bounce_bytes = plan.ssd_bytes + fetched_bytes
         return report
 
     def load(self, subgraph: SampledSubgraph) -> tuple:

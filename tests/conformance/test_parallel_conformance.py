@@ -1,12 +1,10 @@
-"""Transport conformance: ``jobs`` and the arena are throughput knobs.
+"""Transport conformance: ``jobs`` is a throughput knob.
 
-Every registered framework runs the same seeded epoch three ways —
-serial (``jobs=1``), forked over pipes (``jobs=2``, arena disabled via
-:data:`repro.parallel.ARENA_ENV_VAR`), and forked over the shared-memory
-arena (``jobs=2``, arena on) — and all three must agree bit for bit on
-everything the model and the cost model can observe: per-batch losses,
-modeled epoch time and phase breakdown, the iteration log, and the
-final parameters.
+Every registered framework runs the same seeded epoch twice — serial
+(``jobs=1``) and forked over the worker pipes (``jobs=2``) — and both
+must agree bit for bit on everything the model and the cost model can
+observe: per-batch losses, modeled epoch time and phase breakdown, the
+iteration log, and the final parameters.
 
 The *only* admissible differences are the transport byte counters
 (:data:`repro.parallel.TRANSPORT_METRICS`) and the report's
@@ -22,7 +20,7 @@ import pytest
 from repro.config import RunConfig
 from repro.frameworks import create
 from repro.frameworks.registry import available_frameworks
-from repro.parallel import ARENA_ENV_VAR, fork_available
+from repro.parallel import fork_available
 from repro.pipeline import ExecutionSpec
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -30,21 +28,19 @@ needs_fork = pytest.mark.skipif(not fork_available(),
 
 
 def _run_config() -> RunConfig:
+    # Three GPUs: GNNLab gives one to its sampler, so every framework
+    # has at least two trainer lanes and forks them at ``jobs=2``.
     return RunConfig(
-        batch_size=64,
+        batch_size=32,
         fanouts=(3, 3),
-        num_gpus=2,
+        num_gpus=3,
         hidden_dim=8,
         seed=5,
         train_model=True,
     )
 
 
-def _run(name, dataset, jobs: int, arena: bool, monkeypatch):
-    if arena:
-        monkeypatch.delenv(ARENA_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(ARENA_ENV_VAR, "off")
+def _run(name, dataset, jobs: int):
     return create(name).run_epoch(dataset, _run_config(),
                                   execution=ExecutionSpec(jobs=jobs))
 
@@ -68,25 +64,13 @@ def _assert_reports_identical(baseline, candidate):
 @needs_fork
 @pytest.mark.parametrize("name", available_frameworks())
 class TestTransportConformance:
-    def test_jobs_and_arena_are_bit_identical(self, name,
-                                              conformance_dataset,
-                                              monkeypatch):
-        serial = _run(name, conformance_dataset, jobs=1, arena=True,
-                      monkeypatch=monkeypatch)
-        pipes = _run(name, conformance_dataset, jobs=2, arena=False,
-                     monkeypatch=monkeypatch)
-        arena = _run(name, conformance_dataset, jobs=2, arena=True,
-                     monkeypatch=monkeypatch)
-        _assert_reports_identical(serial, pipes)
-        _assert_reports_identical(serial, arena)
+    def test_jobs_are_bit_identical(self, name, conformance_dataset):
+        serial = _run(name, conformance_dataset, jobs=1)
+        forked = _run(name, conformance_dataset, jobs=2)
+        _assert_reports_identical(serial, forked)
 
-        # The excluded bookkeeping exists and tells the transports
-        # apart: when a framework actually forked its lanes, the mode
-        # and byte counters reflect the transport used. (A framework
-        # with a single lane legitimately stays serial at any ``jobs``.)
-        for report, mode in ((pipes, "pipes"), (arena, "arena")):
-            transport = report.transport
-            if transport.mode == "serial":
-                continue
-            assert transport.mode == mode
-            assert transport.ipc_bytes > 0
+        # The excluded bookkeeping exists and tells the runs apart.
+        assert serial.transport.mode == "serial"
+        assert serial.transport.ipc_bytes == 0
+        assert forked.transport.mode == "pipes"
+        assert forked.transport.ipc_bytes > 0

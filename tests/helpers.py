@@ -53,3 +53,24 @@ def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-2) -> np.ndarray:
 def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
                       rtol: float = 5e-2, atol: float = 5e-3) -> None:
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def array_payload(index: int, rng: np.random.Generator) -> dict:
+    """A seeded executor task whose result carries arrays: float32
+    features, int64 IDs at or above 2**40 and a float loss."""
+    return {
+        "features": rng.standard_normal((64, 32)).astype(np.float32),
+        "ids": rng.integers(1 << 40, 1 << 41, 64),
+        "loss": float(rng.random()),
+    }
+
+
+def assert_payloads_equal(left: list, right: list) -> None:
+    """Two lists of :func:`array_payload` results agree bit for bit."""
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a.keys() == b.keys()
+        for key in ("features", "ids"):
+            assert a[key].dtype == b[key].dtype
+            np.testing.assert_array_equal(a[key], b[key])
+        assert a["loss"] == b["loss"]

@@ -18,7 +18,12 @@ from repro.errors import ConfigError, NetworkStallError
 from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.graph.datasets import Dataset
-from repro.storage.cache import MISS, FrequencyPageCache, PageCache
+from repro.storage.cache import (
+    MISS,
+    FrequencyPageCache,
+    PageCache,
+    PartitionAwarePageCache,
+)
 
 import helpers
 
@@ -440,6 +445,50 @@ class TestHaloMatchesPerRowReference:
         np.testing.assert_array_equal(halo.traffic, reference.traffic)
         assert halo.summary() == reference.summary()
         assert sum(report.retries for report in reports) > 0
+
+
+class TestHaloPartitionCache:
+    @pytest.mark.parametrize("variant", ["train", "empty_top", "no_train"])
+    @pytest.mark.parametrize("num_cluster_nodes", [2, 4, 7])
+    def test_pinned_ids_follow_the_bgl_score(self, num_cluster_nodes,
+                                             variant):
+        """Each node pins the remote rows ranked hottest by degree x
+        (0.25 + train density normalized over every cluster node's
+        partition), its own rows scored -1. The score is written out
+        here as the reference."""
+        num_graph_nodes = 400
+        rng = np.random.default_rng(num_cluster_nodes)
+        assignment = random_partition(num_graph_nodes, num_cluster_nodes,
+                                      seed=0)
+        if variant == "empty_top":
+            assignment[assignment == num_cluster_nodes - 1] = 0
+        degrees = rng.uniform(1.0, 20.0, num_graph_nodes)
+        # Skewed seeds: partition 1 is train-dense, the rest are not, so
+        # the normalization moves rows across the pinning cut.
+        train_ids = (None if variant == "no_train" else np.flatnonzero(
+            (assignment == 1) | (rng.random(num_graph_nodes) < 0.05)))
+        spec = ClusterSpec(num_nodes=num_cluster_nodes,
+                           remote_cache="partition",
+                           remote_cache_ratio=0.2)
+        halo = HaloExchange(assignment, NetworkFabric.from_spec(spec), spec,
+                            bytes_per_row=64, degrees=degrees,
+                            train_ids=train_ids)
+
+        sizes = np.bincount(assignment, minlength=num_cluster_nodes)
+        if train_ids is None:
+            train_counts = np.zeros(num_cluster_nodes)
+        else:
+            train_counts = np.bincount(assignment[train_ids],
+                                       minlength=num_cluster_nodes)
+        density = train_counts / np.maximum(sizes, 1)
+        if density.mean() > 0:
+            density = density / density.mean()
+        capacity = int(spec.remote_cache_ratio * num_graph_nodes)
+        for node in range(num_cluster_nodes):
+            hotness = degrees * (0.25 + density[assignment])
+            hotness[assignment == node] = -1.0
+            want = PartitionAwarePageCache(capacity, hotness).pinned_ids
+            assert halo._caches[node].pinned_ids == want
 
 
 class TestHaloConservation:

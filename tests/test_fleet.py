@@ -114,8 +114,7 @@ def test_build_router_rejects_unknown_policy():
 
 # -- cache tier (unit) -------------------------------------------------------
 def test_cache_tier_ttl_split():
-    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=8,
-                                     row_bytes=32, ttl_s=1.0))
+    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=8, ttl_s=1.0))
     tier.insert(np.array([1, 2, 3]), now=0.0)
     hits, stale, missed = tier.lookup(np.array([1, 2, 3, 4]), now=0.5)
     assert hits.tolist() == [1, 2, 3] and missed.tolist() == [4]
@@ -123,18 +122,15 @@ def test_cache_tier_ttl_split():
     assert hits.tolist() == [] and stale.tolist() == [1, 2]
     assert tier.stats.hits == 3 and tier.stats.stale == 2
     assert tier.stats.misses == 1
-    tier.close()
 
 
 def test_cache_tier_fifo_eviction_is_deterministic():
-    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=2,
-                                     row_bytes=16, ttl_s=0.0))
+    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=2, ttl_s=0.0))
     tier.insert(np.array([10]), now=0.0)
     tier.insert(np.array([20]), now=0.1)
     assert tier.insert(np.array([30]), now=0.2) == 1  # evicts 10
     hits, _, missed = tier.lookup(np.array([10, 20, 30]), now=0.3)
     assert missed.tolist() == [10] and hits.tolist() == [20, 30]
-    tier.close()
 
 
 @pytest.mark.parametrize("method", ["lookup", "insert"])
@@ -142,39 +138,21 @@ def test_cache_tier_fifo_eviction_is_deterministic():
 def test_cache_tier_rejects_negative_ids(method, ids):
     """A negative ID would wrap to the stamp array's last row; the tier
     rejects it the way the ID maps do, and the call changes nothing."""
-    with CacheTier(CacheTierConfig(enabled=True, capacity_rows=4,
-                                   row_bytes=16, ttl_s=1.0)) as tier:
-        tier.insert(np.array([3]), now=0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            getattr(tier, method)(np.array(ids, dtype=np.int64), now=0.1)
-        assert len(tier) == 1
-        assert tier.stats.lookups == 0 and tier.stats.inserts == 1
-        hits, _, missed = tier.lookup(np.array([3, 2]), now=0.1)
-        assert hits.tolist() == [3] and missed.tolist() == [2]
+    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=4, ttl_s=1.0))
+    tier.insert(np.array([3]), now=0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        getattr(tier, method)(np.array(ids, dtype=np.int64), now=0.1)
+    assert len(tier) == 1
+    assert tier.stats.lookups == 0 and tier.stats.inserts == 1
+    hits, _, missed = tier.lookup(np.array([3, 2]), now=0.1)
+    assert hits.tolist() == [3] and missed.tolist() == [2]
 
 
 def test_cache_tier_rejects_nan_insert_time():
-    with CacheTier(CacheTierConfig(enabled=True, capacity_rows=4,
-                                   row_bytes=16)) as tier:
-        with pytest.raises(ValueError, match="NaN"):
-            tier.insert(np.array([1]), now=float("nan"))
-        assert len(tier) == 0
-
-
-def test_cache_tier_shm_and_fallback_agree():
-    cfg = CacheTierConfig(enabled=True, capacity_rows=4, row_bytes=16,
-                          ttl_s=0.5)
-    shm_tier = CacheTier(cfg)
-    plain = CacheTier(cfg, arena=None)
-    plain._arena, plain._owns_arena = None, False
-    plain._slab = np.zeros(cfg.capacity_rows * cfg.row_bytes,
-                           dtype=np.uint8)
-    for tier in (shm_tier, plain):
-        tier.insert(np.array([1, 2, 3, 4, 5]), now=0.0)
-        hits, stale, missed = tier.lookup(np.arange(1, 7), now=0.2)
-    assert shm_tier.stats == plain.stats
-    shm_tier.close()
-    plain.close()
+    tier = CacheTier(CacheTierConfig(enabled=True, capacity_rows=4))
+    with pytest.raises(ValueError, match="NaN"):
+        tier.insert(np.array([1]), now=float("nan"))
+    assert len(tier) == 0
 
 
 # -- hypothesis properties ---------------------------------------------------

@@ -7,9 +7,16 @@ executor, the experiment suite sharding, and the epoch driver's
 per-trainer lanes.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
+from helpers import array_payload, assert_payloads_equal
 from repro.config import RunConfig
 from repro.frameworks import FastGLFramework
 from repro.obs import get_registry, set_registry
@@ -106,6 +113,65 @@ class TestExecutor:
         assert excinfo.value.task_index == 2
         assert excinfo.value.seed == 5
         assert isinstance(excinfo.value.__cause__, KeyError)
+
+
+class TestResultTransport:
+    """Results ride the per-worker pipes: arrays come back bit-identical
+    to the serial path, and the executor counts every byte."""
+
+    @needs_fork
+    def test_forked_array_results_equal_serial(self):
+        serial = ParallelExecutor(jobs=1).map(array_payload, range(6),
+                                              seed=5)
+        executor = ParallelExecutor(jobs=2)
+        forked = executor.map(array_payload, range(6), seed=5)
+        assert_payloads_equal(serial, forked)
+        assert executor.last_transport.mode == "pipes"
+        assert executor.last_transport.ipc_bytes > 0
+
+    @needs_fork
+    def test_large_result_crosses_the_pipe_unchanged(self):
+        def block(index, rng):
+            # 2560 x 1024 float32: 10 MiB in one result.
+            return rng.standard_normal((2560, 1024)).astype(np.float32)
+
+        serial = ParallelExecutor(jobs=1).map(block, range(2), seed=9)
+        executor = ParallelExecutor(jobs=2)
+        forked = executor.map(block, range(2), seed=9)
+        for expected, got in zip(serial, forked, strict=True):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        assert executor.last_transport.ipc_bytes > 2 * serial[0].nbytes
+
+    @needs_fork
+    def test_run_leaves_no_helper_process(self):
+        """A fleet run with the shared cache tier, then a forked map, in
+        a fresh interpreter: afterwards no multiprocessing resource
+        tracker runs and no child process is alive."""
+        script = textwrap.dedent("""
+            import multiprocessing
+            from multiprocessing import resource_tracker
+
+            from repro.parallel import ParallelExecutor
+            from repro.serve import CacheTierConfig, FleetSpec
+            from repro.serve.fleet import fleet_demo_dataset, simulate_fleet
+
+            report = simulate_fleet(
+                "fastgl", fleet_demo_dataset(),
+                fleet=FleetSpec(cache=CacheTierConfig(enabled=True)))
+            assert report.cache is not None and report.cache.lookups > 0
+            magnitudes = ParallelExecutor(jobs=2).map(abs, range(-3, 3))
+            assert magnitudes == [3, 2, 1, 0, 1, 2]
+            assert resource_tracker._resource_tracker._fd is None
+            assert multiprocessing.active_children() == []
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get(
+            "PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestMetricsMerging:

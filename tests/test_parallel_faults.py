@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import array_payload, assert_payloads_equal
 from repro import api
 from repro.config import RunConfig
 from repro.errors import WorkerCrashError
@@ -56,6 +57,16 @@ class TestCrashRecovery:
             # Every chunk lost a worker exactly once and was recomputed.
             assert plan.fired("worker_crash") == 6
         assert forked == serial
+
+    @needs_fork
+    def test_recovered_array_results_match_serial(self):
+        serial = ParallelExecutor(jobs=1).map(array_payload, range(6),
+                                              seed=3)
+        with fault_scope(_crash_plan()) as plan:
+            forked = ParallelExecutor(jobs=2).map(array_payload, range(6),
+                                                  seed=3)
+            assert plan.fired("worker_crash") == 6
+        assert_payloads_equal(serial, forked)
 
     @needs_fork
     def test_crash_budget_exhaustion_raises(self):
@@ -132,8 +143,7 @@ class TestEpochChaosDeterminism:
             key for key in chaos_metrics
             if key.startswith(("repro_parallel_worker_crashes_total",
                                "repro_faults_injected_total",
-                               "repro_parallel_ipc_bytes_total",
-                               "repro_parallel_shm_bytes_total"))
+                               "repro_parallel_ipc_bytes_total"))
         }
         trimmed = {key: value for key, value in chaos_metrics.items()
                    if key not in crash_keys}

@@ -322,7 +322,6 @@ def tier_scenarios(draw):
     config = CacheTierConfig(
         enabled=True,
         capacity_rows=draw(st.integers(1, 32)),
-        row_bytes=draw(st.sampled_from([1, 8, 16])),
         ttl_s=draw(st.sampled_from([-1.0, 0.0, 0.025, 0.05, 0.1])),
     )
     ops = draw(st.lists(
@@ -344,46 +343,45 @@ class TestCacheTierIdentity:
         config, ops, beyond = scenario
         reference = CacheTierReference(config)
         now = 0.0
-        with CacheTier(config) as tier:
-            for op, nodes, dt in ops:
-                now += dt
-                nodes = np.array(nodes, dtype=np.int64)
-                if op in ("lookup", "serve"):
-                    got = tier.lookup(nodes, now)
-                    want = reference.lookup(nodes, now)
-                    for g, w in zip(got, want):
-                        assert_same_array(g, w)
-                if op == "insert":
-                    assert (tier.insert(nodes, now)
-                            == reference.insert(nodes, now))
-                elif op == "serve":
-                    refill = np.concatenate(got[1:])
-                    assert (tier.insert(refill, now)
-                            == reference.insert(refill, now))
-                assert len(tier) == len(reference)
-                assert tier.stats == reference.stats
-            probe = np.concatenate([np.arange(50), beyond]).astype(np.int64)
-            for g, w in zip(tier.lookup(probe, now),
-                            reference.lookup(probe, now)):
-                assert_same_array(g, w)
+        tier = CacheTier(config)
+        for op, nodes, dt in ops:
+            now += dt
+            nodes = np.array(nodes, dtype=np.int64)
+            if op in ("lookup", "serve"):
+                got = tier.lookup(nodes, now)
+                want = reference.lookup(nodes, now)
+                for g, w in zip(got, want):
+                    assert_same_array(g, w)
+            if op == "insert":
+                assert (tier.insert(nodes, now)
+                        == reference.insert(nodes, now))
+            elif op == "serve":
+                refill = np.concatenate(got[1:])
+                assert (tier.insert(refill, now)
+                        == reference.insert(refill, now))
+            assert len(tier) == len(reference)
             assert tier.stats == reference.stats
+        probe = np.concatenate([np.arange(50), beyond]).astype(np.int64)
+        for g, w in zip(tier.lookup(probe, now),
+                        reference.lookup(probe, now)):
+            assert_same_array(g, w)
+        assert tier.stats == reference.stats
 
     def test_stale_reinsert_refreshes_in_place(self):
-        config = CacheTierConfig(enabled=True, capacity_rows=2,
-                                 row_bytes=8, ttl_s=0.05)
+        config = CacheTierConfig(enabled=True, capacity_rows=2, ttl_s=0.05)
         reference = CacheTierReference(config)
-        with CacheTier(config) as tier:
-            for cache in (tier, reference):
-                cache.insert(np.array([1, 2]), now=0.0)
-                _, stale, _ = cache.lookup(np.array([1, 2, 1]), now=0.1)
-                assert stale.tolist() == [1, 2, 1]
-                assert cache.insert(stale, now=0.1) == 0
-                # Re-insert moves rows to the FIFO tail in call order
-                # (2, then 1), so 3 evicts 2.
-                assert cache.insert(np.array([3]), now=0.1) == 1
-                hits, _, missed = cache.lookup(np.array([1, 2, 3]), 0.1)
-                assert hits.tolist() == [1, 3] and missed.tolist() == [2]
-            assert tier.stats == reference.stats
+        tier = CacheTier(config)
+        for cache in (tier, reference):
+            cache.insert(np.array([1, 2]), now=0.0)
+            _, stale, _ = cache.lookup(np.array([1, 2, 1]), now=0.1)
+            assert stale.tolist() == [1, 2, 1]
+            assert cache.insert(stale, now=0.1) == 0
+            # Re-insert moves rows to the FIFO tail in call order
+            # (2, then 1), so 3 evicts 2.
+            assert cache.insert(np.array([3]), now=0.1) == 1
+            hits, _, missed = cache.lookup(np.array([1, 2, 3]), 0.1)
+            assert hits.tolist() == [1, 3] and missed.tolist() == [2]
+        assert tier.stats == reference.stats
 
 
 # -- routing and dispatch decisions with the reference patched in -------------
