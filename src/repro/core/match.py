@@ -32,6 +32,34 @@ def match_degree(nodes_a: np.ndarray, nodes_b: np.ndarray) -> float:
     return overlap / len(small)
 
 
+def match_degrees(nodes: np.ndarray, candidates: list) -> np.ndarray:
+    """``match_degree(nodes, c)`` for every ``c`` in ``candidates``, as
+    one float64 array, bit-identical to the per-candidate calls.
+
+    Each candidate must be duplicate-free (``MicroBatch.seeds`` is
+    sorted unique); ``nodes`` may hold duplicates. ``nodes`` is uniqued
+    once and the concatenated candidates are tested against it in one
+    pass; each candidate's overlap is a difference of cumulative hit
+    counts.
+    """
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
+    sizes = np.fromiter(map(len, candidates), dtype=np.int64,
+                        count=len(candidates))
+    scores = np.zeros(len(candidates))
+    if len(nodes) == 0 or not sizes.any():
+        return scores
+    hits = in_sorted(np.concatenate(candidates).astype(np.int64, copy=False),
+                     nodes)
+    ends = np.cumsum(sizes)
+    hit_total = np.concatenate(([0], np.cumsum(hits)))
+    overlap = hit_total[ends] - hit_total[ends - sizes]
+    smaller = np.minimum(sizes, len(nodes))
+    # overlap / smaller is the same correctly rounded division the
+    # scalar form does on Python ints (both sides are exact in float64).
+    np.divide(overlap, smaller, out=scores, where=smaller > 0)
+    return scores
+
+
 @dataclass
 class MatchResult:
     """Partition of a mini-batch's nodes into reused and loaded sets."""

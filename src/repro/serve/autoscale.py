@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -50,12 +52,17 @@ class AutoscalerConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+            raise ConfigError("alpha must be in (0, 1]")
         if self.drain_occupancy >= self.add_occupancy:
-            raise ValueError(
+            raise ConfigError(
                 "hysteresis requires drain_occupancy < add_occupancy")
         if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
+            raise ConfigError("need 1 <= min_replicas <= max_replicas")
+        # A zero interval would sample forever at one instant: the
+        # monitor's clock never advances, so the fleet never finishes.
+        if not self.interval_s > 0.0:
+            raise ConfigError(
+                f"interval_s must be > 0, got {self.interval_s}")
 
 
 @dataclass(frozen=True)

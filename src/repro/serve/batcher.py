@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.match import match_degree
+# benchmarks/e2e/trace.py wraps ``match_degree`` here by name: keep it.
+from repro.core.match import match_degree, match_degrees  # noqa: F401
 from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.sampling.idmap.base import sorted_unique
 from repro.serve.request import InferenceRequest
@@ -42,6 +43,9 @@ class MicroBatch:
     #: Filled by the server: service interval on the GPU.
     service_start: float | None = None
     service_end: float | None = None
+    #: ``(requests, seeds)`` as of the last :attr:`seeds` read.
+    _seeds_memo: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def size(self) -> int:
@@ -49,10 +53,22 @@ class MicroBatch:
 
     @property
     def seeds(self) -> np.ndarray:
-        """Union of the member requests' seed nodes (sorted unique)."""
-        if not self.requests:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.concatenate([r.seeds for r in self.requests]))
+        """Union of the member requests' seed nodes (sorted unique,
+        read-only).
+
+        Computed once per ``requests`` list: the server replaces a
+        batch's list when it drops requests, and never edits one in
+        place, so a backlog scan reads each batch's union once."""
+        memo = self._seeds_memo
+        if memo is None or memo[0] is not self.requests:
+            if self.requests:
+                seeds = sorted_unique(
+                    np.concatenate([r.seeds for r in self.requests]))
+            else:
+                seeds = np.empty(0, dtype=np.int64)
+            seeds.flags.writeable = False
+            self._seeds_memo = memo = (self.requests, seeds)
+        return memo[1]
 
     @property
     def batching_delay(self) -> float:
@@ -147,15 +163,17 @@ def select_next_batch(pending: list, resident_nodes: np.ndarray) -> int:
     One greedy step of Algorithm 1 applied online: the paper reorders a
     presampled window ahead of time, a server reorders whatever backlog
     exists at GPU-free time. Ties (including the no-residency cold start)
-    fall back to FIFO — index 0.
+    fall back to FIFO — index 0. The whole backlog is scored in one pass
+    (:func:`~repro.core.match.match_degrees`); a later batch wins only by
+    beating the best score so far by more than 1e-12.
     """
     if not pending:
         raise ValueError("pending must be non-empty")
     if len(pending) == 1 or len(resident_nodes) == 0:
         return 0
+    scores = match_degrees(resident_nodes, [b.seeds for b in pending])
     best, best_score = 0, -1.0
-    for i, batch in enumerate(pending):
-        score = match_degree(resident_nodes, batch.seeds)
+    for i, score in enumerate(scores.tolist()):
         if score > best_score + 1e-12:
             best, best_score = i, score
     return best

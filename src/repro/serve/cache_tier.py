@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class CacheTierConfig:
@@ -40,9 +42,9 @@ class CacheTierConfig:
 
     def __post_init__(self) -> None:
         if self.capacity_rows < 1:
-            raise ValueError("capacity_rows must be >= 1")
+            raise ConfigError("capacity_rows must be >= 1")
         if not 0.0 <= self.io_savings <= 1.0:
-            raise ValueError("io_savings must be in [0, 1]")
+            raise ConfigError("io_savings must be in [0, 1]")
 
 
 @dataclass

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import RunConfig
+from repro.errors import ConfigError
 from repro.faults import get_fault_plan
 from repro.obs import get_registry
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig
@@ -70,11 +71,15 @@ class FleetSpec:
 
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
+            raise ConfigError(
+                f"num_replicas must be >= 1, got {self.num_replicas}")
         if self.router not in ROUTER_POLICIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown router {self.router!r}; registered: "
                 f"{sorted(ROUTER_POLICIES)}")
+        if not 0.0 <= self.match_threshold <= 1.0:
+            raise ConfigError(f"match_threshold must be in [0, 1], "
+                              f"got {self.match_threshold}")
 
 
 @dataclass
@@ -180,10 +185,11 @@ class FleetReport(RequestLedger):
 class FleetSim:
     """N serving replicas, one event loop, one router.
 
-    ``profile_factory`` builds one fresh :class:`ServingProfile` per
+    ``profile_factory`` returns one fresh :class:`ServingProfile` per
     replica (each replica owns its device residency state, exactly like
     N independent GPUs). The factory runs once per initial replica and
-    once per autoscaler add.
+    once per autoscaler add; :func:`simulate_fleet` passes a never-served
+    template's :meth:`~ServingProfile.copy`.
     """
 
     def __init__(self, profile_factory, serve_config: ServeConfig,
@@ -390,12 +396,10 @@ def simulate_fleet(
     model: str = "gcn",
     spec=None,
 ) -> FleetReport:
-    """Build per-replica profiles for ``framework`` and run one fleet."""
-    run_config = run_config or RunConfig(num_gpus=1)
-
-    def factory() -> ServingProfile:
-        return ServingProfile.build(framework, dataset, run_config,
+    """Build one serving profile for ``framework`` and run one fleet
+    whose every replica starts from a copy of it."""
+    template = ServingProfile.build(framework, dataset,
+                                    run_config or RunConfig(num_gpus=1),
                                     model=model, spec=spec)
-
-    return FleetSim(factory, serve_config or ServeConfig(),
+    return FleetSim(template.copy, serve_config or ServeConfig(),
                     fleet or FleetSpec()).run()

@@ -21,6 +21,7 @@ that prices a training batch on one trainer lane.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,27 @@ class ServingProfile:
             framework = framework(**({"spec": spec} if spec else {}))
         return cls(framework, dataset, config or RunConfig(num_gpus=1),
                    model=model)
+
+    def copy(self) -> "ServingProfile":
+        """An independent copy of this never-served profile: it starts
+        exactly where a fresh :meth:`build` from the same arguments
+        would, without repeating the sampler, presample-cache and
+        cost-context build (the fleet gives every replica a copy of one
+        template).
+
+        The copy owns what serving mutates: the sampler's RNG, Match
+        residency, cache hit/miss counters and storage page caches. It
+        shares what nothing mutates: the framework, the dataset with its
+        graph and feature store, the run config, the cost context and a
+        static cache's ID array. (A served profile's loaders may hold
+        metric-registry handles, which do not copy.)
+        """
+        cache = getattr(self.loader, "cache", None)
+        shared = (self.framework, self.dataset, self.dataset.graph,
+                  self.dataset.features, self.config, self.costs,
+                  getattr(cache, "cached_ids", None))
+        memo = {id(obj): obj for obj in shared if obj is not None}
+        return copy.deepcopy(self, memo)
 
     @property
     def resident_nodes(self) -> np.ndarray:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import make_spec
 from repro.config import RunConfig
+from repro.errors import ConfigError
 from repro.graph.datasets import Dataset
 from repro.serve import (
     Autoscaler,
@@ -227,9 +228,40 @@ def test_autoscaler_never_flaps(samples, cooldown):
 
 
 def test_autoscaler_hysteresis_requires_dead_band():
-    with pytest.raises(ValueError, match="hysteresis"):
+    with pytest.raises(ConfigError, match="hysteresis"):
         AutoscalerConfig(enabled=True, add_occupancy=0.3,
                          drain_occupancy=0.3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"min_replicas": 0}, "min_replicas"),
+    ({"min_replicas": 3, "max_replicas": 2}, "max_replicas"),
+    ({"interval_s": -0.01}, "interval_s"),
+    ({"interval_s": float("nan")}, "interval_s"),
+])
+def test_autoscaler_config_rejects_bad_fields(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        AutoscalerConfig(enabled=True, **kwargs)
+
+
+def test_autoscaler_rejects_zero_interval():
+    """A zero sampling interval livelocked the fleet: the monitor slept
+    0 s forever and its backstop read a clock that never advanced. The
+    config is refused before any fleet can run it."""
+    with pytest.raises(ConfigError, match="interval_s must be > 0"):
+        AutoscalerConfig(enabled=True, interval_s=0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"capacity_rows": 0}, "capacity_rows"),
+    ({"io_savings": -0.1}, "io_savings"),
+    ({"io_savings": 1.5}, "io_savings"),
+])
+def test_cache_tier_config_rejects_bad_fields(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        CacheTierConfig(enabled=True, **kwargs)
 
 
 # -- autoscaler end-to-end ---------------------------------------------------
@@ -253,7 +285,16 @@ def test_autoscaler_adds_replicas_under_load(fleet_dataset):
 
 
 def test_fleet_spec_validation():
-    with pytest.raises(ValueError, match="num_replicas"):
+    with pytest.raises(ConfigError, match="num_replicas"):
         FleetSpec(num_replicas=0)
-    with pytest.raises(ValueError, match="unknown router"):
+    with pytest.raises(ConfigError, match="unknown router"):
         FleetSpec(router="random")
+    # The threshold is checked for every router, not only when a
+    # match-affinity router is built mid-run.
+    for router in ("round-robin", "jsq", "match-affinity"):
+        for threshold in (-0.01, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match="match_threshold"):
+                FleetSpec(router=router, match_threshold=threshold)
+    for threshold in (0.0, 1.0):
+        assert FleetSpec(match_threshold=threshold).match_threshold == \
+            threshold

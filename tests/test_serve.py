@@ -189,6 +189,20 @@ class TestMicroBatcher:
         batch = batcher.close(0.1)
         np.testing.assert_array_equal(batch.seeds, [3, 5, 9])
 
+    def test_seeds_follow_the_requests_list(self):
+        """The union is computed once per ``requests`` list, read-only,
+        and recomputed when the server replaces the list."""
+        batcher = MicroBatcher(max_batch=4, window_s=1.0)
+        batcher.open(_request(0, 0.0, seeds=(5, 3)), 0.0)
+        batcher.add(_request(1, 0.1, seeds=(3, 9)), 0.1)
+        batch = batcher.close(0.1)
+        assert batch.seeds is batch.seeds
+        assert not batch.seeds.flags.writeable
+        batch.requests = batch.requests[1:]
+        np.testing.assert_array_equal(batch.seeds, [3, 9])
+        batch.requests = []
+        assert batch.seeds.size == 0 and batch.seeds.dtype == np.int64
+
     def test_select_next_batch_prefers_match_degree(self):
         resident = np.array([10, 11, 12, 13], dtype=np.int64)
         batcher = MicroBatcher(max_batch=4, window_s=1.0)

@@ -1,7 +1,7 @@
 """The set kernels against the code they replaced.
 
 ``sorted_unique`` stands in for ``np.unique``; ``match_degree``,
-``match_split``, ``MatchState.invalidate``, ``StaticFeatureCache.partition``
+``match_degrees`` (the one-pass backlog scan), ``match_split``, ``MatchState.invalidate``, ``StaticFeatureCache.partition``
 and ``LayerWiseSampler._edges_into`` share one searchsorted membership
 test (``in_sorted``) instead of ``np.intersect1d``/``np.setdiff1d`` and
 their own copies; and ``CacheTier.lookup`` reads a dense stamp array
@@ -22,7 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.oracles import in_sorted_legacy
-from repro.core.match import MatchState, match_degree, match_split
+from repro.core.match import (
+    MatchState,
+    match_degree,
+    match_degrees,
+    match_split,
+)
 from repro.errors import SamplingError
 from repro.graph.features import HashFeatureStore
 from repro.graph.generators import chung_lu_graph
@@ -428,16 +433,85 @@ class TestDecisionsMatchReference:
                             min_size=1, max_size=6),
            resident=_resident)
     def test_select_next_batch_picks_same_index(self, backlog, resident):
-        pending = [
-            MicroBatch(batch_id=i, requests=[_request(s) for s in seeds],
-                       opened_at=0.0, closed_at=0.0)
-            for i, seeds in enumerate(backlog)
-        ]
+        pending = _pending(backlog)
         got = select_next_batch(pending, resident)
-        with mock.patch("repro.serve.batcher.match_degree",
-                        match_degree_reference):
-            want = select_next_batch(pending, resident)
-        assert got == want
+        assert got == select_next_batch_reference(pending, resident,
+                                                  match_degree_reference)
+
+
+# -- the batched backlog scan against the per-candidate loop ------------------
+def select_next_batch_reference(pending, resident,
+                                score=match_degree) -> int:
+    """The per-candidate scan ``select_next_batch`` replaced: one
+    ``match_degree`` call per pending batch, the first score beating the
+    best by more than 1e-12 winning, index 0 at cold start."""
+    if len(pending) == 1 or len(resident) == 0:
+        return 0
+    best, best_score = 0, -1.0
+    for i, batch in enumerate(pending):
+        value = score(resident, batch.seeds)
+        if value > best_score + 1e-12:
+            best, best_score = i, value
+    return best
+
+
+def _pending(backlog) -> list:
+    return [MicroBatch(batch_id=i, requests=[_request(s) for s in seeds],
+                       opened_at=0.0, closed_at=0.0)
+            for i, seeds in enumerate(backlog)]
+
+
+#: Seeds that may be empty or lie above every resident ID (resident IDs
+#: are drawn from 0..24).
+_any_seeds = st.lists(st.integers(0, 40), max_size=12)
+
+
+@st.composite
+def _backlogs(draw):
+    """Pending batches (a batch may hold no request or only empty seed
+    sets), with some batches repeated so that scores tie exactly."""
+    backlog = draw(st.lists(st.lists(_any_seeds, max_size=3),
+                            min_size=1, max_size=8))
+    repeats = draw(st.lists(st.integers(0, len(backlog) - 1), max_size=4))
+    for index in repeats:
+        backlog.insert(draw(st.integers(0, len(backlog))), backlog[index])
+    return backlog
+
+
+class TestBatchedBacklogScan:
+    @settings(max_examples=400, deadline=None)
+    @given(nodes=st.lists(st.integers(-3, 30), max_size=24),
+           candidates=st.lists(st.lists(st.integers(-3, 40), max_size=12,
+                                        unique=True),
+                               max_size=8))
+    def test_match_degrees_equals_scalar_calls(self, nodes, candidates):
+        # Residency may repeat IDs; each candidate is duplicate-free, in
+        # any order.
+        nodes = np.array(nodes, dtype=np.int64)
+        arrays = [np.array(c, dtype=np.int64) for c in candidates]
+        got = match_degrees(nodes, arrays)
+        assert got.dtype == np.float64 and got.shape == (len(arrays),)
+        want = [match_degree(nodes, c) for c in arrays]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+    @settings(max_examples=400, deadline=None)
+    @given(backlog=_backlogs(), resident=_resident)
+    def test_select_next_batch_matches_per_candidate_loop(self, backlog,
+                                                          resident):
+        pending = _pending(backlog)
+        assert (select_next_batch(pending, resident)
+                == select_next_batch_reference(pending, resident))
+
+    def test_exact_tie_keeps_the_first_batch(self):
+        """1/3 and 2/6 are the same double: the earlier batch wins."""
+        resident = np.arange(10, dtype=np.int64)
+        pending = _pending([[[0, 50, 51]], [[1, 2, 60, 61, 62, 63]],
+                            [[3, 70, 71]]])
+        assert select_next_batch_reference(pending, resident) == 0
+        assert select_next_batch(pending, resident) == 0
+        pending = _pending([[[80]], [[1, 2, 60, 61, 62, 63]],
+                            [[0, 50, 51]]])
+        assert select_next_batch(pending, resident) == 1
 
 
 # -- the np.unique audit and the shared membership test -----------------------
