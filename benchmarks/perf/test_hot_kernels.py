@@ -1,4 +1,4 @@
-"""pytest-benchmark suite over the five named hot kernels.
+"""pytest-benchmark suite over four named hot kernels.
 
 Run with::
 
@@ -9,9 +9,9 @@ gates the baseline), this suite gives statistically robust per-kernel
 distributions — min/median/stddev over many rounds — for local perf work
 and A/B comparison via ``--benchmark-compare``. Each benchmark reuses
 the exact workloads from :mod:`repro.bench.kernels` at the ``small``
-size, so numbers line up with the ``--quick`` CLI run; the two
-vectorized kernels also assert equivalence with their kept reference
-implementations once per session.
+size, so numbers line up with the ``--quick`` CLI run;
+``match_degree_matrix`` also asserts equivalence with its kept reference
+implementation.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from repro.bench.oracles import match_degree_matrix_legacy
 from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.graph.features import MaterializedFeatureStore
 from repro.sampling import FusedIdMap, NeighborSampler
-from repro.sampling.idmap.hash_table import (
-    ExactOpenAddressTable,
-    VectorOpenAddressTable,
-    table_capacity,
-)
 
 SEED = 0
 
@@ -51,25 +46,6 @@ def test_greedy_reorder(benchmark):
     node_sets = _node_sets(SIZES["greedy_reorder"]["small"], SEED)
     order = benchmark(greedy_reorder, node_sets)
     assert sorted(order) == list(range(len(node_sets)))
-
-
-def test_fused_map_insert(benchmark):
-    params = SIZES["fused_map_insert"]["small"]
-    rng = np.random.default_rng(SEED)
-    ids = rng.integers(0, params["id_space"], size=params["num_ids"],
-                       dtype=np.int64)
-    capacity = table_capacity(len(np.unique(ids)))
-
-    def run():
-        table = VectorOpenAddressTable(capacity)
-        table.fused_map_insert_batch(ids)
-        return table
-
-    table = benchmark(run)
-    exact = ExactOpenAddressTable(capacity)
-    for gid in ids:
-        exact.fused_map_insert(int(gid))
-    assert table.mapping() == exact.mapping()
 
 
 def test_neighbor_sampling(benchmark):

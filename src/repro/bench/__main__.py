@@ -9,8 +9,9 @@ Usage::
 
 Writes ``BENCH_repro.json``: per-kernel wall-clock times (best of N),
 deterministic work counters, and speedups against the kept reference
-implementations (the legacy ``np.intersect1d`` match loop, the exact
-per-operation hash table and the multi-column ``np.add.at`` scatter).
+implementations (the legacy ``np.intersect1d`` match loop, the kept
+reorder, graph-build and halo-cache paths, and the multi-column
+``np.add.at`` scatter).
 
 ``python -m repro.gate bench`` gates the small + medium tiers against
 ``benchmarks/results/bench_baseline.json``. The gate is

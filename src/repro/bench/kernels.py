@@ -8,8 +8,8 @@ machine; the work counters are seeded and bit-stable, which is what the
 ``bench`` gate pins (:func:`build_bench_baseline`, checked by
 ``python -m repro.gate bench``).
 
-The first eight kernels cover the per-batch hot path end to end, the
-ninth the dataset build that runs before it, and the tenth the cluster
+The first seven kernels cover the per-batch hot path end to end, the
+eighth the dataset build that runs before it, and the ninth the cluster
 tier's remote-row cache:
 
 * ``match_degree_matrix`` — the Reorder strategy's pairwise overlap
@@ -19,8 +19,6 @@ tier's remote-row cache:
   matrix + candidate-block chain) vs the kept legacy path
   (``match_degree_matrix_legacy`` + full argmax sweep), orders asserted
   identical;
-* ``fused_map_insert`` — the batch-vectorized Algorithm 2 hash-table
-  insert (vs the exact per-operation oracle);
 * ``neighbor_sampling`` — k-hop uniform sampling with the fused ID map;
 * ``feature_gather`` — the memory-IO phase's host-side feature copy;
 * ``halo_gather`` — the cluster tier's owner-grouping of a sampled
@@ -60,11 +58,6 @@ from repro.graph.features import MaterializedFeatureStore
 from repro.graph.generators import power_law_degrees
 from repro.nn import Tensor, a3_aggregate
 from repro.sampling import FusedIdMap, NeighborSampler
-from repro.sampling.idmap.hash_table import (
-    ExactOpenAddressTable,
-    VectorOpenAddressTable,
-    table_capacity,
-)
 from repro.storage.cache import FrequencyPageCache, PageCache
 
 #: Per-kernel parameters at the two benchmark scales. ``large`` for
@@ -85,10 +78,6 @@ SIZES = {
     "reorder_blocked": {
         "small": {"batches": 48, "nodes": 1024, "id_space": 50_000},
         "medium": {"batches": 256, "nodes": 4096, "id_space": 200_000},
-    },
-    "fused_map_insert": {
-        "small": {"num_ids": 20_000, "id_space": 60_000},
-        "large": {"num_ids": 1_000_000, "id_space": 3_000_000},
     },
     "neighbor_sampling": {
         "small": {"num_nodes": 20_000, "batch_size": 512, "batches": 4,
@@ -131,11 +120,9 @@ SIZES = {
     },
 }
 
-#: Sizes at which the slow reference implementations are also timed
-#: (the exact hash table is a Python loop; keep its workload bounded).
+#: Sizes at which the slow reference implementations are also timed.
 REFERENCE_SIZES = {
     "match_degree_matrix": ("small", "large"),
-    "fused_map_insert": ("small",),
     "reorder_blocked": ("small", "medium"),
 }
 
@@ -247,42 +234,6 @@ def bench_reorder_blocked(size: str, repeats: int, seed: int,
             "speedup_vs_legacy": min(legacy_times) / min(times),
         }
     return _record("reorder_blocked", size, params, times, work, reference)
-
-
-def bench_fused_map_insert(size: str, repeats: int, seed: int,
-                           with_reference: bool = True) -> dict:
-    params = SIZES["fused_map_insert"][size]
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(0, params["id_space"], size=params["num_ids"],
-                       dtype=np.int64)
-    capacity = table_capacity(len(np.unique(ids)))
-
-    def run():
-        table = VectorOpenAddressTable(capacity)
-        table.fused_map_insert_batch(ids)
-        return table
-
-    times = _time(run, repeats)
-    table = run()
-    work = {
-        "capacity": capacity,
-        "inserts": table.stats.inserts,
-        "duplicate_hits": table.stats.duplicate_hits,
-        "local_id": table.local_id,
-    }
-    reference = None
-    if with_reference and size in REFERENCE_SIZES["fused_map_insert"]:
-        def run_exact():
-            exact = ExactOpenAddressTable(capacity)
-            for gid in ids:
-                exact.fused_map_insert(int(gid))
-
-        exact_times = _time(run_exact, 1)
-        reference = {
-            "exact_s": min(exact_times),
-            "speedup_vs_exact": min(exact_times) / min(times),
-        }
-    return _record("fused_map_insert", size, params, times, work, reference)
 
 
 def _bench_dataset(num_nodes: int, seed: int) -> Dataset:
@@ -553,7 +504,6 @@ KERNELS = {
     "match_degree_matrix": bench_match_degree_matrix,
     "greedy_reorder": bench_greedy_reorder,
     "reorder_blocked": bench_reorder_blocked,
-    "fused_map_insert": bench_fused_map_insert,
     "neighbor_sampling": bench_neighbor_sampling,
     "feature_gather": bench_feature_gather,
     "halo_gather": bench_halo_gather,
@@ -564,7 +514,7 @@ KERNELS = {
 
 
 #: Record keys holding a fast-path speedup over a kept reference.
-SPEEDUP_KEYS = ("speedup_vs_legacy", "speedup_vs_exact", "speedup_vs_add_at")
+SPEEDUP_KEYS = ("speedup_vs_legacy", "speedup_vs_add_at")
 
 
 def run_bench(kernels=None, quick: bool = False, medium: bool = False,
@@ -623,7 +573,7 @@ def flatten_bench(doc: dict) -> dict:
         prefix = f"{record['kernel']}/{record['size']}"
         flat[f"{prefix}:best_s"] = float(record["best_s"])
         flat[f"{prefix}:mean_s"] = float(record["mean_s"])
-        for key in SPEEDUP_KEYS + ("legacy_s", "exact_s", "add_at_s"):
+        for key in SPEEDUP_KEYS + ("legacy_s", "add_at_s"):
             if key in record:
                 flat[f"{prefix}:{key}"] = float(record[key])
         for key, value in record.get("work", {}).items():

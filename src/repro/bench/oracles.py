@@ -21,9 +21,8 @@ bits, and :mod:`repro.bench.kernels` times it against the reference:
   :func:`~repro.sampling.idmap.base.first_occurrence_unique`'s dense
   path, and the neighbor draw behind
   :meth:`repro.sampling.neighbor.NeighborSampler._sample_hop`;
-* :class:`FrequencyPageCacheLegacy` — the dict-based
-  :class:`~repro.storage.cache.FrequencyPageCache` whose per-page
-  ``lookup``/``insert`` the dense batch path
+* :class:`FrequencyPageCacheLegacy` — the dict-based frequency cache,
+  one page per ``lookup``/``insert``, that the dense batch path
   (:meth:`~repro.storage.cache.FrequencyPageCache.access`) must match;
 * :class:`ResidentFeatureBuffer` — the functional counterpart of
   :class:`~repro.transfer.loader.MatchLoader`'s byte accounting: it
@@ -46,7 +45,7 @@ from repro.core.reorder import _as_match_matrix
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.features import FeatureStore
-from repro.storage.cache import MISS, PageCache
+from repro.storage.cache import PageCache
 
 
 def match_degree_matrix_legacy(node_sets) -> np.ndarray:
@@ -295,7 +294,7 @@ class FrequencyPageCacheLegacy(PageCache):
     def __init__(self, capacity_pages: int) -> None:
         super().__init__(capacity_pages)
         self._counts: dict = {}
-        self._frames: dict = {}
+        self._pages: set = set()
         # Lazy min-heap of (count-at-push, page_id) over resident pages:
         # victim selection stays the exact (count, id) minimum, but in
         # O(log n) amortized instead of a full scan per admission.
@@ -309,27 +308,27 @@ class FrequencyPageCacheLegacy(PageCache):
 
     @property
     def num_resident(self) -> int:
-        return len(self._frames)
+        return len(self._pages)
 
     def _bump(self, page_id: int) -> None:
         self._counts[page_id] = self._counts.get(page_id, 0) + 1
 
-    def lookup(self, page_id: int):
+    def lookup(self, page_id: int) -> bool:
         self._bump(page_id)
-        if page_id in self._frames:
+        if page_id in self._pages:
             self.hits += 1
-            return self._frames[page_id]
+            return True
         self.misses += 1
-        return MISS
+        return False
 
-    def _pop_coldest(self) -> tuple:
+    def _take_coldest(self) -> tuple:
         """The resident page with the smallest (count, id) key. Stale
         heap entries (evicted pages, outdated counts) are discarded or
         refreshed on the way; counts only grow, so the first entry that
         matches its current count is the true minimum."""
         while True:
             count, pid = heapq.heappop(self._heap)
-            if pid not in self._frames:
+            if pid not in self._pages:
                 continue
             current = self._counts.get(pid, 0)
             if current != count:
@@ -337,29 +336,22 @@ class FrequencyPageCacheLegacy(PageCache):
                 continue
             return count, pid
 
-    def insert(self, page_id: int, frame) -> None:
-        if self.capacity_pages == 0:
-            return
-        if page_id in self._frames:
-            self._frames[page_id] = frame
+    def insert(self, page_id: int) -> None:
+        if self.capacity_pages == 0 or page_id in self._pages:
             return
         count = self._counts.get(page_id, 0)
-        if len(self._frames) < self.capacity_pages:
-            self._frames[page_id] = frame
+        if len(self._pages) < self.capacity_pages:
+            self._pages.add(page_id)
             heapq.heappush(self._heap, (count, page_id))
             return
         if count <= self._floor:
             return
-        victim = self._pop_coldest()
+        victim = self._take_coldest()
         self._floor = victim[0]
         if count > victim[0]:
-            del self._frames[victim[1]]
+            self._pages.remove(victim[1])
             self.evictions += 1
-            self._frames[page_id] = frame
+            self._pages.add(page_id)
             heapq.heappush(self._heap, (count, page_id))
         else:
             heapq.heappush(self._heap, victim)
-
-    def update(self, page_id: int, frame) -> None:
-        if page_id in self._frames:
-            self._frames[page_id] = frame

@@ -116,6 +116,12 @@ class CostModelConfig:
 DEFAULT_COST_MODEL = CostModelConfig()
 
 
+#: Storage-tier access paths and page-cache policies a ``RunConfig`` may
+#: name (see :mod:`repro.transfer.storage_loader`).
+STORAGE_ACCESS_PATHS = ("direct", "bounce")
+PAGE_CACHE_POLICIES = ("lru", "partition")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one training run (shared by all frameworks).
@@ -125,8 +131,10 @@ class RunConfig:
     from the seed nodes), number of simulated GPUs, and the Match-Reorder
     window ``reorder_window`` (the paper's ``n`` mini-batches sampled ahead).
     The counts (GPUs, hidden width, epochs, window, prefetch depth) must
-    be at least 1 and ``cache_ratio_override`` must lie in [0, 1];
-    construction raises :class:`~repro.errors.ConfigError` otherwise.
+    be at least 1, ``cache_ratio_override`` must lie in [0, 1], and the
+    storage tier's access path and page-cache policy must be ones it
+    implements; construction raises :class:`~repro.errors.ConfigError`
+    otherwise.
     """
 
     batch_size: int = 256
@@ -173,6 +181,12 @@ class RunConfig:
         if ratio is not None and not 0.0 <= ratio <= 1.0:
             raise ConfigError("cache_ratio_override must lie in [0, 1], "
                               f"got {ratio}")
+        for name, allowed in (("storage_access", STORAGE_ACCESS_PATHS),
+                              ("page_cache_policy", PAGE_CACHE_POLICIES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(
+                    f"{name} must be one of {allowed}, got {value!r}")
 
     @property
     def num_layers(self) -> int:

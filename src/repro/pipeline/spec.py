@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
+
 #: Allowed pipeline modes.
 PIPELINE_MODES = ("off", "pipelined")
 
@@ -48,14 +50,14 @@ class PipelineSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in PIPELINE_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"pipeline mode must be one of {PIPELINE_MODES}, "
                 f"got {self.mode!r}"
             )
         if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+            raise ConfigError("queue_depth must be >= 1")
         if self.staleness < 0:
-            raise ValueError("staleness must be >= 0")
+            raise ConfigError("staleness must be >= 0")
 
     @property
     def enabled(self) -> bool:

@@ -1,17 +1,12 @@
 """Open-addressing hash table with linear probing.
 
-Three faces of the same structure:
+Two faces of the same structure:
 
 * :class:`ExactOpenAddressTable` — a faithful, per-operation implementation
   of the paper's Algorithm 2 (``InsertID`` with emulated ``atomicCAS``,
   ``Fused_Map`` with emulated ``atomicAdd``). Exact probe counts; used for
   semantics tests and the simulated-concurrency harness. Python-loop speed,
   so callers keep inputs small.
-* :class:`VectorOpenAddressTable` — the batch-vectorized insert path: one
-  :meth:`~VectorOpenAddressTable.fused_map_insert_batch` call inserts a
-  whole ID array with numpy round-resolution instead of one emulated
-  atomic at a time, producing the same global->local mapping (local IDs
-  in first-occurrence order) as a sequential run of the exact table.
 * :func:`estimate_probe_stats` — a vectorized statistical model of the same
   table's probe behaviour, used on the fast path where only the *counts*
   matter for the cost model.
@@ -148,117 +143,6 @@ class ExactOpenAddressTable:
         occupied = self.keys != EMPTY
         return dict(zip(self.keys[occupied].tolist(),
                         self.values[occupied].tolist()))
-
-
-class VectorOpenAddressTable(ExactOpenAddressTable):
-    """Batch-vectorized fused-map insert over the same table layout.
-
-    :meth:`fused_map_insert_batch` inserts a whole ID array with numpy
-    round-resolution: every still-unplaced candidate probes its current
-    slot simultaneously, empty slots are claimed by the lowest-rank
-    (first-occurrence order) contender, and the losers advance one slot —
-    the same contention dynamics as the GPU's warps racing ``atomicCAS``.
-
-    Equivalence contract with a sequential :class:`ExactOpenAddressTable`
-    run over the same IDs (the oracle, checked by the property tests):
-
-    * identical global->local ``mapping()`` — fresh keys receive local IDs
-      in first-occurrence order;
-    * identical ``stats.inserts``, ``stats.duplicate_hits``, ``local_id``
-      and ``add_ops``;
-    * the key *layout* (which probe slot a displaced key lands in) may be
-      a different — but still reachable-by-linear-probing — interleaving,
-      exactly as concurrent GPU threads may resolve collisions in any
-      arrival order. ``probe_retries``/``cas_ops`` count the probes of
-      this layout.
-    """
-
-    def fused_map_insert_batch(self, global_ids: np.ndarray) -> None:
-        """Vectorized ``Fused_Map`` over ``global_ids`` (duplicates OK)."""
-        ids = np.asarray(global_ids, dtype=np.int64).ravel()
-        if len(ids) == 0:
-            return
-        if ids.min() < 0:
-            raise ValueError("global IDs must be non-negative (-1 is EMPTY)")
-        # Candidates: distinct IDs in first-occurrence order (their claim
-        # rank), so fresh local IDs come out in the sequential order.
-        uniq, first_idx, inverse = np.unique(
-            ids, return_index=True, return_inverse=True
-        )
-        rank_order = np.argsort(first_idx, kind="stable")
-        cand = uniq[rank_order]
-        m = len(cand)
-        pos = cand % self.capacity
-        home = pos.copy()
-        probes = np.zeros(m, dtype=np.int64)
-        slot = np.full(m, -1, dtype=np.int64)  # final slot per candidate
-        fresh = np.zeros(m, dtype=bool)  # claimed an EMPTY slot
-        active = np.ones(m, dtype=bool)
-        contender_rank = np.empty(self.capacity, dtype=np.int64)
-        while active.any():
-            idx = np.flatnonzero(active)
-            cur = self.keys[pos[idx]]
-            # Already present (pre-existing key): retire as duplicate hit.
-            found = cur == cand[idx]
-            slot[idx[found]] = pos[idx[found]]
-            # Empty slot: the lowest-rank contender claims it this round.
-            empty = cur == EMPTY
-            empty_idx = idx[empty]
-            if len(empty_idx):
-                contender_rank[pos[empty_idx]] = m
-                np.minimum.at(contender_rank, pos[empty_idx], empty_idx)
-                won = contender_rank[pos[empty_idx]] == empty_idx
-                winners = empty_idx[won]
-                self.keys[pos[winners]] = cand[winners]
-                slot[winners] = pos[winners]
-                fresh[winners] = True
-                retired = np.zeros(len(idx), dtype=bool)
-                retired[empty] = won
-                retired |= found
-            else:
-                retired = found
-            active[idx[retired]] = False
-            losers = idx[~retired]
-            probes[losers] += 1
-            if len(losers) and probes[losers[0]] >= self.capacity:
-                raise RuntimeError("hash table is full")
-            pos[losers] = (pos[losers] + 1) % self.capacity
-        # Fresh keys take consecutive local IDs in first-occurrence order.
-        fresh_idx = np.flatnonzero(fresh)
-        num_fresh = len(fresh_idx)
-        self.values[slot[fresh_idx]] = self.local_id + np.arange(num_fresh)
-        self.local_id += num_fresh
-        self.add_ops += num_fresh
-        # Repeat occurrences of an ID walk its key's displacement in the
-        # final layout, like the sequential duplicate probes do.
-        displacement = (slot - home) % self.capacity
-        occurrences = np.bincount(inverse, minlength=len(uniq))[rank_order]
-        dup_walks = int(((occurrences - 1) * displacement).sum())
-        self.stats.inserts += num_fresh
-        self.stats.duplicate_hits += int(len(ids) - num_fresh)
-        self.stats.probe_retries += int(probes.sum()) + dup_walks
-        self.cas_ops += int(probes.sum()) + dup_walks + len(ids)
-
-    def lookup_batch(self, global_ids: np.ndarray) -> np.ndarray:
-        """Vectorized translate kernel: local IDs, -1 where absent."""
-        ids = np.asarray(global_ids, dtype=np.int64).ravel()
-        out = np.full(len(ids), -1, dtype=np.int64)
-        if len(ids) == 0:
-            return out
-        pos = ids % self.capacity
-        active = np.ones(len(ids), dtype=bool)
-        for _ in range(self.capacity):
-            idx = np.flatnonzero(active)
-            if len(idx) == 0:
-                break
-            cur = self.keys[pos[idx]]
-            found = cur == ids[idx]
-            out[idx[found]] = self.values[pos[idx[found]]]
-            miss = cur == EMPTY
-            active[idx[found | miss]] = False
-            losers = idx[~(found | miss)]
-            pos[losers] = (pos[losers] + 1) % self.capacity
-        return out
 
 
 def estimate_probe_stats(

@@ -55,6 +55,11 @@ from repro.sim.events import EventLoop
 #: the schedule's last arrival time.
 CRASH_WINDOW = (0.1, 0.9)
 
+#: Most autoscaler samples a fleet may need to reach the monitor's
+#: runaway backstop. A smaller interval is refused: at a tiny enough one
+#: ``now + interval == now`` and the monitor never advances the clock.
+MAX_MONITOR_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -247,6 +252,14 @@ class FleetSim:
             new_engine()
         requests = schedule_requests(engines[0].profile, cfg)
         horizon = requests[-1].arrival if requests else 0.0
+        deadline = horizon * 10.0 + 10.0  # the monitor's runaway backstop
+        interval = spec.autoscaler.interval_s
+        if (autoscaler is not None
+                and deadline / interval > MAX_MONITOR_SAMPLES):
+            raise ConfigError(
+                f"autoscaler interval_s={interval!r} needs more than "
+                f"{MAX_MONITOR_SAMPLES} samples to reach the monitor's "
+                f"{deadline:g} s backstop")
 
         def route(request, now) -> None:
             accepting = [e for e in engines if e.accepting]
@@ -298,8 +311,6 @@ class FleetSim:
                     loop.call_later(at, lambda e=engine: crash(e))
 
         def monitor():
-            interval = spec.autoscaler.interval_s
-            deadline = horizon * 10.0 + 10.0  # runaway backstop
             while state["terminal"] < len(requests):
                 yield interval
                 if (state["terminal"] >= len(requests)

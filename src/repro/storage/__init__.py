@@ -11,7 +11,6 @@ bounce buffer (SSD -> host DRAM -> GPU) and GPU-initiated direct access
 """
 
 from repro.storage.cache import (
-    MISS,
     LRUPageCache,
     PageCache,
     PartitionAwarePageCache,
@@ -24,7 +23,6 @@ from repro.storage.page_store import PageStore
 from repro.storage.scheduler import IOPlan, IOScheduler
 
 __all__ = [
-    "MISS",
     "LRUPageCache",
     "PageCache",
     "PartitionAwarePageCache",

@@ -1,6 +1,8 @@
 """Page caches for the out-of-core feature tier.
 
-Three policies, mirroring the literature the tier models:
+Three policies, mirroring the literature the tier models; the storage
+tier's :func:`build_page_cache` builds the first two, and the cluster
+tier's halo exchange caches remote rows with any of the three:
 
 * :class:`LRUPageCache` — the classic OS-page-cache baseline: pure
   recency. On GNN feature traffic it thrashes once the per-epoch working
@@ -15,7 +17,7 @@ Three policies, mirroring the literature the tier models:
   operates, pinning what is provably hot beats recency guessing.
 
 * :class:`FrequencyPageCache` — FastSample-style (arXiv:2311.17847):
-  pure observed access frequency with admission control. Every lookup
+  pure observed access frequency with admission control. Every access
   (hit or miss) bumps the page's count; a new page only displaces the
   coldest resident page when it has been seen more often. Where the
   partition cache needs workload foreknowledge (the train split and the
@@ -23,8 +25,10 @@ Three policies, mirroring the literature the tier models:
   which is exactly what a node can do for *remote* features it has no
   partition-local knowledge about.
 
-All policies count hits/misses/evictions so loaders can feed the cost
-model.
+Caches hold page identity only, never payload: the modeled outputs
+count the pages that move, and a caller that needs the rows gathers
+them from the backing table. All policies count hits/misses/evictions
+so loaders can feed the cost model.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ import heapq
 from collections import OrderedDict
 
 import numpy as np
-
-#: Sentinel returned by ``lookup`` on a miss (``None`` is a valid frame
-#: placeholder for stats-only schedulers).
-MISS = object()
 
 
 class PageCache:
@@ -93,28 +93,22 @@ class PageCache:
         ):
             registry.gauge(name, help_text).labels(**labels).set(value)
 
-    def lookup(self, page_id: int):
-        """Return the cached frame (may be ``None``) or :data:`MISS`."""
+    def lookup(self, page_id: int) -> bool:
+        """Whether ``page_id`` is resident (counted as a hit or a miss)."""
         raise NotImplementedError
 
-    def insert(self, page_id: int, frame) -> None:
+    def insert(self, page_id: int) -> None:
         """Admit a page just read from the drive."""
-        raise NotImplementedError
-
-    def update(self, page_id: int, frame) -> None:
-        """Replace the stored frame of a resident page (no-op if absent);
-        used when a stats-only placeholder is later materialized."""
         raise NotImplementedError
 
     def access(self, ids: np.ndarray) -> np.ndarray:
         """Look up each of the unique pages ``ids`` in order, inserting a
-        missed page (with no frame) right after its lookup; returns the
-        miss mask."""
+        missed page right after its lookup; returns the miss mask."""
         missed = []
         for page_id in np.asarray(ids, dtype=np.int64).tolist():
-            miss = self.lookup(page_id) is MISS
+            miss = not self.lookup(page_id)
             if miss:
-                self.insert(page_id, None)
+                self.insert(page_id)
             missed.append(miss)
         return np.array(missed, dtype=bool)
 
@@ -124,35 +118,31 @@ class LRUPageCache(PageCache):
 
     def __init__(self, capacity_pages: int) -> None:
         super().__init__(capacity_pages)
-        self._frames: OrderedDict = OrderedDict()
+        #: Resident pages, least recently used first.
+        self._pages: OrderedDict = OrderedDict()
 
     @property
     def num_resident(self) -> int:
-        return len(self._frames)
+        return len(self._pages)
 
-    def lookup(self, page_id: int):
-        if page_id in self._frames:
-            self._frames.move_to_end(page_id)
+    def lookup(self, page_id: int) -> bool:
+        if page_id in self._pages:
+            self._pages.move_to_end(page_id)
             self.hits += 1
-            return self._frames[page_id]
+            return True
         self.misses += 1
-        return MISS
+        return False
 
-    def insert(self, page_id: int, frame) -> None:
+    def insert(self, page_id: int) -> None:
         if self.capacity_pages == 0:
             return
-        if page_id in self._frames:
-            self._frames.move_to_end(page_id)
-            self._frames[page_id] = frame
+        if page_id in self._pages:
+            self._pages.move_to_end(page_id)
             return
-        while len(self._frames) >= self.capacity_pages:
-            self._frames.popitem(last=False)
+        while len(self._pages) >= self.capacity_pages:
+            self._pages.popitem(last=False)
             self.evictions += 1
-        self._frames[page_id] = frame
-
-    def update(self, page_id: int, frame) -> None:
-        if page_id in self._frames:
-            self._frames[page_id] = frame
+        self._pages[page_id] = None
 
 
 class PartitionAwarePageCache(PageCache):
@@ -174,38 +164,29 @@ class PartitionAwarePageCache(PageCache):
                          len(hotness))
         ranked = np.argsort(hotness, kind="stable")[::-1]
         self.pinned_ids = frozenset(int(p) for p in ranked[:num_pinned])
-        self._pinned: dict = {}
+        self._pinned: set = set()
         self._lru = LRUPageCache(self.capacity_pages - num_pinned)
 
     @property
     def num_resident(self) -> int:
         return len(self._pinned) + self._lru.num_resident
 
-    def lookup(self, page_id: int):
-        if page_id in self._pinned:
-            self.hits += 1
-            return self._pinned[page_id]
+    def lookup(self, page_id: int) -> bool:
         if page_id in self.pinned_ids:
-            self.misses += 1
-            return MISS
-        value = self._lru.lookup(page_id)
-        if value is MISS:
-            self.misses += 1
+            resident = page_id in self._pinned
         else:
+            resident = self._lru.lookup(page_id)
+        if resident:
             self.hits += 1
-        return value
+        else:
+            self.misses += 1
+        return resident
 
-    def insert(self, page_id: int, frame) -> None:
+    def insert(self, page_id: int) -> None:
         if page_id in self.pinned_ids:
-            self._pinned[page_id] = frame
+            self._pinned.add(page_id)
             return
-        self._lru.insert(page_id, frame)
-
-    def update(self, page_id: int, frame) -> None:
-        if page_id in self._pinned:
-            self._pinned[page_id] = frame
-        else:
-            self._lru.update(page_id, frame)
+        self._lru.insert(page_id)
 
     def reset_stats(self) -> None:
         super().reset_stats()
@@ -223,7 +204,7 @@ _ID_MASK = (1 << _ID_BITS) - 1
 class FrequencyPageCache(PageCache):
     """Access-frequency cache with admission control (FastSample-style).
 
-    Frequency counts accumulate on every lookup, resident or not, so the
+    Frequency counts accumulate on every access, resident or not, so the
     cache converges on the workload's true hot set instead of its recent
     one. Admission: a missing page is only admitted over the coldest
     resident page when its count is strictly higher — one-off scans
@@ -231,10 +212,11 @@ class FrequencyPageCache(PageCache):
     on the lower page ID, keeping the policy fully deterministic.
 
     Counts and residency live in dense arrays indexed by page ID (IDs
-    must be non-negative). :meth:`lookup` and :meth:`insert` serve one
-    page at a time; :meth:`access` runs a whole batch of unique pages
-    with exactly the per-page semantics of "``lookup``, then ``insert``
-    on a miss", in order.
+    must be non-negative). The cache serves whole batches only: the
+    halo exchange hands it each exchange's rows in one :meth:`access`
+    call, with exactly the per-page semantics of "look up, then admit
+    on a miss", in order (the per-page reference is
+    :class:`repro.bench.oracles.FrequencyPageCacheLegacy`).
     """
 
     def __init__(self, capacity_pages: int) -> None:
@@ -242,14 +224,6 @@ class FrequencyPageCache(PageCache):
         self._counts = np.zeros(1, dtype=np.int64)
         self._resident = np.zeros(1, dtype=bool)
         self._num_resident = 0
-        #: Frames stored by :meth:`insert`; pages admitted by
-        #: :meth:`access` have none, so ``lookup`` returns ``None``.
-        self._frames: dict = {}
-        # Lazy min-heap of packed (count-at-push, page_id) keys over
-        # resident pages: victim selection stays the exact (count, id)
-        # minimum, but in O(log n) amortized instead of a full scan per
-        # admission. ``None`` after a batch access; rebuilt on demand.
-        self._heap: list | None = []
         # Admission floor: the count of the last coldest resident seen by
         # a full-cache admission. Counts only grow and an admission only
         # replaces the coldest page by a hotter one, so once the cache is
@@ -276,81 +250,16 @@ class FrequencyPageCache(PageCache):
         resident[:self._resident.size] = self._resident
         self._counts, self._resident = counts, resident
 
-    def lookup(self, page_id: int):
-        self._reserve(page_id, page_id)
-        self._counts[page_id] += 1
-        if self._resident[page_id]:
-            self.hits += 1
-            return self._frames.get(page_id)
-        self.misses += 1
-        return MISS
-
     def _resident_keys(self) -> np.ndarray:
-        """Packed ``(count, id)`` keys of every resident page, ascending
-        (a sorted list is a valid heap)."""
+        """Packed ``(count, id)`` keys of every resident page, ascending."""
         pages = np.flatnonzero(self._resident)
         return np.sort((self._counts[pages] << _ID_BITS) | pages)
 
-    def _pop_coldest(self) -> int:
-        """The packed key of the resident page with the smallest (count,
-        id). Stale heap entries (evicted pages, outdated counts) are
-        discarded or refreshed on the way; counts only grow, so the first
-        entry that matches its current count is the true minimum."""
-        if self._heap is None:
-            self._heap = self._resident_keys().tolist()
-        heap, resident, counts = self._heap, self._resident, self._counts
-        while True:
-            key = heapq.heappop(heap)
-            page = key & _ID_MASK
-            if not resident[page]:
-                continue
-            current = int(counts[page])
-            if current != key >> _ID_BITS:
-                heapq.heappush(heap, (current << _ID_BITS) | page)
-                continue
-            return key
-
-    def _admit(self, page_id: int, frame, count: int) -> None:
-        self._resident[page_id] = True
-        self._frames[page_id] = frame
-        self._num_resident += 1
-        if self._heap is not None:
-            heapq.heappush(self._heap, (count << _ID_BITS) | page_id)
-
-    def insert(self, page_id: int, frame) -> None:
-        if self.capacity_pages == 0:
-            return
-        self._reserve(page_id, page_id)
-        if self._resident[page_id]:
-            self._frames[page_id] = frame
-            return
-        count = int(self._counts[page_id])
-        if self._num_resident < self.capacity_pages:
-            self._admit(page_id, frame, count)
-            return
-        if count <= self._floor:
-            return
-        victim = self._pop_coldest()
-        self._floor = victim >> _ID_BITS
-        if count > self._floor:
-            victim_id = victim & _ID_MASK
-            self._resident[victim_id] = False
-            self._frames.pop(victim_id, None)
-            self._num_resident -= 1
-            self.evictions += 1
-            self._admit(page_id, frame, count)
-        else:
-            heapq.heappush(self._heap, victim)
-
-    def update(self, page_id: int, frame) -> None:
-        if 0 <= page_id < self._resident.size and self._resident[page_id]:
-            self._frames[page_id] = frame
-
     def access(self, ids: np.ndarray) -> np.ndarray:
         """Look up a batch of unique pages, in order, admitting each miss
-        as :meth:`insert` would; returns the miss mask.
+        under the admission rule; returns the miss mask.
 
-        Every page's lookup bumps its count, so its count at its own
+        Every page's access bumps its count, so its count at its own
         admission is its count before the batch plus one. While the
         cache has room the first misses are admitted in order; after
         that only a miss counted above the admission floor (an *event*)
@@ -377,7 +286,6 @@ class FrequencyPageCache(PageCache):
             if events.size:
                 self._sweep(ids, bumped, miss, events, snapshot,
                             (bumped[admitted] << _ID_BITS) | ids[admitted])
-            self._heap = None
         else:
             counts[ids] = bumped
         num_misses = int(np.count_nonzero(miss))
@@ -417,7 +325,7 @@ class FrequencyPageCache(PageCache):
         newcomers = np.sort(admitted).tolist()
         reached: list = []
         later: list = []
-        resident, frames = self._resident, self._frames
+        resident = self._resident
         floor = self._floor
         one = 1 << _ID_BITS
         taken = next_reached = 0
@@ -455,10 +363,7 @@ class FrequencyPageCache(PageCache):
                     next_reached += 1
                 else:
                     heapq.heappop(newcomers)
-                victim_id = victim & _ID_MASK
-                resident[victim_id] = False
-                if frames:
-                    frames.pop(victim_id, None)
+                resident[victim & _ID_MASK] = False
                 self.evictions += 1
                 resident[page] = True
                 heapq.heappush(newcomers, (count << _ID_BITS) | page)
@@ -543,11 +448,10 @@ def build_page_cache(
     train_ids: np.ndarray | None = None,
     degrees: np.ndarray | None = None,
 ) -> PageCache:
-    """Construct the named cache policy ("lru", "freq" or "partition")."""
+    """Construct the named storage-tier cache policy ("lru" or
+    "partition")."""
     if policy == "lru":
         return LRUPageCache(capacity_pages)
-    if policy == "freq":
-        return FrequencyPageCache(capacity_pages)
     if policy == "partition":
         if page_store is None or partition_of_node is None:
             raise ValueError(

@@ -1,9 +1,9 @@
 """SSD-backed feature store: the out-of-core drop-in for any FeatureStore.
 
-``gather`` is *functionally identical* to gathering from the materialized
-table — rows come back bit-for-bit equal — but every access is served
-page-granularly through the IO scheduler and page cache, so the hit/miss
-and byte counters describe exactly what an NVMe-resident table would cost.
+``gather`` returns the backing table's rows bit for bit, and accounts
+every access page-granularly through the IO scheduler and page cache, so
+the hit/miss and byte counters describe exactly what an NVMe-resident
+table would cost.
 """
 
 from __future__ import annotations
@@ -53,22 +53,8 @@ class StorageBackedFeatureStore(FeatureStore):
         self.cache.reset_stats()
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
+        """The backing rows of ``ids``, after accounting their page reads
+        (``last_plan``)."""
         ids = self._check_ids(ids)
-        out = np.empty((len(ids), self.dim), dtype=self.dtype)
-        if len(ids) == 0:
-            self.last_plan = IOPlan()
-            return out
-        plan, frames = self.scheduler.submit(ids, fetch=True)
-        self.last_plan = plan
-        pids = self.page_store.page_of(ids)
-        offsets = ids - pids * self.page_store.rows_per_page
-        order = np.argsort(pids, kind="stable")
-        sorted_pids = pids[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_pids[1:] != sorted_pids[:-1]))
-        )
-        bounds = np.concatenate((starts, [len(ids)]))
-        for i in range(len(starts)):
-            group = order[bounds[i]:bounds[i + 1]]
-            out[group] = frames[int(sorted_pids[bounds[i]])][offsets[group]]
-        return out
+        self.last_plan = self.scheduler.submit(ids)
+        return self.backing.gather(ids)

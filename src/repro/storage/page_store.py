@@ -2,10 +2,10 @@
 
 The out-of-core tier never addresses single rows on the drive: the NVMe
 namespace is an array of fixed-size pages, each holding a contiguous run
-of feature rows. ``PageStore`` maps node IDs to pages, serves page reads
-out of the backing :class:`~repro.graph.features.FeatureStore` (the
-"truth" that would live on the drive), and counts every page and byte
-read — the read-amplification input of the cost model.
+of feature rows. ``PageStore`` maps node IDs to pages of the backing
+:class:`~repro.graph.features.FeatureStore` (the "truth" that would live
+on the drive) and counts every page and byte read — the
+read-amplification input of the cost model.
 """
 
 from __future__ import annotations
@@ -53,16 +53,9 @@ class PageStore:
         count = min(self.rows_per_page, self.backing.num_nodes - start)
         return start, count
 
-    def read_page(self, page_id: int, materialize: bool = True):
-        """Read one page from the drive: the full page crosses the NVMe
-        link even when the tail page is only partially filled.
-
-        ``materialize=False`` counts the read without producing the rows
-        (the accounting-only path of the IO scheduler).
-        """
-        start, count = self.page_rows(page_id)
+    def read_page(self, page_id: int) -> None:
+        """Count one page read off the drive: the full page crosses the
+        NVMe link even when the tail page is only partially filled."""
+        self.page_rows(page_id)
         self.pages_read += 1
         self.bytes_read += self.page_bytes
-        if not materialize:
-            return None
-        return self.backing.gather(np.arange(start, start + count))

@@ -27,7 +27,7 @@ from repro.faults import call_with_faults, get_fault_plan
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.obs import get_registry
 from repro.sampling.idmap.base import sorted_unique
-from repro.storage.cache import MISS, PageCache
+from repro.storage.cache import PageCache
 from repro.storage.page_store import PageStore
 
 
@@ -81,48 +81,26 @@ class IOScheduler:
         )
         return int(np.sum(-(-run_lengths // self.max_coalesce)))
 
-    def submit(self, ids: np.ndarray, fetch: bool = False,
-               key: int | None = None):
-        """Schedule the page reads behind the row requests ``ids``.
-
-        Returns ``(plan, frames)``: ``frames`` maps page ID -> row block
-        when ``fetch`` is true (the functional gather path), else ``None``
-        (stats-only accounting; resident placeholders are admitted so the
-        cache state still evolves exactly as a fetching run's would).
-        ``key`` names the submit's ``storage_slow`` draw (the batch's
-        fault key); without it the site's next sequence key is drawn.
+    def submit(self, ids: np.ndarray, key: int | None = None) -> IOPlan:
+        """Account the page reads behind the row requests ``ids``: look
+        every unique page up, read the misses off the drive and admit
+        them. ``key`` names the submit's ``storage_slow`` draw (the
+        batch's fault key); without it the site's next sequence key is
+        drawn.
         """
         ids = np.asarray(ids, dtype=np.int64)
         unique_pages = sorted_unique(self.page_store.page_of(ids))
-        frames: dict | None = {} if fetch else None
-        miss_list = []
-        for pid in unique_pages.tolist():
-            value = self.cache.lookup(pid)
-            if value is MISS:
-                miss_list.append(pid)
-                continue
-            if fetch:
-                if value is None:
-                    # A stats-only pass admitted this page without data;
-                    # materialize it quietly (it never re-crosses the NVMe
-                    # link — the bytes are resident, only the frame is lazy).
-                    start, count = self.page_store.page_rows(pid)
-                    value = self.page_store.backing.gather(
-                        np.arange(start, start + count)
-                    )
-                    self.cache.update(pid, value)
-                frames[pid] = value
+        miss_list = [pid for pid in unique_pages.tolist()
+                     if not self.cache.lookup(pid)]
         fault_plan = get_fault_plan()
         num_retries = 0
         fault_delay = 0.0
         for pid in miss_list:
             # A faulted read retries with backoff; the page only reaches
             # the cache once a (re)read succeeded, so a genuinely failed
-            # read (budget exhausted -> StorageReadError) leaves neither
-            # a frame nor a placeholder behind.
-            frame, stats = call_with_faults(
-                lambda pid=pid: self.page_store.read_page(
-                    pid, materialize=fetch),
+            # read (budget exhausted -> StorageReadError) is not resident.
+            _, stats = call_with_faults(
+                lambda pid=pid: self.page_store.read_page(pid),
                 site="storage_read",
                 policy=self.retry_policy,
                 key=pid,
@@ -132,9 +110,7 @@ class IOScheduler:
             )
             num_retries += stats.num_retries
             fault_delay += stats.delay_s
-            if fetch:
-                frames[pid] = frame
-            self.cache.insert(pid, frame)
+            self.cache.insert(pid)
         if fault_plan.enabled and miss_list:
             # NVMe latency outlier (throttle / GC pause): one draw per
             # faultable submit, modeled as extra IO seconds.
@@ -151,7 +127,7 @@ class IOScheduler:
             fault_delay_s=fault_delay,
         )
         self._observe_plan(plan)
-        return plan, frames
+        return plan
 
     def _observe_plan(self, plan: IOPlan) -> None:
         """Report one submit()'s accounting to the metrics registry."""

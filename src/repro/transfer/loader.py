@@ -10,8 +10,8 @@ cross PCIe?* The answers:
   (FastGL when spare memory exists, Section 5 of the paper).
 
 Loaders count bytes; the PCIe link model converts bytes to seconds. When a
-framework actually trains (Fig. 16) the loader also gathers the real
-feature values.
+framework actually trains (Fig. 16) it gathers the real feature values
+from the dataset's table itself (``Framework.train_batch``).
 """
 
 from __future__ import annotations
@@ -192,14 +192,6 @@ class FeatureLoader(ABC):
         }
         self._obs_cache = (registry, handles)
         return handles
-
-    def load(self, subgraph: SampledSubgraph) -> tuple:
-        """Like :meth:`plan` but also gathers the real feature rows for the
-        *whole* input set (training needs all rows regardless of how many
-        crossed PCIe)."""
-        report = self.plan(subgraph)
-        features = self.store.gather(subgraph.input_nodes)
-        return features, report
 
     def _base_report(self, subgraph: SampledSubgraph) -> TransferReport:
         return TransferReport(

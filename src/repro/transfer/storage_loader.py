@@ -20,7 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import (
+    DEFAULT_COST_MODEL,
+    STORAGE_ACCESS_PATHS,
+    CostModelConfig,
+)
 from repro.core.match import MatchState
 from repro.gpu.pcie import PCIeLink
 from repro.sampling.subgraph import SampledSubgraph
@@ -127,7 +131,7 @@ class StorageBackedLoader(FeatureLoader):
         host_queue_depth: int = 32,
         gpu_queue_depth: int = 4096,
     ) -> None:
-        if access not in ("direct", "bounce"):
+        if access not in STORAGE_ACCESS_PATHS:
             raise ValueError(f"unknown storage access path {access!r}")
         super().__init__(store)
         self.nvme = nvme
@@ -172,8 +176,7 @@ class StorageBackedLoader(FeatureLoader):
             to_fetch = result.load_ids
         else:
             to_fetch = wanted
-        plan, _ = self.store.scheduler.submit(to_fetch, fetch=False,
-                                              key=key)
+        plan = self.store.scheduler.submit(to_fetch, key=key)
         report.num_loaded = len(to_fetch)
         report.page_hits = plan.page_hits
         report.page_misses = plan.page_misses
@@ -191,14 +194,6 @@ class StorageBackedLoader(FeatureLoader):
             report.feature_bytes = fetched_bytes
             report.host_bounce_bytes = plan.ssd_bytes + fetched_bytes
         return report
-
-    def load(self, subgraph: SampledSubgraph) -> tuple:
-        """Plan through the storage tier, gather rows from the backing
-        table (the pages just planned hold exactly these rows — fetching
-        them again through the cache would double-count the SSD reads)."""
-        report = self.plan(subgraph)
-        features = self.store.backing.gather(subgraph.input_nodes)
-        return features, report
 
 
 def page_cache_budget_bytes(dataset, config) -> int:

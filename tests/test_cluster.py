@@ -19,7 +19,6 @@ from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.faults.retry import RetryPolicy, call_with_faults
 from repro.graph.datasets import Dataset
 from repro.storage.cache import (
-    MISS,
     FrequencyPageCache,
     PageCache,
     PartitionAwarePageCache,
@@ -123,58 +122,49 @@ class TestFrequencyCache:
     def test_admission_protects_hot_pages(self):
         cache = FrequencyPageCache(2)
         for _ in range(3):
-            cache.lookup(1)
-            cache.lookup(2)
-        cache.insert(1, "a")
-        cache.insert(2, "b")
+            cache.access(np.array([1, 2]))
         # A once-seen page cannot displace established residents.
-        assert cache.lookup(9) is MISS
-        cache.insert(9, "c")
-        assert cache.lookup(1) == "a"
-        assert cache.lookup(2) == "b"
-        assert cache.lookup(9) is MISS
+        assert cache.access(np.array([9])).tolist() == [True]
+        assert cache.access(np.array([1, 2, 9])).tolist() == [
+            False, False, True]
+        assert cache.evictions == 0
 
     def test_hot_newcomer_evicts_coldest(self):
         cache = FrequencyPageCache(2)
-        cache.lookup(1)
-        cache.insert(1, "a")
-        cache.lookup(2)
-        cache.insert(2, "b")
+        cache.access(np.array([1]))
+        cache.access(np.array([2]))
         for _ in range(5):
-            cache.lookup(9)
-        cache.insert(9, "c")
+            cache.access(np.array([9]))
         # Victim is the (count, id)-minimal resident: page 1.
-        assert cache.lookup(9) == "c"
-        assert cache.lookup(1) is MISS
+        assert observed(cache)[0] == {2, 9}
         assert cache.evictions == 1
 
     def test_heap_matches_scan_reference(self):
-        """The lazy-heap victim selection is behaviorally identical to
-        the full (count, id) min-scan it replaced, and the dense cache
-        follows the dict-based one page by page."""
+        """The reference cache's lazy-heap victim selection is
+        behaviorally identical to the full (count, id) min-scan it
+        replaced, and the dense cache follows it page by page."""
         rng = np.random.default_rng(0)
         legacy = FrequencyPageCacheLegacy(16)
         cache = FrequencyPageCache(16)
-        shadow_frames: dict = {}
+        shadow: set = set()
         for page in rng.integers(0, 64, size=2000).tolist():
-            resident = legacy.lookup(page) is not MISS
-            assert resident == (cache.lookup(page) is not MISS)
-            assert resident == (page in shadow_frames)
+            resident = legacy.lookup(page)
+            assert resident == (not cache.access(np.array([page]))[0])
+            assert resident == (page in shadow)
             if resident:
                 continue
             # Reference: exact min-scan over the shadow copy.
-            if len(shadow_frames) < 16:
-                shadow_frames[page] = True
+            if len(shadow) < 16:
+                shadow.add(page)
             else:
-                victim = min(shadow_frames,
+                victim = min(shadow,
                              key=lambda p: (legacy._counts.get(p, 0), p))
                 if (legacy._counts.get(page, 0)
                         > legacy._counts.get(victim, 0)):
-                    del shadow_frames[victim]
-                    shadow_frames[page] = True
-            legacy.insert(page, True)
-            cache.insert(page, True)
-            assert set(legacy._frames) == set(shadow_frames)
+                    shadow.remove(victim)
+                    shadow.add(page)
+            legacy.insert(page)
+            assert legacy._pages == shadow
             assert observed(cache) == observed(legacy)
 
     @settings(max_examples=100, deadline=None)
@@ -189,7 +179,7 @@ class TestFrequencyCache:
         """Rejecting at the admission floor leaves the same residents and
         counters as popping the coldest resident on every full miss."""
         rng = np.random.default_rng(seed)
-        cache = FrequencyPageCache(capacity)
+        cache = FrequencyPageCacheLegacy(capacity)
         reference = FrequencyCacheReference(capacity)
         hot_pages = max(1, capacity // 2)
         for _ in range(600):
@@ -197,34 +187,22 @@ class TestFrequencyCache:
             page = int(rng.integers(0, bound))
             action = rng.random()
             if action < 0.1:  # admission without a prior lookup
-                cache.insert(page, page)
-                reference.insert(page, page)
+                cache.insert(page)
+                reference.insert(page)
                 continue
-            missed = cache.lookup(page) is MISS
-            assert missed == (reference.lookup(page) is MISS)
+            missed = not cache.lookup(page)
+            assert missed == (not reference.lookup(page))
             if missed and action < 0.95:
-                cache.insert(page, page)
-                reference.insert(page, page)
+                cache.insert(page)
+                reference.insert(page)
         assert observed(cache) == observed(reference)
-
-    def test_lookup_returns_inserted_frame(self):
-        cache = FrequencyPageCache(2)
-        cache.lookup(3)
-        cache.insert(3, "frame")
-        cache.update(3, "fresh")
-        cache.update(7, "absent")
-        assert cache.lookup(3) == "fresh"
-        assert cache.access(np.array([3])).tolist() == [False]
-        assert cache.lookup(7) is MISS
-        with pytest.raises(ValueError):
-            cache.lookup(-1)
 
 
 def observed(cache) -> tuple:
     """What a frequency cache shows: its resident pages, every page's
     access count and its hit/miss/eviction counters."""
     if isinstance(cache, FrequencyPageCacheLegacy):
-        resident = set(cache._frames)
+        resident = set(cache._pages)
         counts = {page: n for page, n in cache._counts.items() if n}
     else:
         resident = set(np.flatnonzero(cache._resident).tolist())
@@ -262,21 +240,11 @@ class TestFrequencyCacheBatch:
 
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(min_value=1, max_value=32),
-           seed=st.integers(min_value=0, max_value=2**32 - 1),
-           per_row=st.floats(min_value=0.0, max_value=0.3))
-    def test_matches_per_row_oracle(self, capacity, seed, per_row):
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_per_row_oracle(self, capacity, seed):
         rng = np.random.default_rng(seed)
         cache, legacy = self._pair(capacity)
         for ids in _batch_sequence(rng, capacity, 12):
-            if rng.random() < per_row and ids.size:
-                # Per-row calls between batches share the same state.
-                page = int(ids[0])
-                missed = cache.lookup(page) is MISS
-                assert missed == (legacy.lookup(page) is MISS)
-                if missed:
-                    cache.insert(page, None)
-                    legacy.insert(page, None)
-                continue
             self._check(cache, legacy, ids)
 
     def test_victim_later_in_batch_is_a_miss_and_an_event(self):
@@ -323,22 +291,19 @@ class FrequencyCacheReference(FrequencyPageCacheLegacy):
     """The frequency cache with no admission floor: every full-cache miss
     pops the coldest resident and pushes it back if the newcomer loses."""
 
-    def insert(self, page_id, frame):
-        if self.capacity_pages == 0:
+    def insert(self, page_id):
+        if self.capacity_pages == 0 or page_id in self._pages:
             return
-        if page_id in self._frames:
-            self._frames[page_id] = frame
-            return
-        if len(self._frames) < self.capacity_pages:
-            self._frames[page_id] = frame
+        if len(self._pages) < self.capacity_pages:
+            self._pages.add(page_id)
             heapq.heappush(self._heap,
                            (self._counts.get(page_id, 0), page_id))
             return
-        victim = self._pop_coldest()
+        victim = self._take_coldest()
         if self._counts.get(page_id, 0) > victim[0]:
-            del self._frames[victim[1]]
+            self._pages.remove(victim[1])
             self.evictions += 1
-            self._frames[page_id] = frame
+            self._pages.add(page_id)
             heapq.heappush(self._heap,
                            (self._counts.get(page_id, 0), page_id))
         else:
@@ -370,13 +335,13 @@ class PerRowHaloReference(HaloExchange):
         cache = self._caches[node]
         misses_by_peer: dict = {}
         for node_id in sorted_ids.tolist():
-            if cache is not None and cache.lookup(node_id) is not MISS:
+            if cache is not None and cache.lookup(node_id):
                 report.cache_hits += 1
                 continue
             owner = int(self.assignment[node_id])
             misses_by_peer[owner] = misses_by_peer.get(owner, 0) + 1
             if cache is not None:
-                cache.insert(node_id, True)
+                cache.insert(node_id)
         report.fetched_rows = report.requested_rows - report.cache_hits
         report.bytes_by_peer = {
             peer: rows * self.bytes_per_row

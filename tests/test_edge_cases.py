@@ -7,6 +7,7 @@ from repro.config import RunConfig
 from repro.core.match import MatchState
 from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
+from repro.pipeline.spec import ExecutionSpec
 from repro.sampling import NeighborSampler
 from repro.serve import ServeConfig
 
@@ -138,6 +139,33 @@ class TestRunConfigValidation:
             assert RunConfig(cache_ratio_override=ratio)
         assert RunConfig(num_gpus=1, hidden_dim=1, num_epochs=1,
                          reorder_window=1)
+        for access in ("direct", "bounce"):
+            for policy in ("lru", "partition"):
+                assert RunConfig(storage_access=access,
+                                 page_cache_policy=policy)
+
+    @pytest.mark.parametrize("value", ["mmap", "Direct", ""])
+    def test_unknown_storage_access(self, value):
+        """Every in-core framework ran an unknown path silently, and an
+        out-of-core one failed only when it built its loader."""
+        with pytest.raises(ConfigError, match="storage_access"):
+            RunConfig(storage_access=value)
+
+    @pytest.mark.parametrize("value", ["fifo", "freq", "LRU"])
+    def test_unknown_page_cache_policy(self, value):
+        """``"freq"`` is the cluster tier's remote-row cache; the storage
+        tier implements ``"lru"`` and ``"partition"`` only."""
+        with pytest.raises(ConfigError, match="page_cache_policy"):
+            RunConfig(page_cache_policy=value)
+
+
+class TestPipelineSpecValidation:
+    """The pipeline spec raises the API's typed error, not ``ValueError``
+    (its three checks are tested in ``tests/test_pipeline_graph.py``)."""
+
+    def test_mode_string_promotion_validates(self):
+        with pytest.raises(ConfigError, match="mode"):
+            ExecutionSpec(pipeline="warp")
 
 
 class TestServeConfigValidation:

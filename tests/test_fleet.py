@@ -16,11 +16,17 @@ Three Hypothesis properties pin the fleet's load-bearing claims:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from helpers import make_spec
 from repro.config import RunConfig
 from repro.errors import ConfigError
@@ -252,6 +258,40 @@ def test_autoscaler_rejects_zero_interval():
     config is refused before any fleet can run it."""
     with pytest.raises(ConfigError, match="interval_s must be > 0"):
         AutoscalerConfig(enabled=True, interval_s=0.0)
+
+
+@pytest.mark.parametrize("interval", [1e-20, 1e-12])
+def test_fleet_refuses_interval_that_never_reaches_backstop(interval):
+    """A tiny positive interval hung the fleet: at 1e-20 s the monitor's
+    ``now + interval`` rounds back to ``now``, so its runaway backstop is
+    never reached. The fleet refuses any interval that would need more
+    than ``MAX_MONITOR_SAMPLES`` samples to get there, before the
+    monitor starts. Runs in a subprocess under a timeout, so a
+    regression fails instead of hanging the suite."""
+    script = textwrap.dedent(f"""
+        from repro.errors import ConfigError
+        from repro.serve import AutoscalerConfig, FleetSpec, ServeConfig
+        from repro.serve.fleet import fleet_demo_dataset, simulate_fleet
+
+        fleet = FleetSpec(num_replicas=2, router="jsq",
+                          autoscaler=AutoscalerConfig(
+                              enabled=True, interval_s={interval!r}))
+        try:
+            simulate_fleet("dgl", fleet_demo_dataset(),
+                           serve_config=ServeConfig(num_requests=20),
+                           fleet=fleet)
+        except ConfigError as exc:
+            print(exc)
+        else:
+            raise SystemExit("the fleet ran")
+    """)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "interval_s" in done.stdout
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.pipeline import (
     DEFAULT_EXECUTION,
     ExecutionSpec,
@@ -259,15 +260,15 @@ class TestPipelinedEpochLayout:
 
 class TestSpecs:
     def test_pipeline_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ConfigError, match="mode"):
             PipelineSpec(mode="warp")
 
     def test_queue_depth_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PipelineSpec(queue_depth=0)
 
     def test_staleness_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PipelineSpec(staleness=-1)
 
     def test_execution_promotes_mode_string(self):

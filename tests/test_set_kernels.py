@@ -578,7 +578,7 @@ class TestAuditedSitesIdentity:
             scheduler = IOScheduler(
                 PageStore(HashFeatureStore(200, 4, seed=seed),
                           page_bytes=page_bytes), LRUPageCache(6))
-            return [scheduler.submit(np.array(r, dtype=np.int64))[0]
+            return [scheduler.submit(np.array(r, dtype=np.int64))
                     for r in requests]
 
         got = run()

@@ -1,17 +1,21 @@
 """Tests for the out-of-core storage tier (NVMe model, page store, page
 caches, IO scheduler, storage-backed loader)."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import DEFAULT_COST_MODEL, RunConfig
 from repro.errors import ConfigError
+from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.gpu.pcie import PCIeLink
 from repro.graph.features import HashFeatureStore
 from repro.pipeline.graph import stage_graph_makespan, stage_graph_reference
 from repro.sampling import NeighborSampler
 from repro.storage import (
-    MISS,
     IOScheduler,
     LRUPageCache,
     NVMeLink,
@@ -94,8 +98,7 @@ class TestPageStore:
         store = PageStore(backing, page_bytes=64)  # 4 rows/page
         start, count = store.page_rows(2)
         assert (start, count) == (8, 2)
-        rows = store.read_page(2)
-        assert rows.shape == (2, 4)
+        store.read_page(2)
         # The full page still crosses the link.
         assert store.bytes_read == 64
 
@@ -115,7 +118,7 @@ class TestPageStore:
     def test_stats_only_read(self):
         backing = HashFeatureStore(100, 4)
         store = PageStore(backing, page_bytes=64)
-        assert store.read_page(0, materialize=False) is None
+        assert store.read_page(0) is None
         assert store.pages_read == 1 and store.bytes_read == 64
         store.reset_stats()
         assert store.pages_read == 0
@@ -124,44 +127,49 @@ class TestPageStore:
         store = PageStore(HashFeatureStore(10, 4), page_bytes=64)
         with pytest.raises(IndexError):
             store.page_rows(99)
+        with pytest.raises(IndexError):
+            store.read_page(25)
+        assert store.pages_read == 0
 
 
 class TestLRUPageCache:
     def test_hit_miss_counting(self):
         cache = LRUPageCache(2)
-        assert cache.lookup(1) is MISS
-        cache.insert(1, "a")
-        assert cache.lookup(1) == "a"
+        assert cache.lookup(1) is False
+        cache.insert(1)
+        assert cache.lookup(1) is True
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
 
     def test_evicts_least_recent(self):
         cache = LRUPageCache(2)
-        cache.insert(1, "a")
-        cache.insert(2, "b")
+        cache.insert(1)
+        cache.insert(2)
         cache.lookup(1)  # 1 is now most recent
-        cache.insert(3, "c")
-        assert cache.lookup(2) is MISS
-        assert cache.lookup(1) == "a"
+        cache.insert(3)
+        assert not cache.lookup(2)
+        assert cache.lookup(1)
         assert cache.evictions == 1
+
+    def test_reinsert_refreshes_recency(self):
+        cache = LRUPageCache(2)
+        cache.insert(1)
+        cache.insert(2)
+        cache.insert(1)  # resident: moves to the recent end, no eviction
+        cache.insert(3)
+        assert cache.evictions == 1 and cache.num_resident == 2
+        assert not cache.lookup(2)
+        assert cache.lookup(1) and cache.lookup(3)
 
     def test_zero_capacity(self):
         cache = LRUPageCache(0)
-        cache.insert(1, "a")
+        cache.insert(1)
         assert cache.num_resident == 0
-
-    def test_update_only_resident(self):
-        cache = LRUPageCache(2)
-        cache.update(5, "x")
-        assert cache.num_resident == 0
-        cache.insert(5, None)
-        cache.update(5, "x")
-        assert cache.lookup(5) == "x"
 
     def test_resident_bytes(self):
         cache = LRUPageCache(4)
-        cache.insert(1, "a")
-        cache.insert(2, "b")
+        cache.insert(1)
+        cache.insert(2)
         assert cache.resident_bytes(4096) == 2 * 4096
 
 
@@ -171,18 +179,18 @@ class TestPartitionAwarePageCache:
         cache = PartitionAwarePageCache(2, hotness, pinned_fraction=1.0)
         assert cache.pinned_ids == {0, 1}
         for pid in range(6):
-            if cache.lookup(pid) is MISS:
-                cache.insert(pid, f"p{pid}")
+            if not cache.lookup(pid):
+                cache.insert(pid)
         # A full scan later, the hot pages are still resident.
-        assert cache.lookup(0) == "p0"
-        assert cache.lookup(1) == "p1"
+        assert cache.lookup(0)
+        assert cache.lookup(1)
 
     def test_cold_first_touch_is_miss(self):
         cache = PartitionAwarePageCache(1, np.array([1.0]),
                                         pinned_fraction=1.0)
-        assert cache.lookup(0) is MISS
-        cache.insert(0, "x")
-        assert cache.lookup(0) == "x"
+        assert not cache.lookup(0)
+        cache.insert(0)
+        assert cache.lookup(0)
 
     def test_beats_lru_on_cyclic_scan(self):
         """The workload the tier exists for: a scan wider than capacity.
@@ -193,8 +201,8 @@ class TestPartitionAwarePageCache:
         def run(cache):
             for _ in range(4):
                 for pid in range(num_pages):
-                    if cache.lookup(pid) is MISS:
-                        cache.insert(pid, pid)
+                    if not cache.lookup(pid):
+                        cache.insert(pid)
             return cache.hit_rate
 
         lru_rate = run(LRUPageCache(capacity))
@@ -232,6 +240,9 @@ class TestPartitionPageHotness:
             build_page_cache("partition", 2)
         with pytest.raises(ValueError):
             build_page_cache("fifo", 2)
+        # The frequency policy caches the cluster tier's remote rows only.
+        with pytest.raises(ValueError):
+            build_page_cache("freq", 2)
 
 
 class TestIOScheduler:
@@ -254,7 +265,7 @@ class TestIOScheduler:
 
     def test_submit_deduplicates_pages(self):
         sched = self._scheduler()  # 4 rows/page
-        plan, _ = sched.submit(np.array([0, 1, 2, 3, 0, 1]))
+        plan = sched.submit(np.array([0, 1, 2, 3, 0, 1]))
         assert plan.num_rows == 6
         assert plan.num_unique_pages == 1
         assert plan.page_misses == 1
@@ -263,26 +274,115 @@ class TestIOScheduler:
     def test_second_submit_hits(self):
         sched = self._scheduler()
         sched.submit(np.array([0, 1]))
-        plan, _ = sched.submit(np.array([2, 3]))
+        plan = sched.submit(np.array([2, 3]))
         assert plan.page_hits == 1 and plan.page_misses == 0
         assert plan.hit_rate == 1.0
 
     def test_stats_only_then_fetch_materializes_quietly(self):
-        sched = self._scheduler()
-        sched.submit(np.array([0, 1]), fetch=False)
-        pages_after_plan = sched.page_store.pages_read
-        plan, frames = sched.submit(np.array([0, 1]), fetch=True)
-        # The hit is served without touching the drive again.
-        assert plan.page_misses == 0
-        assert sched.page_store.pages_read == pages_after_plan
+        """A page the accounting admitted is a hit for a later functional
+        gather: it does not cross the drive again, and the rows are the
+        backing table's."""
+        store = StorageBackedFeatureStore(HashFeatureStore(64, 4),
+                                          page_bytes=64)
+        store.scheduler.submit(np.array([0, 1]))
+        pages_after_plan = store.page_store.pages_read
+        rows = store.gather(np.array([0, 1]))
+        assert store.last_plan.page_misses == 0
+        assert store.page_store.pages_read == pages_after_plan
         np.testing.assert_array_equal(
-            frames[0], sched.page_store.backing.gather(np.arange(4))
-        )
+            rows, store.backing.gather(np.array([0, 1])))
 
     def test_bad_max_coalesce(self):
         backing = HashFeatureStore(8, 4)
         with pytest.raises(ValueError):
             IOScheduler(PageStore(backing), LRUPageCache(1), max_coalesce=0)
+
+
+#: Accounting of a seeded 50-submit stream (see ``TestAccountingPins``):
+#: sha256 prefix of every plan's fields, the summed integer fields, the
+#: summed fault delay, the cache's hits/misses/evictions/resident pages
+#: and the page store's pages/bytes read. Recorded when the caches still
+#: stored page frames; an accounting-only tier must reproduce them.
+ACCOUNTING_PINS = {
+    ("lru", False, "submit"): (
+        "7b8c741af8774255", [2250, 1759, 671, 1088, 958, 278528, 0],
+        "0x0.0p+0", [671, 1088, 1040, 48], [1088, 278528]),
+    ("lru", True, "submit"): (
+        "4bdb72c8f8a4fc5c", [2250, 1759, 671, 1088, 958, 278528, 259],
+        "0x1.11be979636e1ep-5", [671, 1088, 1040, 48], [1088, 278528]),
+    ("lru", True, "gather"): (
+        "8438cfa8da694f35", [2250, 1759, 671, 1088, 958, 278528, 259],
+        "0x1.0e0f3c518eb82p-5", [671, 1088, 1040, 48], [1088, 278528]),
+    ("partition", False, "submit"): (
+        "a01f6968e40bbfde", [2250, 1759, 451, 1308, 999, 334848, 0],
+        "0x0.0p+0", [451, 1308, 0, 41], [1308, 334848]),
+    ("partition", True, "submit"): (
+        "4655126f96e4a50a", [2250, 1759, 451, 1308, 999, 334848, 277],
+        "0x1.1fb45340a6a4dp-5", [451, 1308, 0, 41], [1308, 334848]),
+    ("partition", True, "gather"): (
+        "a5deb1bed4104ec2", [2250, 1759, 451, 1308, 999, 334848, 277],
+        "0x1.1c04f7fbfe7b0p-5", [451, 1308, 0, 41], [1308, 334848]),
+}
+
+
+class TestAccountingPins:
+    """The scheduler's accounting over a long stream, pinned exactly.
+
+    3,000 rows of 32 bytes on 256-byte pages (375 pages), a 48-page
+    cache, and 50 submits of 45 rows (30 from a hot 40-page prefix): a
+    batch fits in the cache, the stream's working set does not.
+    Faults on means recovered ``storage_read`` errors plus
+    ``storage_slow`` delays; the ``submit`` path keys the delay with the
+    batch index on even submits, and ``gather`` (the functional store)
+    draws sequence keys.
+    """
+
+    NUM_NODES, PAGE_BYTES, CAPACITY = 3000, 256, 48
+
+    def _cache(self, policy, page_store):
+        if policy == "lru":
+            return LRUPageCache(self.CAPACITY)
+        hotness = partition_page_hotness(
+            page_store, np.arange(self.NUM_NODES) // 750,
+            train_ids=np.arange(0, 900, 2),
+            degrees=1.0 + np.arange(self.NUM_NODES) % 7)
+        return PartitionAwarePageCache(self.CAPACITY, hotness)
+
+    @pytest.mark.parametrize("policy, faults, path", list(ACCOUNTING_PINS))
+    def test_stream_matches_pins(self, policy, faults, path):
+        backing = HashFeatureStore(self.NUM_NODES, 8, seed=5)
+        store = StorageBackedFeatureStore(backing, page_bytes=self.PAGE_BYTES,
+                                          max_coalesce=4)
+        store.attach_cache(self._cache(policy, store.page_store))
+        fault_plan = FaultPlan(seed=7, sites={
+            "storage_read": FaultSpec(probability=0.2, max_failures=2),
+            "storage_slow": FaultSpec(probability=0.5, delay_s=2e-4),
+        }) if faults else None
+        rng = np.random.default_rng(2024)
+        rows = []
+        with fault_scope(fault_plan):
+            for i in range(50):
+                ids = np.concatenate([rng.integers(0, 320, size=30),
+                                      rng.integers(0, self.NUM_NODES,
+                                                   size=15)])
+                if path == "gather":
+                    np.testing.assert_array_equal(store.gather(ids),
+                                                  backing.gather(ids))
+                    plan = store.last_plan
+                else:
+                    plan = store.scheduler.submit(
+                        ids, key=i if i % 2 == 0 else None)
+                fields = dataclasses.astuple(plan)
+                rows.append(list(fields[:-1]) + [fields[-1].hex()])
+        cache, pages = store.cache, store.page_store
+        got = (
+            hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16],
+            np.array([r[:-1] for r in rows]).sum(axis=0).tolist(),
+            float(sum(float.fromhex(r[-1]) for r in rows)).hex(),
+            [cache.hits, cache.misses, cache.evictions, cache.num_resident],
+            [pages.pages_read, pages.bytes_read],
+        )
+        assert got == ACCOUNTING_PINS[policy, faults, path]
 
 
 def storage_pipeline(samples, reads, trains, depth=None):
@@ -401,8 +501,11 @@ class TestStorageBackedLoader:
         assert fresh.num_reused == 0
 
     def test_load_returns_true_rows(self, tiny_dataset, subgraphs):
+        """A batch loaded through the tier (the loader's plan, then the
+        store's gather) trains on the table's true rows."""
         loader = build_storage_loader(tiny_dataset, self._config())
-        features, report = loader.load(subgraphs[0])
+        report = loader.plan(subgraphs[0])
+        features = loader.store.gather(subgraphs[0].input_nodes)
         expected = tiny_dataset.features.gather(subgraphs[0].input_nodes)
         np.testing.assert_array_equal(features, expected)
         assert report.num_loaded == subgraphs[0].num_nodes

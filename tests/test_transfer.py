@@ -123,13 +123,6 @@ class TestNaiveLoader:
         )
         assert report.structure_bytes == subgraphs[0].structure_bytes()
 
-    def test_load_returns_features(self, subgraphs, tiny_dataset):
-        loader = NaiveLoader(tiny_dataset.features)
-        features, report = loader.load(subgraphs[0])
-        assert features.shape == (subgraphs[0].num_nodes,
-                                  tiny_dataset.feature_dim)
-        assert report.num_loaded == subgraphs[0].num_nodes
-
 
 class TestCachedLoader:
     def test_loads_only_misses(self, subgraphs, tiny_dataset):
