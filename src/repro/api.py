@@ -20,9 +20,8 @@ instance, and a dataset as a registry name or a
 :class:`~repro.graph.datasets.Dataset`.
 
 The *what to run* knobs stay individual (``config``, ``model``,
-``sampler``); everything describing *where and how* execution happens —
-device spec, cluster shape, worker processes, fault plan, epoch
-pipelining — travels in one frozen
+``sampler``); everything describing *where and how* an epoch executes —
+cluster shape, fault plan, epoch pipelining — travels in one frozen
 :class:`~repro.pipeline.ExecutionSpec` passed as ``exec``::
 
     report = run(
@@ -31,6 +30,9 @@ pipelining — travels in one frozen
         exec=ExecutionSpec(cluster=ClusterSpec(num_nodes=2),
                            pipeline="pipelined"),
     )
+
+A different simulated device is a framework instance built with it:
+``run(FastGLFramework(spec=A100), "products")``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.config import RunConfig
+from repro.errors import ConfigError
 from repro.frameworks.base import EpochReport, Framework
 from repro.frameworks.registry import available_frameworks, create, resolve
 from repro.graph.datasets import Dataset, get_dataset
@@ -73,14 +76,6 @@ def _coerce_dataset(dataset: DatasetLike, seed: int) -> Dataset:
     return dataset
 
 
-def _coerce_execution(exec) -> ExecutionSpec:
-    if exec is None:
-        return ExecutionSpec()
-    if not isinstance(exec, ExecutionSpec):
-        raise TypeError(f"exec must be an ExecutionSpec, got {exec!r}")
-    return exec
-
-
 def run(
     framework: FrameworkLike,
     dataset: DatasetLike,
@@ -97,7 +92,8 @@ def run(
     framework:
         Registry name (``"fastgl"``, ``"dgl"``, ...), a
         :class:`~repro.frameworks.base.Framework` subclass, or an
-        instance.
+        instance (how to run on another device:
+        ``FastGLFramework(spec=A100)``).
     dataset:
         Dataset registry name or a constructed
         :class:`~repro.graph.datasets.Dataset`.
@@ -105,25 +101,27 @@ def run(
         :class:`~repro.config.RunConfig`; defaults to ``RunConfig()``.
     exec:
         :class:`~repro.pipeline.ExecutionSpec` bundling the execution
-        environment: ``gpu_spec`` (device override, applied when
-        ``framework`` is given by name or class), ``cluster``
+        environment: ``cluster``
         (:class:`~repro.cluster.spec.ClusterSpec` — ``config`` then
-        describes one node), ``jobs`` (worker processes for the trainer
-        lanes), ``faults`` (a fault plan installed for the run), and
-        ``pipeline`` (``"off"`` | ``"pipelined"`` or a
-        :class:`~repro.pipeline.PipelineSpec`).
+        describes one node), ``faults`` (a fault plan installed for the
+        run), and ``pipeline`` (``"off"`` | ``"pipelined"`` or a
+        :class:`~repro.pipeline.PipelineSpec`). Anything else raises
+        :class:`~repro.errors.ConfigError`.
     model:
         Model profile name (``"gcn"``, ``"gat"``, ``"graphsage"``).
     sampler:
         Optional pre-built sampler, forwarded to ``run_epoch``.
     """
-    execution = _coerce_execution(exec)
+    if exec is None:
+        exec = ExecutionSpec()
+    elif not isinstance(exec, ExecutionSpec):
+        raise ConfigError(f"exec must be an ExecutionSpec, got {exec!r}")
     if config is None:
         config = RunConfig()
-    instance = resolve(framework, spec=execution.gpu_spec)
+    instance = resolve(framework)
     data = _coerce_dataset(dataset, config.seed)
     return instance.run_epoch(data, config, model_name=model,
-                              sampler=sampler, execution=execution)
+                              sampler=sampler, execution=exec)
 
 
 def serve(
@@ -133,7 +131,6 @@ def serve(
     run_config: Optional[RunConfig] = None,
     serve_config: Optional[ServeConfig] = None,
     model: str = "gcn",
-    exec: Optional[ExecutionSpec] = None,
     fleet: Optional[FleetSpec] = None,
 ) -> Union[ServeReport, FleetReport]:
     """Simulate online inference serving (see :mod:`repro.serve`).
@@ -142,9 +139,6 @@ def serve(
     ``serve_config`` (a :class:`~repro.serve.server.ServeConfig`)
     describes the request workload and micro-batching policy, and
     ``run_config`` carries the sampling fanouts, seed, and cost model.
-    ``exec`` carries the same :class:`~repro.pipeline.ExecutionSpec` as
-    :func:`run`; serving uses its ``gpu_spec`` (the other fields
-    describe epoch training and do not apply).
 
     With ``fleet=FleetSpec(...)`` the simulation runs N replicas behind
     the spec's router/autoscaler/cache-tier policies and returns a
@@ -152,7 +146,6 @@ def serve(
     round-robin fleet is bit-identical to the default path — the fleet
     conformance suite pins this).
     """
-    execution = _coerce_execution(exec)
     if run_config is None:
         run_config = RunConfig(num_gpus=1)
     data = _coerce_dataset(dataset, run_config.seed)
@@ -164,7 +157,6 @@ def serve(
             serve_config=serve_config,
             fleet=fleet,
             model=model,
-            spec=execution.gpu_spec,
         )
     return _simulate(
         framework,
@@ -172,5 +164,4 @@ def serve(
         run_config=run_config,
         serve_config=serve_config,
         model=model,
-        spec=execution.gpu_spec,
     )

@@ -89,8 +89,9 @@ class WorkerCrashError(FaultError):
     """A parallel worker process died more times than the crash budget.
 
     Models the loss of a GPU worker (OOM kill, XID error, node loss); the
-    executor reassigns the chunk to a fresh worker up to ``max_crashes``
-    times before giving up with this error.
+    pool reassigns the chunk (one task) to a fresh worker up to
+    :data:`repro.parallel.MAX_CRASHES` times before giving up with this
+    error.
     """
 
     def __init__(self, chunk_index: int, crashes: int) -> None:
@@ -103,23 +104,20 @@ class WorkerCrashError(FaultError):
 
 
 class ParallelTaskError(ReproError, RuntimeError):
-    """A task raised inside :class:`repro.parallel.ParallelExecutor`.
+    """A task raised inside :func:`repro.parallel.parallel_map`.
 
-    Carries the *global task index* and the map's seed so a failing chunk
-    can be re-run in isolation (``fn(items[task_index],
-    task_rng(seed, task_index))``). Both the forked and the serial path
-    raise this same type; the original exception is chained as
-    ``__cause__`` (serial) or appended as the worker traceback (forked).
+    Carries the task's index into the mapped items so a failing task can
+    be re-run in isolation (``fn(items[task_index])``). Both the forked
+    and the serial path raise this same type; the original exception is
+    chained as ``__cause__`` (serial) or appended as the worker traceback
+    (forked).
     """
 
-    def __init__(self, task_index: int, seed: int | None, cause: str,
+    def __init__(self, task_index: int, cause: str,
                  worker_traceback: str | None = None) -> None:
         self.task_index = int(task_index)
-        self.seed = seed
         self.worker_traceback = worker_traceback
-        message = (
-            f"parallel task {task_index} (seed={seed!r}) failed: {cause}"
-        )
+        message = f"parallel task {task_index} failed: {cause}"
         if worker_traceback:
             message += f"\n--- worker traceback ---\n{worker_traceback}"
         super().__init__(message)

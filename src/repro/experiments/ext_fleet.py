@@ -53,8 +53,7 @@ def _fleet_config(seed: int, **overrides) -> ServeConfig:
 
 
 def run_routing(dataset_name: str = "fleet-smoke",
-                config: RunConfig | None = None,
-                jobs: int = 1) -> ExperimentResult:
+                config: RunConfig | None = None) -> ExperimentResult:
     config = config or RunConfig(num_gpus=1, seed=0)
     dataset = fleet_demo_dataset(dataset_name, seed=config.seed)
     result = ExperimentResult(
@@ -98,8 +97,7 @@ def run_routing(dataset_name: str = "fleet-smoke",
 
 
 def run_scaling(dataset_name: str = "fleet-smoke",
-                config: RunConfig | None = None,
-                jobs: int = 1) -> ExperimentResult:
+                config: RunConfig | None = None) -> ExperimentResult:
     config = config or RunConfig(num_gpus=1, seed=0)
     dataset = fleet_demo_dataset(dataset_name, seed=config.seed)
     result = ExperimentResult(
@@ -144,8 +142,7 @@ def run_scaling(dataset_name: str = "fleet-smoke",
 
 
 def run_chaos(dataset_name: str = "fleet-smoke",
-              config: RunConfig | None = None,
-              jobs: int = 1) -> ExperimentResult:
+              config: RunConfig | None = None) -> ExperimentResult:
     config = config or RunConfig(num_gpus=1, seed=0)
     dataset = fleet_demo_dataset(dataset_name, seed=config.seed)
     result = ExperimentResult(

@@ -167,7 +167,7 @@ class FaultPlan:
         """Advance ``site``'s sequence by ``count`` keys and return the
         first. The caller hands ``first + i`` to its ``i``-th operation,
         so the keys stay the ones ``count`` :meth:`next_key` calls would
-        draw here, even when the operations run in forked workers."""
+        draw here, whatever order the operations then run in."""
         with self._lock:
             first = self._counters.get(site, 0)
             self._counters[site] = first + count

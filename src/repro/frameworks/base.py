@@ -44,7 +44,6 @@ from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
 from repro.nn import Adam, Tensor, build_model, cross_entropy
 from repro.obs import get_registry
-from repro.parallel import ParallelExecutor, TransportStats
 from repro.pipeline import (
     ExecutionSpec,
     PipelineSpec,
@@ -175,10 +174,6 @@ class EpochReport:
     #: The modeled timeline as :func:`~repro.pipeline.epoch.make_span`
     #: dicts (see :meth:`timeline` for typed spans).
     spans: list = field(default_factory=list)
-    #: What the lane executor moved, summed over epochs (``mode`` is the
-    #: last epoch's). Job-dependent diagnostics: conformance comparisons
-    #: leave it out.
-    transport: TransportStats = field(default_factory=TransportStats)
     #: Stage-graph accounting of pipelined runs
     #: (:func:`repro.pipeline.epoch.merge_pipeline_info`).
     pipeline: dict | None = None
@@ -424,7 +419,6 @@ class _EpochRun:
     cluster: object
     model: object
     optimizer: object
-    executor: ParallelExecutor
     pipeline: PipelineSpec
     #: Seconds of one sync round's intra-node allreduce and of its
     #: inter-node hop (0.0 off-cluster).
@@ -500,16 +494,6 @@ class Framework:
         ``execution`` (an :class:`~repro.pipeline.ExecutionSpec`)
         bundles every execution-environment knob:
 
-        * ``jobs > 1`` computes the per-trainer lanes (reorder +
-          transfer planning + compute modeling) in forked worker
-          processes via :mod:`repro.parallel`. Sampling stays in the
-          parent (the shared sampler RNG's consumption order must not
-          depend on the job count), as do model training and the final
-          accumulation — both run over the lanes' returned records in
-          lane order, so the report and merged metrics are
-          bit-identical to ``jobs=1``. Multi-epoch runs with loaders
-          that carry state across epochs (the SSD page caches) fall
-          back to in-process lanes.
         * ``cluster`` (a :class:`~repro.cluster.spec.ClusterSpec`)
           scales the run across simulated machines: ``config.num_gpus``
           describes *one* node, global trainer lanes multiply by
@@ -604,13 +588,6 @@ class Framework:
                 seed=rngs.child_seed("model"),
             )
             optimizer = Adam(model.parameters(), lr=3e-3)
-        # Multi-epoch runs with cross-epoch loader state (SSD page
-        # caches) must evolve that state in the parent process.
-        lane_jobs = execution.jobs
-        if config.num_epochs > 1 and any(
-            loader.carries_state_across_epochs for loader in loaders
-        ):
-            lane_jobs = 1
         # Observability handles, fetched once per run. With the registry
         # disabled these are the shared no-op singletons, so the
         # per-batch path performs only no-op method calls.
@@ -632,7 +609,6 @@ class Framework:
             cluster=cluster,
             model=model,
             optimizer=optimizer,
-            executor=ParallelExecutor(jobs=lane_jobs),
             pipeline=execution.pipeline,
             # One sync round: the NCCL allreduce across a node's trainers
             # (0.0 at one GPU), then on cluster runs the inter-node hop.
@@ -660,8 +636,8 @@ class Framework:
         """Place one epoch's mini-batches on the trainer lanes and sample
         them; returns ``(chunks, subgraphs)``, one list per lane.
 
-        Sampling runs in the parent: the shared sampler RNG's draw order
-        is part of the results and must not depend on the job count.
+        One shared sampler draws every lane's batches, lane-major: its
+        RNG's draw order is part of the results.
         """
         batches = run.plan.batches(run.rngs.child(f"epoch-shuffle:{epoch}"))
         if run.cluster is not None:
@@ -677,35 +653,22 @@ class Framework:
         return chunks, subgraphs
 
     def _price_lanes(self, run: _EpochRun, subgraphs: list) -> list:
-        """Run every lane's :meth:`run_lane` (in forked workers when
-        ``jobs > 1``); returns each lane's ``(position, BatchCost)``
-        pairs in execution order.
-
-        Lanes come back in lane order, and worker-side metric snapshots
-        (loader counters, reorder histograms, storage schedulers) merge
-        in lane order too — the serial path runs the identical
-        fresh-registry protocol, so the merged registry is the same at
-        any job count.
-        """
+        """Run every lane's :meth:`run_lane`, in lane order; returns each
+        lane's ``(position, BatchCost)`` pairs in execution order."""
         # The epoch's pcie_stall keys, reserved lane-major, one per batch:
-        # the sequence one process draws, whichever worker prices a lane.
+        # a batch's key depends only on its lane and position, and the
+        # out-of-core loaders' storage_slow draw reuses it.
         sizes = [len(lane) for lane in subgraphs]
         first = get_fault_plan().reserve_keys("pcie_stall", sum(sizes))
-        firsts = list(accumulate(sizes[:-1], initial=first))
-
-        def lane_task(t):
-            # PCIe contention is per node: only the trainers sharing one
-            # host link compete (== all trainers without a cluster).
-            return self.run_lane(subgraphs[t], run.sampler, run.loaders[t],
-                                 run.config, run.costs,
-                                 run.per_node_trainers,
-                                 first_key=firsts[t])
-
-        lanes = run.executor.map(lane_task, range(len(subgraphs)))
-        moved, total = run.executor.last_transport, run.report.transport
-        total.mode = moved.mode
-        total.ipc_bytes += moved.ipc_bytes
-        return lanes
+        firsts = accumulate(sizes[:-1], initial=first)
+        # PCIe contention is per node: only the trainers sharing one host
+        # link compete (== all trainers without a cluster).
+        return [
+            self.run_lane(lane, run.sampler, loader, run.config, run.costs,
+                          run.per_node_trainers, first_key=first_key)
+            for lane, loader, first_key in zip(subgraphs, run.loaders,
+                                               firsts)
+        ]
 
     def _account_batch(self, run: _EpochRun, t: int, batch: BatchCost,
                        subgraph: SampledSubgraph, seeds: np.ndarray) -> None:
@@ -714,9 +677,8 @@ class Framework:
         training step and the workspace peak."""
         report, phases, obs = run.report, run.report.phases, run.obs_phase
         if run.cluster is not None:
-            # Halo exchange runs in the parent, lane-major: the per-node
-            # remote caches must evolve in one deterministic order
-            # regardless of the job count.
+            # Halo exchange runs lane-major, after pricing: the per-node
+            # remote caches evolve in one deterministic order.
             batch.network = run.cluster.batch_network_time(t, subgraph)
         comp = batch.compute
         phases.sample += batch.sample
@@ -836,12 +798,11 @@ class Framework:
         """One trainer lane's post-sampling work: reorder each window,
         then price the batches in execution order.
 
-        Returns ``(position, BatchCost)`` pairs in execution order. Pure
-        with respect to the caller's accumulators, so ``run_epoch`` can
-        run it in a forked worker. Metric side effects (loader counters,
-        reorder histograms) go to whatever registry is current — the
-        executor's per-chunk registry protocol captures and merges them.
-        With ``first_key``, the ``i``-th priced batch gets ``pcie_stall``
+        Returns ``(position, BatchCost)`` pairs in execution order, and
+        leaves the caller's accumulators alone: ``run_epoch`` folds the
+        records in afterwards. Metric side effects (loader counters,
+        reorder histograms) go to the current registry. With
+        ``first_key``, the ``i``-th priced batch gets ``pcie_stall``
         key ``first_key + i``; without it, the next keys in sequence.
         """
         loader.reset_epoch()

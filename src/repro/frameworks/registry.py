@@ -46,13 +46,10 @@ def available_frameworks() -> tuple:
     return tuple(sorted(FRAMEWORKS))
 
 
-def create(name: str, *, spec=None, **kwargs):
-    """Instantiate the framework registered under ``name``.
-
-    ``spec`` (a :class:`repro.gpu.spec.GPUSpec`) selects the simulated
-    device; remaining keyword arguments pass through to the framework
-    constructor.
-    """
+def create(name: str, **kwargs):
+    """Instantiate the framework registered under ``name``; keyword
+    arguments (such as ``spec``, the simulated
+    :class:`repro.gpu.spec.GPUSpec`) pass through to its constructor."""
     try:
         cls = FRAMEWORKS[name]
     except KeyError:
@@ -60,15 +57,13 @@ def create(name: str, *, spec=None, **kwargs):
             f"unknown framework {name!r}; available: "
             f"{list(available_frameworks())}"
         ) from None
-    if spec is not None:
-        kwargs["spec"] = spec
     return cls(**kwargs)
 
 
-def resolve(framework, *, spec=None):
+def resolve(framework):
     """Coerce a name, class, or instance into a framework instance."""
     if isinstance(framework, str):
-        return create(framework, spec=spec)
+        return create(framework)
     if isinstance(framework, type):
-        return framework(**({"spec": spec} if spec is not None else {}))
+        return framework()
     return framework

@@ -3,21 +3,22 @@
 :class:`PipelineSpec` describes *how* an epoch's phases are scheduled —
 phase-sequential per mini-batch (the classic driver) or overlapped
 through the bounded stage-graph pipeline of :mod:`repro.pipeline.graph`
-— and :class:`ExecutionSpec` bundles every execution-environment knob
-the front door used to scatter across keyword arguments (``cluster=``,
-``jobs=``, ambient fault plans, GPU spec overrides) into one frozen,
-hashable value that :func:`repro.api.run`, :func:`repro.api.serve` and
-:meth:`repro.frameworks.base.Framework.run_epoch` all accept uniformly.
+— and :class:`ExecutionSpec` bundles the execution-environment knobs of a
+training epoch (cluster shape, fault plan, epoch scheduling) into one
+frozen, hashable value that :func:`repro.api.run` and
+:meth:`repro.frameworks.base.Framework.run_epoch` accept uniformly.
 
 Both are frozen dataclasses: safe as dict keys (the experiment runner
-memoizes on them) and safe to share across forked worker processes.
+memoizes on them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigError
+from repro.faults.plan import FaultPlan
 
 #: Allowed pipeline modes.
 PIPELINE_MODES = ("off", "pipelined")
@@ -71,31 +72,23 @@ PIPELINE_OFF = PipelineSpec()
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """Everything about *where and how* a run executes, in one value.
+    """Everything about *where and how* an epoch executes, in one value.
 
-    Bundles the knobs that used to ride as scattered keyword arguments
-    (``api.run(spec=..., cluster=...)``, ``run_epoch(..., jobs=...)``,
-    fault plans installed ambiently around the call) plus the new
-    pipeline controls. The model/dataset/cost knobs stay in
-    :class:`~repro.config.RunConfig`; this spec is orthogonal to them —
-    the same config can run sequentially on one node or pipelined
-    across a simulated cluster by swapping only the ``ExecutionSpec``.
+    The model/dataset/cost knobs stay in :class:`~repro.config.RunConfig`;
+    this spec is orthogonal to them — the same config can run
+    sequentially on one node or pipelined across a simulated cluster by
+    swapping only the ``ExecutionSpec``. Every trainer lane is priced in
+    the calling process. A field of the wrong type raises
+    :class:`~repro.errors.ConfigError` at construction.
     """
 
     #: Optional :class:`~repro.cluster.spec.ClusterSpec` scaling the run
     #: across simulated machines (``RunConfig`` then describes one node).
-    cluster: object | None = None
-    #: Worker processes for the per-trainer lanes (see
-    #: :mod:`repro.parallel`); 1 = in-process, 0 = all cores.
-    jobs: int = 1
+    cluster: ClusterSpec | None = None
     #: Optional :class:`~repro.faults.FaultPlan` installed for the span
     #: of the run (replaces wrapping the call in ``fault_scope`` by
     #: hand; an ambient scope still works when this is ``None``).
-    faults: object | None = None
-    #: Optional :class:`~repro.gpu.spec.GPUSpec` override, applied when
-    #: the framework is given by registry name or class (an already-
-    #: constructed instance keeps its own spec).
-    gpu_spec: object | None = None
+    faults: FaultPlan | None = None
     #: Epoch scheduling (see :class:`PipelineSpec`). A bare mode string
     #: (``"off"`` / ``"pipelined"``) is promoted to a spec.
     pipeline: PipelineSpec = field(default=PIPELINE_OFF)
@@ -105,13 +98,21 @@ class ExecutionSpec:
             object.__setattr__(self, "pipeline",
                                PipelineSpec(mode=self.pipeline))
         elif not isinstance(self.pipeline, PipelineSpec):
-            raise TypeError(
+            raise ConfigError(
                 "pipeline must be a PipelineSpec or a mode string, got "
                 f"{type(self.pipeline).__name__}"
             )
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = all cores)")
+        if not isinstance(self.cluster, (ClusterSpec, type(None))):
+            raise ConfigError(
+                "cluster must be a ClusterSpec or None, got "
+                f"{type(self.cluster).__name__}"
+            )
+        if not isinstance(self.faults, (FaultPlan, type(None))):
+            raise ConfigError(
+                "faults must be a FaultPlan or None, got "
+                f"{type(self.faults).__name__}"
+            )
 
 
-#: The default execution: single node, in-process lanes, pipeline off.
+#: The default execution: single node, no fault plan, pipeline off.
 DEFAULT_EXECUTION = ExecutionSpec()

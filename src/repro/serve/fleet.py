@@ -405,12 +405,11 @@ def simulate_fleet(
     serve_config: ServeConfig | None = None,
     fleet: FleetSpec | None = None,
     model: str = "gcn",
-    spec=None,
 ) -> FleetReport:
     """Build one serving profile for ``framework`` and run one fleet
     whose every replica starts from a copy of it."""
     template = ServingProfile.build(framework, dataset,
                                     run_config or RunConfig(num_gpus=1),
-                                    model=model, spec=spec)
+                                    model=model)
     return FleetSim(template.copy, serve_config or ServeConfig(),
                     fleet or FleetSpec()).run()

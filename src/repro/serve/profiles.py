@@ -65,17 +65,12 @@ class ServingProfile:
 
     @classmethod
     def build(cls, framework, dataset, config: RunConfig | None = None,
-              model: str = "gcn", spec=None) -> "ServingProfile":
+              model: str = "gcn") -> "ServingProfile":
         """Accepts a framework name, class, or instance."""
-        from repro.frameworks import create
+        from repro.frameworks.registry import resolve
 
-        if isinstance(framework, str):
-            kwargs = {"spec": spec} if spec is not None else {}
-            framework = create(framework, **kwargs)
-        elif isinstance(framework, type):
-            framework = framework(**({"spec": spec} if spec else {}))
-        return cls(framework, dataset, config or RunConfig(num_gpus=1),
-                   model=model)
+        return cls(resolve(framework), dataset,
+                   config or RunConfig(num_gpus=1), model=model)
 
     def copy(self) -> "ServingProfile":
         """An independent copy of this never-served profile: it starts

@@ -653,10 +653,9 @@ def simulate(
     run_config: RunConfig | None = None,
     serve_config: ServeConfig | None = None,
     model: str = "gcn",
-    spec=None,
 ) -> ServeReport:
     """Build a profile for ``framework`` and run one serving simulation."""
     run_config = run_config or RunConfig(num_gpus=1)
     profile = ServingProfile.build(framework, dataset, run_config,
-                                   model=model, spec=spec)
+                                   model=model)
     return ServerSim(profile, serve_config).run()

@@ -186,7 +186,9 @@ class PartitionAwarePageCache(PageCache):
         if page_id in self.pinned_ids:
             self._pinned.add(page_id)
             return
+        before = self._lru.evictions
         self._lru.insert(page_id)
+        self.evictions += self._lru.evictions - before
 
     def reset_stats(self) -> None:
         super().reset_stats()

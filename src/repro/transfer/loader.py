@@ -84,12 +84,6 @@ class TransferReport:
 class FeatureLoader(ABC):
     """Per-mini-batch feature-loading strategy."""
 
-    #: Whether state survives :meth:`reset_epoch` (e.g. a warm page
-    #: cache). The epoch driver only runs trainer lanes in forked workers
-    #: when this is False or the run is single-epoch — otherwise the
-    #: parent's loader would miss the state evolved inside the fork.
-    carries_state_across_epochs = False
-
     def __init__(self, store: FeatureStore) -> None:
         self.store = store
 

@@ -117,11 +117,6 @@ class StorageBackedLoader(FeatureLoader):
     is formed, so overlap reduces SSD traffic at the source.
     """
 
-    #: The page cache stays warm across epochs, so multi-epoch runs must
-    #: keep this loader's lane in the parent process (see the epoch
-    #: driver's jobs handling).
-    carries_state_across_epochs = True
-
     def __init__(
         self,
         store: StorageBackedFeatureStore,

@@ -55,9 +55,10 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-def array_payload(index: int, rng: np.random.Generator) -> dict:
-    """A seeded executor task whose result carries arrays: float32
-    features, int64 IDs at or above 2**40 and a float loss."""
+def array_payload(index: int) -> dict:
+    """A parallel task seeded by its item whose result carries arrays:
+    float32 features, int64 IDs at or above 2**40 and a float loss."""
+    rng = np.random.default_rng(index)
     return {
         "features": rng.standard_normal((64, 32)).astype(np.float32),
         "ids": rng.integers(1 << 40, 1 << 41, 64),

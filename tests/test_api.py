@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.config import RunConfig
+from repro.errors import ConfigError
 from repro.frameworks import (
     DGLFramework,
     FastGLFramework,
@@ -97,7 +98,7 @@ class TestRunFacade:
             api.run("fastgl", dataset, config)  # noqa: intentional misuse
 
     def test_run_rejects_non_spec_exec(self, dataset, config):
-        with pytest.raises(TypeError, match="ExecutionSpec"):
+        with pytest.raises(ConfigError, match="ExecutionSpec"):
             api.run("dgl", dataset, config=config, exec="pipelined")
 
     def test_run_default_config(self, dataset):

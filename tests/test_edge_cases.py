@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import RunConfig
 from repro.core.match import MatchState
 from repro.errors import ConfigError
@@ -166,6 +167,33 @@ class TestPipelineSpecValidation:
     def test_mode_string_promotion_validates(self):
         with pytest.raises(ConfigError, match="mode"):
             ExecutionSpec(pipeline="warp")
+
+
+class TestExecutionSpecValidation:
+    """A ``cluster`` or ``faults`` of the wrong type used to construct
+    fine and fail mid-run with ``AttributeError``, and a bad
+    ``pipeline`` or ``api.run(exec=...)`` raised ``TypeError``; all four
+    raise the API's typed error up front."""
+
+    @pytest.mark.parametrize("value", [5, "two", {"num_nodes": 2}])
+    def test_cluster_must_be_a_cluster_spec(self, value):
+        with pytest.raises(ConfigError, match="cluster"):
+            ExecutionSpec(cluster=value)
+
+    @pytest.mark.parametrize("value", ["chaos", 0.3, {"pcie_stall": 1}])
+    def test_faults_must_be_a_fault_plan(self, value):
+        with pytest.raises(ConfigError, match="faults"):
+            ExecutionSpec(faults=value)
+
+    @pytest.mark.parametrize("value", [2, None, ("pipelined",)])
+    def test_pipeline_must_be_a_spec_or_mode(self, value):
+        with pytest.raises(ConfigError, match="pipeline"):
+            ExecutionSpec(pipeline=value)
+
+    @pytest.mark.parametrize("value", ["pipelined", {"faults": None}, 1])
+    def test_api_run_exec_must_be_an_execution_spec(self, value):
+        with pytest.raises(ConfigError, match="ExecutionSpec"):
+            api.run("dgl", "products", exec=value)
 
 
 class TestServeConfigValidation:

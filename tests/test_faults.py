@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
+from repro.config import RunConfig
 from repro.core.match import MatchState
 from repro.errors import (
     FaultError,
@@ -31,6 +33,7 @@ from repro.faults import (
 from repro.obs import get_registry, set_registry
 from repro.obs.exporters import flatten_snapshot, to_snapshot
 from repro.obs.registry import MetricsRegistry
+from repro.pipeline import ExecutionSpec
 from repro.sampling import NeighborSampler
 from repro.graph.features import HashFeatureStore
 from repro.storage import IOScheduler, LRUPageCache, PageStore
@@ -379,6 +382,31 @@ class TestLoaderFaults:
         report = loader.plan(subgraphs[1])
         assert report.num_reused == 0
         assert report.num_loaded == subgraphs[1].num_nodes
+
+
+class TestTypedErrorsFromApi:
+    """An unrecovered fault leaves ``api.run`` as its own typed
+    :class:`FaultError`, whichever framework's lane raised it."""
+
+    @staticmethod
+    def _run(framework, dataset, site):
+        plan = FaultPlan(seed=0, sites={
+            site: FaultSpec(probability=1.0, max_failures=9)})
+        config = RunConfig(num_gpus=2, batch_size=64, fanouts=(3, 4))
+        return api.run(framework, dataset, config=config,
+                       exec=ExecutionSpec(faults=plan))
+
+    @pytest.mark.parametrize("framework", ["dgl", "dgl-ooc"])
+    def test_pcie_stall_raises_transfer_stall(self, framework,
+                                              tiny_dataset):
+        with pytest.raises(TransferStallError) as excinfo:
+            self._run(framework, tiny_dataset, "pcie_stall")
+        assert isinstance(excinfo.value, FaultError)
+
+    def test_storage_read_raises_storage_read_error(self, tiny_dataset):
+        with pytest.raises(StorageReadError) as excinfo:
+            self._run("dgl-ooc", tiny_dataset, "storage_read")
+        assert isinstance(excinfo.value, FaultError)
 
 
 class TestMatchInvalidation:

@@ -2,9 +2,8 @@
 
 The engine's promise is that ``jobs`` is a throughput knob, never a
 semantics knob: any job count produces bit-identical results and merged
-metrics. That is checked at all three integration points — the raw
-executor, the experiment suite sharding, and the epoch driver's
-per-trainer lanes.
+metrics. That is checked at both integration points — the raw
+:func:`~repro.parallel.parallel_map` and the experiment suite sharding.
 """
 
 import os
@@ -17,20 +16,15 @@ import pytest
 
 import repro
 from helpers import array_payload, assert_payloads_equal
-from repro.config import RunConfig
-from repro.frameworks import FastGLFramework
-from repro.obs import get_registry, set_registry
+from repro.obs import get_registry, instrumented, set_registry
 from repro.obs.exporters import flatten_snapshot, to_snapshot
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline import ExecutionSpec
 from repro.parallel import (
-    ParallelExecutor,
     ParallelTaskError,
     fork_available,
     parallel_map,
     resolve_jobs,
     strip_transport_metrics,
-    task_rng,
 )
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -39,6 +33,15 @@ needs_fork = pytest.mark.skipif(not fork_available(),
 
 def _square(x):
     return x * x
+
+
+def _ipc_map(fn, items, jobs):
+    """``parallel_map`` under a fresh registry; returns the results and
+    the bytes the pool moved through its pipes."""
+    with instrumented() as registry:
+        results = parallel_map(fn, items, jobs=jobs)
+    flat = flatten_snapshot(to_snapshot(registry))
+    return results, flat.get("repro_parallel_ipc_bytes_total", 0.0)
 
 
 class TestExecutor:
@@ -51,32 +54,25 @@ class TestExecutor:
             resolve_jobs(-2)
 
     def test_map_preserves_order_serial(self):
-        ex = ParallelExecutor(jobs=1)
-        assert ex.map(_square, range(10)) == [x * x for x in range(10)]
+        assert (parallel_map(_square, range(10), jobs=1)
+                == [x * x for x in range(10)])
 
     @needs_fork
     def test_map_preserves_order_forked(self):
-        ex = ParallelExecutor(jobs=4, chunk_size=3)
-        assert ex.map(_square, range(23)) == [x * x for x in range(23)]
+        assert (parallel_map(_square, range(23), jobs=4)
+                == [x * x for x in range(23)])
 
     def test_empty_items(self):
-        assert ParallelExecutor(jobs=4).map(_square, []) == []
-
-    def test_task_rng_is_per_index(self):
-        a = task_rng(7, 0).integers(0, 1 << 30, 4)
-        b = task_rng(7, 0).integers(0, 1 << 30, 4)
-        c = task_rng(7, 1).integers(0, 1 << 30, 4)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        assert parallel_map(_square, [], jobs=4) == []
 
     def test_seeded_map_identical_across_job_counts(self):
-        def draw(index, rng):
+        def draw(index):
+            rng = np.random.default_rng(index)
             return rng.integers(0, 1 << 30, 3).tolist()
 
-        serial = ParallelExecutor(jobs=1).map(draw, range(8), seed=11)
+        serial = parallel_map(draw, range(8), jobs=1)
         if fork_available():
-            forked = ParallelExecutor(jobs=3).map(draw, range(8), seed=11)
-            assert serial == forked
+            assert parallel_map(draw, range(8), jobs=3) == serial
 
     @needs_fork
     def test_worker_error_propagates(self):
@@ -86,62 +82,64 @@ class TestExecutor:
             return x
 
         with pytest.raises(RuntimeError, match="worker exploded"):
-            ParallelExecutor(jobs=2).map(boom, range(6))
+            parallel_map(boom, range(6), jobs=2)
 
     @needs_fork
-    def test_worker_error_carries_task_index_and_seed(self):
-        def boom(x, rng):
+    def test_worker_error_carries_task_index(self):
+        def boom(x):
             if x == 4:
-                raise ValueError("chunk died")
+                raise ValueError("task died")
             return x
 
-        with pytest.raises(ParallelTaskError, match=r"task 4 \(seed=11\)"):
-            ParallelExecutor(jobs=2).map(boom, range(6), seed=11)
+        with pytest.raises(ParallelTaskError, match=r"task 4 failed") \
+                as excinfo:
+            parallel_map(boom, range(6), jobs=2)
+        assert excinfo.value.task_index == 4
+        assert "ValueError('task died')" in str(excinfo.value)
+        assert "worker traceback" in str(excinfo.value)
 
     def test_serial_error_same_type_as_forked(self):
         """The serial fallback raises the identical typed error, with the
-        failing task index and seed in the message and the original
-        exception chained."""
-        def boom(x, rng):
+        failing task index in the message and the original exception
+        chained."""
+        def boom(x):
             if x == 2:
                 raise KeyError("native")
             return x
 
-        with pytest.raises(ParallelTaskError, match=r"task 2 \(seed=5\)") \
+        with pytest.raises(ParallelTaskError, match=r"task 2 failed") \
                 as excinfo:
-            ParallelExecutor(jobs=1).map(boom, range(4), seed=5)
+            parallel_map(boom, range(4), jobs=1)
         assert excinfo.value.task_index == 2
-        assert excinfo.value.seed == 5
         assert isinstance(excinfo.value.__cause__, KeyError)
 
 
 class TestResultTransport:
     """Results ride the per-worker pipes: arrays come back bit-identical
-    to the serial path, and the executor counts every byte."""
+    to the serial path, and the pool counts every byte in
+    ``repro_parallel_ipc_bytes_total``."""
 
     @needs_fork
     def test_forked_array_results_equal_serial(self):
-        serial = ParallelExecutor(jobs=1).map(array_payload, range(6),
-                                              seed=5)
-        executor = ParallelExecutor(jobs=2)
-        forked = executor.map(array_payload, range(6), seed=5)
+        serial, serial_bytes = _ipc_map(array_payload, range(6), jobs=1)
+        forked, forked_bytes = _ipc_map(array_payload, range(6), jobs=2)
         assert_payloads_equal(serial, forked)
-        assert executor.last_transport.mode == "pipes"
-        assert executor.last_transport.ipc_bytes > 0
+        assert serial_bytes == 0
+        assert forked_bytes > 0
 
     @needs_fork
     def test_large_result_crosses_the_pipe_unchanged(self):
-        def block(index, rng):
+        def block(index):
             # 2560 x 1024 float32: 10 MiB in one result.
+            rng = np.random.default_rng(index)
             return rng.standard_normal((2560, 1024)).astype(np.float32)
 
-        serial = ParallelExecutor(jobs=1).map(block, range(2), seed=9)
-        executor = ParallelExecutor(jobs=2)
-        forked = executor.map(block, range(2), seed=9)
+        serial = parallel_map(block, range(2), jobs=1)
+        forked, forked_bytes = _ipc_map(block, range(2), jobs=2)
         for expected, got in zip(serial, forked, strict=True):
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
-        assert executor.last_transport.ipc_bytes > 2 * serial[0].nbytes
+        assert forked_bytes > 2 * serial[0].nbytes
 
     @needs_fork
     def test_run_leaves_no_helper_process(self):
@@ -152,7 +150,7 @@ class TestResultTransport:
             import multiprocessing
             from multiprocessing import resource_tracker
 
-            from repro.parallel import ParallelExecutor
+            from repro.parallel import parallel_map
             from repro.serve import CacheTierConfig, FleetSpec
             from repro.serve.fleet import fleet_demo_dataset, simulate_fleet
 
@@ -160,7 +158,7 @@ class TestResultTransport:
                 "fastgl", fleet_demo_dataset(),
                 fleet=FleetSpec(cache=CacheTierConfig(enabled=True)))
             assert report.cache is not None and report.cache.lookups > 0
-            magnitudes = ParallelExecutor(jobs=2).map(abs, range(-3, 3))
+            magnitudes = parallel_map(abs, range(-3, 3), jobs=2)
             assert magnitudes == [3, 2, 1, 0, 1, 2]
             assert resource_tracker._resource_tracker._fd is None
             assert multiprocessing.active_children() == []
@@ -221,35 +219,3 @@ class TestSuiteDeterminism:
     @needs_fork
     def test_suite_rows_identical(self):
         assert self._render(jobs=1) == self._render(jobs=2)
-
-
-class TestEpochLaneDeterminism:
-    """Per-trainer lanes in forked workers reproduce the serial epoch
-    bit for bit: report, iteration log, and merged metrics."""
-
-    def _run(self, tiny_dataset, jobs):
-        config = RunConfig(batch_size=64, fanouts=(3, 4), num_gpus=2,
-                           hidden_dim=8, seed=3, num_epochs=2)
-        parent = MetricsRegistry()
-        previous = get_registry()
-        set_registry(parent)
-        try:
-            report = FastGLFramework().run_epoch(
-                tiny_dataset, config,
-                execution=ExecutionSpec(jobs=jobs))
-        finally:
-            set_registry(previous)
-        return report, flatten_snapshot(to_snapshot(parent))
-
-    @needs_fork
-    def test_epoch_identical(self, tiny_dataset):
-        serial, serial_metrics = self._run(tiny_dataset, jobs=1)
-        forked, forked_metrics = self._run(tiny_dataset, jobs=2)
-        assert forked.epoch_time == serial.epoch_time
-        assert forked.phases == serial.phases
-        assert forked.memory_peak_bytes == serial.memory_peak_bytes
-        assert forked.num_batches == serial.num_batches
-        assert forked.losses == serial.losses
-        assert forked.transfer.feature_bytes == serial.transfer.feature_bytes
-        assert (strip_transport_metrics(forked_metrics)
-                == strip_transport_metrics(serial_metrics))

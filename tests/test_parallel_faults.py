@@ -1,10 +1,11 @@
-"""Chaos tests for the supervised worker pool.
+"""Chaos tests for the supervised worker pool, and the epoch's fault-key
+pins.
 
 Injected ``worker_crash`` faults kill forked workers mid-map (via
 ``os._exit``, the moral equivalent of an OOM kill); the supervisor must
-detect the loss, respawn, and reassign the chunk — producing results
-bit-identical to a crash-free serial run, because chunks are pure
-functions of ``(chunk_index, seed)``.
+detect the loss, respawn, and reassign the task — producing results
+bit-identical to a crash-free serial run, because tasks are pure
+functions of their item.
 """
 
 from dataclasses import replace
@@ -17,12 +18,10 @@ from repro import api
 from repro.config import RunConfig
 from repro.errors import WorkerCrashError
 from repro.faults import FaultPlan, FaultSpec, fault_scope, set_fault_plan
-from repro.frameworks import FastGLFramework
 from repro.graph.datasets import DATASETS, Dataset
-from repro.obs import get_registry, set_registry
+from repro.obs import instrumented
 from repro.obs.exporters import flatten_snapshot, to_snapshot
-from repro.obs.registry import MetricsRegistry
-from repro.parallel import ParallelExecutor, fork_available
+from repro.parallel import MAX_CRASHES, fork_available, parallel_map
 from repro.pipeline import ExecutionSpec
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -37,34 +36,32 @@ def _no_leaked_plan():
 
 
 def _crash_plan(max_failures=1):
-    """Every chunk's first ``max_failures`` attempts crash the worker."""
+    """Every task's first ``max_failures`` attempts crash the worker."""
     return FaultPlan(seed=0, sites={
         "worker_crash": FaultSpec(probability=1.0,
                                   max_failures=max_failures),
     })
 
 
-def _draw(index, rng):
-    return rng.integers(0, 1 << 30, 3).tolist()
+def _draw(index):
+    return np.random.default_rng(index).integers(0, 1 << 30, 3).tolist()
 
 
 class TestCrashRecovery:
     @needs_fork
     def test_reassigned_chunks_match_serial(self):
-        serial = ParallelExecutor(jobs=1).map(_draw, range(6), seed=11)
+        serial = parallel_map(_draw, range(6), jobs=1)
         with fault_scope(_crash_plan()) as plan:
-            forked = ParallelExecutor(jobs=2).map(_draw, range(6), seed=11)
-            # Every chunk lost a worker exactly once and was recomputed.
+            forked = parallel_map(_draw, range(6), jobs=2)
+            # Every task lost a worker exactly once and was recomputed.
             assert plan.fired("worker_crash") == 6
         assert forked == serial
 
     @needs_fork
     def test_recovered_array_results_match_serial(self):
-        serial = ParallelExecutor(jobs=1).map(array_payload, range(6),
-                                              seed=3)
+        serial = parallel_map(array_payload, range(6), jobs=1)
         with fault_scope(_crash_plan()) as plan:
-            forked = ParallelExecutor(jobs=2).map(array_payload, range(6),
-                                                  seed=3)
+            forked = parallel_map(array_payload, range(6), jobs=2)
             assert plan.fired("worker_crash") == 6
         assert_payloads_equal(serial, forked)
 
@@ -72,21 +69,15 @@ class TestCrashRecovery:
     def test_crash_budget_exhaustion_raises(self):
         with fault_scope(_crash_plan(max_failures=5)):
             with pytest.raises(WorkerCrashError) as excinfo:
-                ParallelExecutor(jobs=2, max_crashes=2).map(
-                    _draw, range(4), seed=0)
-        assert excinfo.value.crashes > 2
+                parallel_map(_draw, range(4), jobs=2)
+        assert excinfo.value.crashes > MAX_CRASHES
         assert "chunk" in str(excinfo.value)
 
     @needs_fork
     def test_crashes_counted_in_metrics(self):
-        registry = MetricsRegistry()
-        previous = get_registry()
-        set_registry(registry)
-        try:
+        with instrumented() as registry:
             with fault_scope(_crash_plan()):
-                ParallelExecutor(jobs=2).map(_draw, range(4), seed=3)
-        finally:
-            set_registry(previous)
+                parallel_map(_draw, range(4), jobs=2)
         flat = flatten_snapshot(to_snapshot(registry))
         assert flat["repro_parallel_worker_crashes_total"] == 4.0
 
@@ -94,99 +85,44 @@ class TestCrashRecovery:
         """The crash site models worker-process loss; the serial path has
         no workers to lose and must stay fault-free."""
         with fault_scope(_crash_plan()) as plan:
-            out = ParallelExecutor(jobs=1).map(_draw, range(4), seed=11)
+            out = parallel_map(_draw, range(4), jobs=1)
         assert plan.fired("worker_crash") == 0
-        assert out == ParallelExecutor(jobs=1).map(_draw, range(4), seed=11)
-
-    def test_max_crashes_validation(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=1, max_crashes=0)
+        assert out == parallel_map(_draw, range(4), jobs=1)
 
 
 class TestEpochChaosDeterminism:
-    """The headline chaos property: a forked epoch whose workers crash
-    and are reassigned is bit-for-bit the serial epoch."""
+    """Recovered transfer faults are keyed per batch: the epoch reserves
+    one ``pcie_stall`` key per batch, lane-major, and an out-of-core
+    submit draws ``storage_slow`` with its batch's key. These pins hold
+    the modeled time those keys give (recorded when trainer lanes could
+    still run in forked workers, where both prices matched the serial
+    run's)."""
 
-    def _run(self, tiny_dataset, jobs, plan=None):
-        config = RunConfig(batch_size=64, fanouts=(3, 4), num_gpus=2,
-                           hidden_dim=8, seed=3, train_model=True)
-        parent = MetricsRegistry()
-        previous = get_registry()
-        set_registry(parent)
-        try:
-            report = FastGLFramework().run_epoch(
-                tiny_dataset, config,
-                execution=ExecutionSpec(jobs=jobs, faults=plan))
-        finally:
-            set_registry(previous)
-        return report, flatten_snapshot(to_snapshot(parent))
-
-    @needs_fork
-    def test_epoch_under_worker_crashes_is_bit_identical(self, tiny_dataset):
-        serial, serial_metrics = self._run(tiny_dataset, jobs=1)
-        plan = _crash_plan()
-        chaos, chaos_metrics = self._run(tiny_dataset, jobs=2, plan=plan)
-        assert plan.fired("worker_crash") > 0
-
-        assert chaos.losses == serial.losses
-        assert chaos.epoch_time == serial.epoch_time
-        assert chaos.phases == serial.phases
-        assert chaos.memory_peak_bytes == serial.memory_peak_bytes
-        assert chaos.transfer.feature_bytes == serial.transfer.feature_bytes
-        for expected, actual in zip(serial.final_params,
-                                    chaos.final_params):
-            np.testing.assert_array_equal(expected, actual)
-
-        # Merged metrics agree except the crash bookkeeping and the
-        # transport byte counters (jobs-dependent by design).
-        crash_keys = {
-            key for key in chaos_metrics
-            if key.startswith(("repro_parallel_worker_crashes_total",
-                               "repro_faults_injected_total",
-                               "repro_parallel_ipc_bytes_total"))
-        }
-        trimmed = {key: value for key, value in chaos_metrics.items()
-                   if key not in crash_keys}
-        assert trimmed == serial_metrics
-        assert any("worker_crashes" in key for key in crash_keys)
-
-    @needs_fork
     def test_pcie_stall_time_independent_of_jobs(self):
-        """Recovered ``pcie_stall`` faults cost the same modeled time at
-        any job count: the epoch reserves one key per batch, lane-major,
-        so a forked lane prices its transfers with the keys a serial run
-        draws."""
+        """Recovered ``pcie_stall`` faults on a 5-GPU, 3-epoch pyg run
+        cost exactly the pinned modeled time and retries."""
         spec = replace(DATASETS["products"], num_nodes=900,
                        train_fraction=0.3)
         dataset = Dataset(spec, seed=0)
         config = RunConfig(num_gpus=5, num_epochs=3, batch_size=32, seed=0)
-        runs = []
-        for jobs in (1, 2):
-            plan = FaultPlan(seed=99, sites={
-                "pcie_stall": FaultSpec(probability=0.3, max_failures=2)})
-            report = api.run("pyg", dataset, config=config,
-                             exec=ExecutionSpec(jobs=jobs, faults=plan))
-            runs.append((report.epoch_time.hex(),
-                         report.transfer.num_retries, report.phases))
-        assert runs[1] == runs[0]
-        assert runs[0][1] > 0
+        plan = FaultPlan(seed=99, sites={
+            "pcie_stall": FaultSpec(probability=0.3, max_failures=2)})
+        report = api.run("pyg", dataset, config=config,
+                         exec=ExecutionSpec(faults=plan))
+        assert report.epoch_time.hex() == "0x1.1bdbd97a67f9bp-7"
+        assert report.transfer.num_retries == 11
 
     def test_storage_slow_time_independent_of_jobs(self):
-        """Out-of-core ``storage_slow`` delays cost the same modeled time
-        at any job count: each batch's submit draws the delay with the
-        batch's lane-reserved fault key, not a per-process sequence."""
+        """Out-of-core ``storage_slow`` delays on a 5-GPU dgl-ooc epoch
+        cost exactly the pinned modeled time."""
         spec = replace(DATASETS["products"], num_nodes=900,
                        train_fraction=0.3)
         dataset = Dataset(spec, seed=0)
         config = RunConfig(num_gpus=5, num_epochs=1, batch_size=32, seed=0)
-        times = []
-        for jobs in (1, 2):
-            plan = FaultPlan(seed=99, sites={
-                "storage_slow": FaultSpec(probability=0.5, delay_s=1e-4)})
-            report = api.run("dgl-ooc", dataset, config=config,
-                             exec=ExecutionSpec(jobs=jobs, faults=plan))
-            times.append(report.epoch_time.hex())
-            if jobs == 1:
-                assert any(event.site == "storage_slow"
-                           for event in plan.events)
-        assert times[1] == times[0]
+        plan = FaultPlan(seed=99, sites={
+            "storage_slow": FaultSpec(probability=0.5, delay_s=1e-4)})
+        report = api.run("dgl-ooc", dataset, config=config,
+                         exec=ExecutionSpec(faults=plan))
+        assert report.epoch_time.hex() == "0x1.8c632bbb87752p-10"
+        assert sum(event.site == "storage_slow"
+                   for event in plan.events) == 5

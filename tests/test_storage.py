@@ -315,13 +315,13 @@ ACCOUNTING_PINS = {
         "0x1.0e0f3c518eb82p-5", [671, 1088, 1040, 48], [1088, 278528]),
     ("partition", False, "submit"): (
         "a01f6968e40bbfde", [2250, 1759, 451, 1308, 999, 334848, 0],
-        "0x0.0p+0", [451, 1308, 0, 41], [1308, 334848]),
+        "0x0.0p+0", [451, 1308, 1267, 41], [1308, 334848]),
     ("partition", True, "submit"): (
         "4655126f96e4a50a", [2250, 1759, 451, 1308, 999, 334848, 277],
-        "0x1.1fb45340a6a4dp-5", [451, 1308, 0, 41], [1308, 334848]),
+        "0x1.1fb45340a6a4dp-5", [451, 1308, 1267, 41], [1308, 334848]),
     ("partition", True, "gather"): (
         "a5deb1bed4104ec2", [2250, 1759, 451, 1308, 999, 334848, 277],
-        "0x1.1c04f7fbfe7b0p-5", [451, 1308, 0, 41], [1308, 334848]),
+        "0x1.1c04f7fbfe7b0p-5", [451, 1308, 1267, 41], [1308, 334848]),
 }
 
 
@@ -383,6 +383,9 @@ class TestAccountingPins:
             [pages.pages_read, pages.bytes_read],
         )
         assert got == ACCOUNTING_PINS[policy, faults, path]
+        # Every page read off the drive was admitted, so each one no
+        # longer resident was evicted.
+        assert cache.evictions == pages.pages_read - cache.num_resident
 
 
 def storage_pipeline(samples, reads, trains, depth=None):
