@@ -21,6 +21,10 @@ bits, and :mod:`repro.bench.kernels` times it against the reference:
   :func:`~repro.sampling.idmap.base.first_occurrence_unique`'s dense
   path, and the neighbor draw behind
   :meth:`repro.sampling.neighbor.NeighborSampler._sample_hop`;
+* :func:`draw_without_replacement_legacy` — the draw that pads every
+  row to its chunk's widest one and ranks the chunk in one
+  ``np.argpartition``, behind
+  :func:`repro.sampling.neighbor._draw_without_replacement`;
 * :class:`FrequencyPageCacheLegacy` — the dict-based frequency cache,
   one page per ``lookup``/``insert``, that the dense batch path
   (:meth:`~repro.storage.cache.FrequencyPageCache.access`) must match;
@@ -179,18 +183,29 @@ def dense_first_occurrence_legacy(ids: np.ndarray) -> tuple:
     return unique, scratch[ids]
 
 
-def _draw_without_replacement_legacy(deg, fanout, rng):
+def draw_without_replacement_legacy(deg, fanout, rng):
+    """For rows with ``deg > fanout``: pick ``fanout`` distinct offsets in
+    ``[0, deg)`` per row. Returns an ``(len(deg), fanout)`` offset matrix.
+
+    Rows are processed in degree-sorted chunks so the random matrix width
+    is each chunk's max degree, keeping memory bounded on skewed graphs.
+    """
     n = len(deg)
     out = np.empty((n, fanout), dtype=np.int64)
-    order = np.argsort(deg, kind="stable")
+    # Degrees are non-negative: below 2**16 a stable sort of a uint16 copy
+    # gives the same order through numpy's radix sort.
+    narrow = deg.astype(np.uint16) if n and deg.max() < 1 << 16 else deg
+    order = np.argsort(narrow, kind="stable")
     sorted_deg = deg[order]
     for start in range(0, n, 8192):
         rows = order[start:start + 8192]
         chunk_deg = sorted_deg[start:start + 8192]
         width = int(chunk_deg[-1])
         keys = rng.random((len(rows), width))
+        # Push out-of-degree columns past any valid key so argpartition
+        # never selects them (valid keys are < 1.0).
         cols = np.arange(width)
-        keys += (cols[None, :] >= chunk_deg[:, None]) * 2.0
+        np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
         picks = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
         out[rows] = picks
     return out
@@ -199,8 +214,8 @@ def _draw_without_replacement_legacy(deg, fanout, rng):
 def sample_hop_legacy(graph: CSRGraph, frontier: np.ndarray, fanout: int,
                       rng) -> tuple:
     """Reference one-hop draw: ``(edge_dst_pos, drawn_src_global)`` with
-    the degree mask built as a float product, two ``np.repeat`` calls for
-    the small rows' addresses and int64 copies of the outputs."""
+    two ``np.repeat`` calls for the small rows' addresses and int64 copies
+    of the outputs."""
     deg = graph.degrees[frontier]
     small = deg <= fanout
     parts_dst = []
@@ -220,7 +235,7 @@ def sample_hop_legacy(graph: CSRGraph, frontier: np.ndarray, fanout: int,
     large_pos = np.flatnonzero(~small)
     if len(large_pos):
         large_nodes = frontier[large_pos]
-        picks = _draw_without_replacement_legacy(deg[large_pos], fanout, rng)
+        picks = draw_without_replacement_legacy(deg[large_pos], fanout, rng)
         addr = graph.indptr[large_nodes][:, None] + picks
         parts_src.append(graph.indices[addr.ravel()])
         parts_dst.append(np.repeat(large_pos, fanout))

@@ -13,8 +13,8 @@ default reproduction scale; ``--jobs N`` shards the selected experiments
 across ``N`` worker processes (results and rendered text are identical
 to a serial run — see :mod:`repro.parallel`). When exactly one
 experiment is selected, ``--jobs`` is instead forwarded to the
-experiment itself if it supports internal sharding (e.g. the serving
-sweeps).
+experiment itself, which must support internal sharding (the serving
+sweeps); for any other single experiment ``--jobs`` is an error.
 """
 
 from __future__ import annotations
@@ -88,11 +88,19 @@ EXPERIMENTS = {
 }
 
 
-def run_one(exp_id: str, jobs: int = 1):
+def _experiment(exp_id: str):
     module_name, fn_name = EXPERIMENTS[exp_id]
-    module = importlib.import_module(module_name)
-    fn = getattr(module, fn_name)
-    if jobs != 1 and "jobs" in inspect.signature(fn).parameters:
+    return getattr(importlib.import_module(module_name), fn_name)
+
+
+def shards_internally(exp_id: str) -> bool:
+    """Whether the experiment takes a ``jobs`` argument of its own."""
+    return "jobs" in inspect.signature(_experiment(exp_id)).parameters
+
+
+def run_one(exp_id: str, jobs: int = 1):
+    fn = _experiment(exp_id)
+    if jobs != 1 and shards_internally(exp_id):
         return fn(jobs=jobs)
     return fn()
 
@@ -154,6 +162,11 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {unknown}; "
                      f"available: {sorted(EXPERIMENTS)}")
+    if (len(selected) == 1 and args.jobs != 1
+            and not shards_internally(selected[0])):
+        accepting = [e for e in EXPERIMENTS if shards_internally(e)]
+        parser.error(f"--jobs needs several experiments to shard, or one "
+                     f"that shards itself: {accepting}")
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,86 @@ from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 from repro.utils.rng import ensure_rng
 
 _CHUNK_ROWS = 8192
+#: Row widths at which numpy's x86-simd-sort ``argselect`` steps to the
+#: next bitonic network (per-row cost roughly doubles at each); it sorts a
+#: row of up to the last width outright.
+_NETWORK_WIDTHS = np.array([16, 32, 64, 128, 256])
+#: Below this many rows, splitting a chunk costs more than the narrower
+#: networks save.
+_MIN_NETWORK_ROWS = 128
+#: ``_PAST_DEGREE[d, c]`` is ``c >= d``: the padded columns of a row of
+#: degree ``d``, one shared table for every network width.
+_PAST_DEGREE = (np.arange(_NETWORK_WIDTHS[-1])
+                >= np.arange(_NETWORK_WIDTHS[-1] + 1)[:, None])
+
+
+def _argpartition_sorts_short_rows() -> bool:
+    """Whether ``np.argpartition`` returns every row of at most 256 keys
+    fully sorted, whatever ``kth`` is.
+
+    True where numpy dispatches it to x86-simd-sort (x86 with AVX2 or
+    AVX-512), whose ``argselect`` sorts such rows with a bitonic network;
+    False for introselect (baseline x86-64 and other CPUs).
+    """
+    rng = np.random.default_rng(0)
+    for width in range(2, _NETWORK_WIDTHS[-1] + 1):
+        keys = rng.random((2, width))
+        ranked = np.argsort(keys, axis=1)
+        for kth in {1, width - 1}:
+            if not np.array_equal(np.argpartition(keys, kth, axis=1), ranked):
+                return False
+    return True
+
+
+_SORTED_ARGPARTITION = _argpartition_sorts_short_rows()
+
+
+def _select(keys, fanout):
+    """Each padded row's ``fanout`` picks, in ``np.argpartition``'s order."""
+    return np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
+
+
+def _select_by_network(keys, chunk_deg, fanout):
+    """:func:`_select` of the padded chunk, with each degree range sorted
+    at its own network width.
+
+    Where :data:`_SORTED_ARGPARTITION` holds and the chunk is at most 256
+    wide, :func:`_select` sorts every padded row, so its picks are the
+    row's ``fanout`` smallest valid keys in ascending order. The rows are
+    degree-sorted: split at the network widths, each range is sliced to
+    its own largest degree, padded, and ranked with ``kth=fanout``, which
+    sorts it too. When every row's ``fanout + 1`` smallest keys are
+    distinct, those picks are unique and both ways find them; a tie is
+    the one case in which a network's width can reorder them, so then the
+    chunk is padded in full and selected as :func:`_select` does.
+    """
+    rows = len(chunk_deg)
+    ends = np.searchsorted(chunk_deg, _NETWORK_WIDTHS, side="right")
+    top = np.empty((rows, fanout + 1), dtype=np.int64)
+    spans = []
+    lo = 0
+    for hi in ends.tolist():
+        if hi == lo:
+            continue
+        span_deg = chunk_deg[lo:hi]
+        low, high = int(span_deg[0]), int(span_deg[-1])
+        # Columns below the range's smallest degree are valid in every row.
+        if low < high:
+            pad = keys[lo:hi, low:high]
+            np.add(pad, 2.0, out=pad, where=_PAST_DEGREE[span_deg, low:high])
+        top[lo:hi] = np.argpartition(keys[lo:hi, :high], fanout,
+                                     axis=1)[:, :fanout + 1]
+        spans.append((lo, hi, high))
+        lo = hi
+    # The picked keys, gathered by flat index (take_along_axis is slower).
+    ranked = keys.take(top + np.arange(0, keys.size, keys.shape[1])[:, None])
+    if (ranked[:, 1:] > ranked[:, :-1]).all():
+        return top[:, :fanout]
+    # Every column past a range's width is past its rows' degrees: adding
+    # 2.0 there completes exactly the padding of the single-call path.
+    for lo, hi, high in spans:
+        keys[lo:hi, high:] += 2.0
+    return _select(keys, fanout)
 
 
 def _draw_without_replacement(deg, fanout, rng):
@@ -27,6 +107,10 @@ def _draw_without_replacement(deg, fanout, rng):
 
     Rows are processed in degree-sorted chunks so the random matrix width
     is each chunk's max degree, keeping memory bounded on skewed graphs.
+    A chunk at most 256 wide with at least :data:`_MIN_NETWORK_ROWS` rows
+    is ranked by :func:`_select_by_network` where argpartition sorts such
+    rows; every other chunk is padded and selected in one call. Both give
+    the same picks from the same keys.
     """
     n = len(deg)
     out = np.empty((n, fanout), dtype=np.int64)
@@ -40,12 +124,15 @@ def _draw_without_replacement(deg, fanout, rng):
         chunk_deg = sorted_deg[start:start + _CHUNK_ROWS]
         width = int(chunk_deg[-1])
         keys = rng.random((len(rows), width))
-        # Push out-of-degree columns past any valid key so argpartition
-        # never selects them (valid keys are < 1.0).
-        cols = np.arange(width)
-        np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
-        picks = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
-        out[rows] = picks
+        if (_SORTED_ARGPARTITION and width <= _NETWORK_WIDTHS[-1]
+                and len(rows) >= _MIN_NETWORK_ROWS):
+            out[rows] = _select_by_network(keys, chunk_deg, fanout)
+        else:
+            # Push out-of-degree columns past any valid key so argpartition
+            # never selects them (valid keys are < 1.0).
+            cols = np.arange(width)
+            np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
+            out[rows] = _select(keys, fanout)
     return out
 
 

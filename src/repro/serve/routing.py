@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.match import match_degree
+# benchmarks/e2e/trace.py wraps ``match_degree`` here by name: keep it.
+from repro.core.match import match_degree  # noqa: F401
+from repro.errors import ConfigError
+from repro.sampling.idmap.base import sorted_unique
 from repro.serve.request import InferenceRequest
 
 
@@ -93,7 +96,9 @@ class MatchAffinityRouter(Router):
     replica that just served this user cluster still holds most of the
     feature rows the request's fan-out will want, so sending the
     request there turns into cache hits instead of PCIe traffic. The
-    score is ``match_degree(request.seeds, replica.resident_nodes)``;
+    score is ``match_degree(request.seeds, replica.resident_nodes)``,
+    computed from the request's unique seeds (found once per request) and
+    one ``np.searchsorted`` into each replica's sorted-unique residency;
     when no replica clears ``threshold`` (cold start, disjoint users)
     the policy degrades to JSQ so affinity never starves load
     balancing. Ties break to the lowest replica index.
@@ -112,14 +117,14 @@ class MatchAffinityRouter(Router):
     def __init__(self, threshold: float = 0.125,
                  load_slack: int = 4) -> None:
         if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+            raise ConfigError("threshold must be in [0, 1]")
         if load_slack < 0:
-            raise ValueError("load_slack must be >= 0")
+            raise ConfigError("load_slack must be >= 0")
         self.threshold = float(threshold)
         self.load_slack = int(load_slack)
 
     def choose(self, replicas: list, request: InferenceRequest):
-        seeds = np.asarray(request.seeds)
+        seeds = sorted_unique(np.asarray(request.seeds, dtype=np.int64))
         min_load = min(r.load for r in replicas)
         best = None
         best_score = -1.0
@@ -129,7 +134,15 @@ class MatchAffinityRouter(Router):
             resident = replica.resident_nodes
             if len(resident) == 0:
                 continue
-            score = match_degree(seeds, resident)
+            score = 0.0
+            if len(seeds):
+                # Both sets are unique, so the seeds found in the residency
+                # are the overlap whichever set is the smaller. (in_sorted
+                # would scatter the whole residency into a bitmap here.)
+                pos = np.minimum(np.searchsorted(resident, seeds),
+                                 len(resident) - 1)
+                overlap = int(np.count_nonzero(resident[pos] == seeds))
+                score = overlap / min(len(seeds), len(resident))
             if score > best_score + 1e-12:
                 best, best_score = replica, score
         if best is None or best_score < self.threshold:
@@ -148,7 +161,7 @@ ROUTER_POLICIES = {
 def build_router(policy: str, match_threshold: float = 0.125) -> Router:
     """Instantiate a registered policy by name."""
     if policy not in ROUTER_POLICIES:
-        raise ValueError(
+        raise ConfigError(
             f"unknown routing policy {policy!r}; registered: "
             f"{sorted(ROUTER_POLICIES)}")
     if policy == "match-affinity":

@@ -31,7 +31,8 @@ from repro.obs.trace import Tracer
 from repro.sampling.idmap.base import sorted_unique
 from repro.serve.batcher import MicroBatcher, select_next_batch
 from repro.serve.profiles import ServiceTimes, ServingProfile
-from repro.serve.request import RequestQueue, build_schedule
+from repro.serve.request import (ARRIVAL_PROCESSES, RequestQueue,
+                                 build_schedule)
 from repro.sim.events import TIMEOUT, EventLoop
 
 #: Latency-scaled histogram buckets (seconds) for serving metrics.
@@ -46,7 +47,8 @@ class ServeConfig:
     #: Mean arrival rate, requests/second.
     rate: float = 500.0
     num_requests: int = 200
-    #: "poisson", "bursty" or "replay" (with ``replay_times``).
+    #: A key of ``ARRIVAL_PROCESSES`` ("poisson", "bursty", "diurnal",
+    #: "flash") or "replay" (with ``replay_times``).
     arrival: str = "poisson"
     #: Seed nodes per request (a recommendation query's candidate set).
     seeds_per_request: int = 4
@@ -74,10 +76,23 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("num_requests", 0), ("seeds_per_request", 1),
-                            ("num_users", 0)):
+                            ("num_users", 0), ("max_batch", 1),
+                            ("batch_window_s", 0), ("queue_capacity", 1)):
             value = getattr(self, name)
-            if value < least:
+            if not value >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if self.arrival == "replay":
+            if self.replay_times is None:
+                raise ConfigError('arrival "replay" needs replay_times')
+        elif self.arrival not in ARRIVAL_PROCESSES:
+            raise ConfigError(
+                f"unknown arrival {self.arrival!r}; available: "
+                f"{sorted(ARRIVAL_PROCESSES) + ['replay']}")
+        elif not self.rate > 0:
+            raise ConfigError(f"rate must be > 0, got {self.rate}")
+        if not 0.0 < self.degrade_capacity_factor <= 1.0:
+            raise ConfigError("degrade_capacity_factor must be in (0, 1], "
+                              f"got {self.degrade_capacity_factor}")
 
 
 class RequestLedger:

@@ -10,7 +10,7 @@ from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
 from repro.pipeline.spec import ExecutionSpec
 from repro.sampling import NeighborSampler
-from repro.serve import ServeConfig
+from repro.serve import MatchAffinityRouter, ServeConfig, build_router
 
 
 class TestPaperFig6Example:
@@ -212,5 +212,57 @@ class TestServeConfigValidation:
         with pytest.raises(ConfigError, match="num_requests"):
             ServeConfig(num_requests=-1)
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan")])
+    def test_rate_not_positive(self, rate):
+        with pytest.raises(ConfigError, match="rate"):
+            ServeConfig(rate=rate)
+
+    def test_unknown_arrival(self):
+        with pytest.raises(ConfigError, match="unknown arrival"):
+            ServeConfig(arrival="fractal")
+
+    def test_replay_without_times(self):
+        with pytest.raises(ConfigError, match="replay_times"):
+            ServeConfig(arrival="replay")
+
+    def test_max_batch_below_one(self):
+        with pytest.raises(ConfigError, match="max_batch"):
+            ServeConfig(max_batch=0)
+
+    def test_negative_batch_window(self):
+        with pytest.raises(ConfigError, match="batch_window_s"):
+            ServeConfig(batch_window_s=-0.001)
+
+    def test_queue_capacity_below_one(self):
+        with pytest.raises(ConfigError, match="queue_capacity"):
+            ServeConfig(queue_capacity=0)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
+    def test_degrade_capacity_factor_outside_unit_interval(self, factor):
+        with pytest.raises(ConfigError, match="degrade_capacity_factor"):
+            ServeConfig(degrade_capacity_factor=factor)
+
     def test_boundaries_accepted(self):
         assert ServeConfig(num_requests=0, seeds_per_request=1, num_users=0)
+        assert ServeConfig(max_batch=1, batch_window_s=0.0,
+                           queue_capacity=1, degrade_capacity_factor=1.0)
+        # A replay ignores the rate.
+        assert ServeConfig(arrival="replay", replay_times=(0.0, 0.1),
+                           rate=0.0)
+        for arrival in ("poisson", "bursty", "diurnal", "flash"):
+            assert ServeConfig(arrival=arrival)
+
+
+class TestRouterValidation:
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            MatchAffinityRouter(threshold=threshold)
+
+    def test_negative_load_slack(self):
+        with pytest.raises(ConfigError, match="load_slack"):
+            MatchAffinityRouter(load_slack=-1)
+
+    def test_unknown_policy(self):
+        with pytest.raises(ConfigError, match="unknown routing policy"):
+            build_router("consistent-hash")

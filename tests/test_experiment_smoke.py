@@ -166,6 +166,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
 
+    def test_jobs_on_one_unsharded_experiment_rejected(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["ext_fleet_routing", "--jobs", "4"])
+        err = capsys.readouterr().err
+        assert "--jobs" in err
+        assert "'ext_serve', 'ext_serve_window'" in err
+
     def test_run_one_writes_output(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 

@@ -115,7 +115,7 @@ def test_match_affinity_bounded_load_guard():
 
 
 def test_build_router_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="unknown routing policy"):
+    with pytest.raises(ConfigError, match="unknown routing policy"):
         build_router("consistent-hash")
 
 

@@ -43,6 +43,7 @@ from repro.serve import (
     MatchAffinityRouter,
 )
 from repro.serve.batcher import MicroBatch, select_next_batch
+from repro.serve.routing import join_shortest_queue
 from repro.storage import IOScheduler, LRUPageCache, PageStore
 from repro.transfer.cache import StaticFeatureCache
 
@@ -423,9 +424,7 @@ class TestDecisionsMatchReference:
         router = MatchAffinityRouter(threshold=threshold,
                                      load_slack=load_slack)
         got = router.choose(replicas, _request(seeds))
-        with mock.patch("repro.serve.routing.match_degree",
-                        match_degree_reference):
-            want = router.choose(replicas, _request(seeds))
+        want = choose_reference(router, replicas, _request(seeds))
         assert got is want
 
     @settings(max_examples=300, deadline=None)
@@ -437,6 +436,25 @@ class TestDecisionsMatchReference:
         got = select_next_batch(pending, resident)
         assert got == select_next_batch_reference(pending, resident,
                                                   match_degree_reference)
+
+
+def choose_reference(router, replicas, request):
+    """The per-replica scan ``MatchAffinityRouter.choose`` replaced: one
+    match degree per eligible replica with residency, the first score
+    beating the best by more than 1e-12 winning, JSQ below the
+    threshold."""
+    min_load = min(r.load for r in replicas)
+    best, best_score = None, -1.0
+    for replica in replicas:
+        if (replica.load > min_load + router.load_slack
+                or len(replica.resident_nodes) == 0):
+            continue
+        score = match_degree_reference(request.seeds, replica.resident_nodes)
+        if score > best_score + 1e-12:
+            best, best_score = replica, score
+    if best is None or best_score < router.threshold:
+        return join_shortest_queue(replicas)
+    return best
 
 
 # -- the batched backlog scan against the per-candidate loop ------------------
