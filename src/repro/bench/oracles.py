@@ -21,10 +21,10 @@ bits, and :mod:`repro.bench.kernels` times it against the reference:
   :func:`~repro.sampling.idmap.base.first_occurrence_unique`'s dense
   path, and the neighbor draw behind
   :meth:`repro.sampling.neighbor.NeighborSampler._sample_hop`;
-* :func:`draw_without_replacement_legacy` — the draw that pads every
-  row to its chunk's widest one and ranks the chunk in one
-  ``np.argpartition``, behind
-  :func:`repro.sampling.neighbor._draw_without_replacement`;
+* :func:`draw_without_replacement_legacy` — the draw that sorts the
+  int64 degrees, pads every row to its chunk's widest one with a
+  float-product mask and ranks the chunk in one ``np.argpartition``,
+  behind :func:`repro.sampling.neighbor._draw_without_replacement`;
 * :class:`FrequencyPageCacheLegacy` — the dict-based frequency cache,
   one page per ``lookup``/``insert``, that the dense batch path
   (:meth:`~repro.storage.cache.FrequencyPageCache.access`) must match;
@@ -187,25 +187,22 @@ def draw_without_replacement_legacy(deg, fanout, rng):
     """For rows with ``deg > fanout``: pick ``fanout`` distinct offsets in
     ``[0, deg)`` per row. Returns an ``(len(deg), fanout)`` offset matrix.
 
-    Rows are processed in degree-sorted chunks so the random matrix width
-    is each chunk's max degree, keeping memory bounded on skewed graphs.
+    Rows are processed in degree-sorted chunks (a stable sort of the int64
+    degrees) so the random matrix width is each chunk's max degree; the
+    columns past a row's degree get ``+ 2.0`` through a float product of
+    the mask, and each chunk is ranked in one ``np.argpartition``.
     """
     n = len(deg)
     out = np.empty((n, fanout), dtype=np.int64)
-    # Degrees are non-negative: below 2**16 a stable sort of a uint16 copy
-    # gives the same order through numpy's radix sort.
-    narrow = deg.astype(np.uint16) if n and deg.max() < 1 << 16 else deg
-    order = np.argsort(narrow, kind="stable")
+    order = np.argsort(deg, kind="stable")
     sorted_deg = deg[order]
     for start in range(0, n, 8192):
         rows = order[start:start + 8192]
         chunk_deg = sorted_deg[start:start + 8192]
         width = int(chunk_deg[-1])
         keys = rng.random((len(rows), width))
-        # Push out-of-degree columns past any valid key so argpartition
-        # never selects them (valid keys are < 1.0).
         cols = np.arange(width)
-        np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
+        keys += (cols[None, :] >= chunk_deg[:, None]) * 2.0
         picks = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
         out[rows] = picks
     return out
@@ -214,8 +211,8 @@ def draw_without_replacement_legacy(deg, fanout, rng):
 def sample_hop_legacy(graph: CSRGraph, frontier: np.ndarray, fanout: int,
                       rng) -> tuple:
     """Reference one-hop draw: ``(edge_dst_pos, drawn_src_global)`` with
-    two ``np.repeat`` calls for the small rows' addresses and int64 copies
-    of the outputs."""
+    the degree mask built as a float product, two ``np.repeat`` calls for
+    the small rows' addresses and int64 copies of the outputs."""
     deg = graph.degrees[frontier]
     small = deg <= fanout
     parts_dst = []

@@ -1,8 +1,6 @@
 """The uniform neighbor draw against the code it replaced, and a pin of its
 picks on a fixed input."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,14 +127,6 @@ class TestDrawIdentity:
             assert paths == {"network": 1, "padded": 0}
         else:
             assert paths == {"network": 0, "padded": 1}
-
-    @pytest.mark.skipif(
-        "REPRO_EXPECT_SORTED_ARGPARTITION" not in os.environ,
-        reason="set REPRO_EXPECT_SORTED_ARGPARTITION=1/0 to assert the "
-               "probe's result for the numpy dispatch under test")
-    def test_probe_matches_the_expected_dispatch(self):
-        expected = os.environ["REPRO_EXPECT_SORTED_ARGPARTITION"] == "1"
-        assert neighbor._SORTED_ARGPARTITION is expected
 
 
 class TiedKeys:
