@@ -9,7 +9,7 @@ values are on the flat/good part of the curve.
 import numpy as np
 import pytest
 
-from repro.config import RunConfig
+from repro.config import BATCH_LOCALITY, RunConfig
 from repro.core.memory_aware import ComputeCostModel
 from repro.core.reorder import (
     chain_match_score,
@@ -97,7 +97,7 @@ def test_reorder_window_ablation(benchmark, record):
     from repro.graph.partition import MinibatchPlan
 
     plan = MinibatchPlan(dataset.train_ids, config.batch_size,
-                         locality=config.batch_locality)
+                         locality=BATCH_LOCALITY)
     batches = plan.batches(np.random.default_rng(5))[:32]
     sets = [sampler.sample(b).input_nodes for b in batches]
     matrix = match_degree_matrix(sets)

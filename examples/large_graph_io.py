@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from repro import RunConfig, get_dataset
+from repro.config import BATCH_LOCALITY
 from repro.core.match import MatchState
 from repro.core.reorder import (
     chain_match_score,
@@ -53,7 +54,7 @@ def main() -> None:
 
     sampler = NeighborSampler(dataset.graph, config.fanouts, rng=0)
     plan = MinibatchPlan(dataset.train_ids, config.batch_size,
-                         locality=config.batch_locality)
+                         locality=BATCH_LOCALITY)
     batches = plan.batches(rng=1)[:12]
     node_sets = [sampler.sample(batch).input_nodes for batch in batches]
     bytes_per_node = dataset.features.bytes_per_node

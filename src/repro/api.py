@@ -70,6 +70,14 @@ FrameworkLike = Union[str, type, Framework]
 DatasetLike = Union[str, Dataset]
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Refuse an optional argument that is neither ``None`` nor a
+    ``kind`` (it would otherwise fail mid-run with ``AttributeError``)."""
+    if value is not None and not isinstance(value, kind):
+        raise ConfigError(
+            f"{name} must be a {kind.__name__} or None, got {value!r}")
+
+
 def _coerce_dataset(dataset: DatasetLike, seed: int) -> Dataset:
     if isinstance(dataset, str):
         return get_dataset(dataset, seed=seed)
@@ -99,6 +107,7 @@ def run(
         :class:`~repro.graph.datasets.Dataset`.
     config:
         :class:`~repro.config.RunConfig`; defaults to ``RunConfig()``.
+        Anything else raises :class:`~repro.errors.ConfigError`.
     exec:
         :class:`~repro.pipeline.ExecutionSpec` bundling the execution
         environment: ``cluster``
@@ -116,6 +125,7 @@ def run(
         exec = ExecutionSpec()
     elif not isinstance(exec, ExecutionSpec):
         raise ConfigError(f"exec must be an ExecutionSpec, got {exec!r}")
+    _check_type("config", config, RunConfig)
     if config is None:
         config = RunConfig()
     instance = resolve(framework)
@@ -145,7 +155,14 @@ def serve(
     :class:`~repro.serve.fleet.FleetReport` instead (a one-replica
     round-robin fleet is bit-identical to the default path — the fleet
     conformance suite pins this).
+
+    Each of ``run_config``, ``serve_config`` and ``fleet`` is ``None`` or
+    an instance of its class; anything else raises
+    :class:`~repro.errors.ConfigError` before the profile is built.
     """
+    _check_type("run_config", run_config, RunConfig)
+    _check_type("serve_config", serve_config, ServeConfig)
+    _check_type("fleet", fleet, FleetSpec)
     if run_config is None:
         run_config = RunConfig(num_gpus=1)
     data = _coerce_dataset(dataset, run_config.seed)

@@ -5,7 +5,7 @@ machines: a METIS-style graph partitioner assigns every node of the
 graph to a machine, mini-batches pay a **halo exchange** for the input
 features their machine does not own (softened by a per-machine remote
 feature cache), and each optimizer step pays a hierarchical gradient
-sync — intra-node NCCL plus an inter-node ring or tree allreduce over a
+sync — intra-node NCCL plus an inter-node ring allreduce over a
 contended fabric model. All of it lands in the ``network`` lane of the
 epoch timeline, which still reconciles to the epoch time.
 
@@ -27,7 +27,6 @@ from repro.cluster.partitioner import (
     random_partition,
 )
 from repro.cluster.spec import (
-    ALLREDUCE_ALGOS,
     PARTITIONERS,
     REMOTE_CACHES,
     TOPOLOGIES,
@@ -35,7 +34,6 @@ from repro.cluster.spec import (
 )
 
 __all__ = [
-    "ALLREDUCE_ALGOS",
     "PARTITIONERS",
     "REMOTE_CACHES",
     "TOPOLOGIES",

@@ -48,7 +48,6 @@ class ClusterState:
                 graph, self.num_nodes,
                 method=spec.partitioner,
                 seed=config.seed,
-                balance_slack=spec.balance_slack,
             )
             self.stats = partition_stats(graph, self.assignment,
                                          num_parts=self.num_nodes)
@@ -131,8 +130,7 @@ class ClusterState:
 
     def net_sync_time(self, param_bytes: int) -> float:
         """One inter-node allreduce over the fabric (0.0 at one node)."""
-        return self.fabric.allreduce_time(param_bytes,
-                                          algo=self.spec.allreduce)
+        return self.fabric.allreduce_time(param_bytes)
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict:
@@ -143,7 +141,6 @@ class ClusterState:
             "topology": self.spec.topology,
             "partitioner": self.spec.partitioner,
             "remote_cache": self.spec.remote_cache,
-            "allreduce": self.spec.allreduce,
         }
         if self.stats is not None:
             out["partition"] = {

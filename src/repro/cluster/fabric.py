@@ -12,17 +12,13 @@ bandwidth and latency with two contention effects —
   in *different pods* by the oversubscription factor (the classic 2:1
   leaf/spine ratio), so partition placement starts to matter.
 
-Gradient allreduce has the two cost shapes the NCCL literature uses:
-**ring** (bandwidth-optimal: ``2*(N-1)/N`` of the payload over the
-slowest link on the ring, ``2*(N-1)`` latency hops) and **tree**
-(latency-optimal: ``2*ceil(log2 N)`` steps each paying one latency and
-one full payload transfer). Ring wins on large payloads, tree on small
-ones — the crossover the cost model reproduces.
+Gradient allreduce is NCCL's bandwidth-optimal **ring**: ``2*(N-1)/N``
+of the payload over the slowest link on the ring (capped by the NIC),
+plus ``2*(N-1)`` latency hops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
@@ -115,25 +111,12 @@ class NetworkFabric:
             worst = min(worst, self.pair_bandwidth(i, j))
         return worst
 
-    def allreduce_time(self, num_bytes: float, algo: str = "ring") -> float:
-        """Seconds for one cross-node gradient allreduce of
-        ``num_bytes`` per node."""
+    def allreduce_time(self, num_bytes: float) -> float:
+        """Seconds for one cross-node ring allreduce of ``num_bytes`` per
+        node."""
         n = self.num_nodes
         if n <= 1 or num_bytes <= 0:
             return 0.0
-        if algo == "ring":
-            bandwidth = min(self._slowest_ring_bandwidth(),
-                            self.nic_bandwidth)
-            moved = 2.0 * (n - 1) / n * num_bytes
-            return 2.0 * (n - 1) * self.link_latency_s + moved / bandwidth
-        if algo == "tree":
-            # Reduce up + broadcast down a binary tree; inter-pod hops
-            # bound the step bandwidth once the tree spans pods.
-            bandwidth = self.link_bandwidth
-            if (self.topology == "fat-tree"
-                    and n > self.pod_size):
-                bandwidth = bandwidth / self.oversubscription
-            bandwidth = min(bandwidth, self.nic_bandwidth)
-            steps = 2 * math.ceil(math.log2(n))
-            return steps * (self.link_latency_s + num_bytes / bandwidth)
-        raise ValueError(f"unknown allreduce algorithm {algo!r}")
+        bandwidth = min(self._slowest_ring_bandwidth(), self.nic_bandwidth)
+        moved = 2.0 * (n - 1) / n * num_bytes
+        return 2.0 * (n - 1) * self.link_latency_s + moved / bandwidth

@@ -39,6 +39,10 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.partition import validate_assignment
 
+#: The cluster's greedy balance slack: no partition exceeds
+#: ``ceil(n/parts * (1 + BALANCE_SLACK))`` nodes.
+BALANCE_SLACK = 0.05
+
 
 def hash_partition(num_nodes: int, num_parts: int) -> np.ndarray:
     """Modulo assignment (the zero-information baseline)."""
@@ -60,7 +64,8 @@ def random_partition(num_nodes: int, num_parts: int,
     return assignment
 
 
-def greedy_partition(graph, num_parts: int, balance_slack: float = 0.05,
+def greedy_partition(graph, num_parts: int,
+                     balance_slack: float = BALANCE_SLACK,
                      block_size: int = 64) -> np.ndarray:
     """Streaming greedy edge-cut minimization with a balance constraint.
 
@@ -171,16 +176,14 @@ class _Fill:
 
 
 def partition_graph(graph, num_parts: int, method: str = "greedy",
-                    seed: int = 0,
-                    balance_slack: float = 0.05) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray:
     """Partition ``graph`` into ``num_parts`` with the named method.
 
     The returned assignment is validated: every node assigned exactly
     once, partitions in range.
     """
     if method == "greedy":
-        assignment = greedy_partition(graph, num_parts,
-                                      balance_slack=balance_slack)
+        assignment = greedy_partition(graph, num_parts)
     elif method == "random":
         assignment = random_partition(graph.num_nodes, num_parts, seed=seed)
     elif method == "hash":

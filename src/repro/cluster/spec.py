@@ -4,7 +4,7 @@ A :class:`ClusterSpec` is to :meth:`Framework.run_epoch` what
 :class:`~repro.config.RunConfig` is to a single node: a frozen, hashable
 value object describing *how many* machines participate and *how* they
 are wired — topology, per-link bandwidth/latency, NIC aggregate,
-partitioner, remote-feature cache policy, and the allreduce algorithm.
+partitioner and remote-feature cache policy.
 ``num_nodes=1`` is the degenerate cluster: the epoch driver produces
 bit-identical results to a run without a cluster (the conformance tests
 pin this), so the spec can be threaded through call sites
@@ -23,8 +23,6 @@ TOPOLOGIES = ("alltoall", "fat-tree")
 PARTITIONERS = ("greedy", "random", "hash")
 #: Remote-feature cache policies (see :mod:`repro.cluster.halo`).
 REMOTE_CACHES = ("freq", "partition", "lru", "none")
-#: Gradient allreduce cost models (see :mod:`repro.cluster.fabric`).
-ALLREDUCE_ALGOS = ("ring", "tree")
 
 
 @dataclass(frozen=True)
@@ -49,19 +47,15 @@ class ClusterSpec:
     oversubscription: float = 2.0
     #: Nodes per pod (leaf switch) of the fat-tree topology.
     pod_size: int = 4
-    #: Graph partitioner: "greedy" (LDG-style edge-cut minimization),
+    #: Graph partitioner: "greedy" (LDG-style edge-cut minimization,
+    #: balanced to :data:`~repro.cluster.partitioner.BALANCE_SLACK`),
     #: "random" (balanced random) or "hash" (modulo).
     partitioner: str = "greedy"
-    #: Greedy partitioner's balance slack: no partition exceeds
-    #: ``ceil(n/parts * (1 + balance_slack))`` nodes.
-    balance_slack: float = 0.05
     #: Remote-feature cache per node: "freq" (FastSample-style observed
     #: frequency), "partition" (BGL-style pinned hotness), "lru", "none".
     remote_cache: str = "freq"
     #: Per-node remote cache capacity as a fraction of all graph nodes.
     remote_cache_ratio: float = 0.05
-    #: Cross-node gradient allreduce algorithm: "ring" or "tree".
-    allreduce: str = "ring"
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -84,8 +78,6 @@ class ClusterSpec:
                 f"unknown partitioner {self.partitioner!r}; "
                 f"expected one of {PARTITIONERS}"
             )
-        if self.balance_slack < 0:
-            raise ConfigError("balance_slack must be >= 0")
         if self.remote_cache not in REMOTE_CACHES:
             raise ConfigError(
                 f"unknown remote_cache {self.remote_cache!r}; "
@@ -93,8 +85,3 @@ class ClusterSpec:
             )
         if not 0.0 <= self.remote_cache_ratio <= 1.0:
             raise ConfigError("remote_cache_ratio must be in [0, 1]")
-        if self.allreduce not in ALLREDUCE_ALGOS:
-            raise ConfigError(
-                f"unknown allreduce {self.allreduce!r}; "
-                f"expected one of {ALLREDUCE_ALGOS}"
-            )

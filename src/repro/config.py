@@ -116,6 +116,12 @@ class CostModelConfig:
 DEFAULT_COST_MODEL = CostModelConfig()
 
 
+#: Fraction of each training batch drawn from a contiguous run of sorted
+#: train IDs, modeling the community-correlated splits of the real
+#: benchmarks (the ``locality`` of
+#: :class:`repro.graph.partition.MinibatchPlan`).
+BATCH_LOCALITY = 0.6
+
 #: Storage-tier access paths and page-cache policies a ``RunConfig`` may
 #: name (see :mod:`repro.transfer.storage_loader`).
 STORAGE_ACCESS_PATHS = ("direct", "bounce")
@@ -144,10 +150,6 @@ class RunConfig:
     num_epochs: int = 1
     #: Mini-batches sampled ahead and greedily reordered (the paper's n).
     reorder_window: int = 32
-    #: Fraction of each batch drawn from a contiguous run of sorted train
-    #: IDs, modeling the community-correlated splits of the real benchmarks
-    #: (see :class:`repro.graph.partition.MinibatchPlan`).
-    batch_locality: float = 0.6
     train_model: bool = False
     #: When set, cache-using frameworks size their feature cache as this
     #: fraction of the full feature table instead of the dataset's

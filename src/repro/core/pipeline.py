@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import RunConfig
+from repro.config import BATCH_LOCALITY, RunConfig
 from repro.gpu.spec import GPUSpec, RTX3090
 from repro.graph.datasets import Dataset
 from repro.graph.partition import MinibatchPlan
@@ -119,7 +119,7 @@ class FastGLTrainer:
             raise ValueError("num_epochs must be positive")
         history = TrainHistory()
         plan = MinibatchPlan(self.dataset.train_ids, self.config.batch_size,
-                             locality=self.config.batch_locality)
+                             locality=BATCH_LOCALITY)
         framework = self.framework
         for _ in range(num_epochs):
             epoch_rng = self._rngs.child(f"trainer-epoch{self._epochs_done}")

@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.config import CostModelConfig, RunConfig
+from repro.config import BATCH_LOCALITY, CostModelConfig, RunConfig
 from repro.core.memory_aware import (
     ComputeCostModel,
     ComputeReport,
@@ -602,7 +602,7 @@ class Framework:
             costs=costs,
             rngs=rngs,
             plan=MinibatchPlan(dataset.train_ids, config.batch_size,
-                               locality=config.batch_locality),
+                               locality=BATCH_LOCALITY),
             sampler=sampler,
             loaders=loaders,
             per_node_trainers=per_node_trainers,

@@ -276,7 +276,7 @@ def _fleet() -> tuple:
     with instrumented() as registry:
         for policy in ROUTER_POLICIES:
             fleet = FleetSpec(
-                num_replicas=4, router=policy, match_threshold=0.125,
+                num_replicas=4, router=policy,
                 autoscaler=AutoscalerConfig(enabled=False),
                 cache=CacheTierConfig(enabled=False),
             )

@@ -25,12 +25,7 @@ or from the command line::
 """
 
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig, ScaleEvent
-from repro.serve.batcher import (
-    MicroBatch,
-    MicroBatcher,
-    plan_dispatch_order,
-    select_next_batch,
-)
+from repro.serve.batcher import MicroBatch, MicroBatcher, select_next_batch
 from repro.serve.cache_tier import CacheTier, CacheTierConfig, CacheTierStats
 from repro.serve.fleet import FleetReport, FleetSim, FleetSpec, simulate_fleet
 from repro.serve.profiles import ServiceTimes, ServingProfile
@@ -40,10 +35,8 @@ from repro.serve.request import (
     RequestQueue,
     build_schedule,
     bursty_arrivals,
-    diurnal_arrivals,
     flash_crowd_arrivals,
     poisson_arrivals,
-    replay_arrivals,
 )
 from repro.serve.routing import (
     ROUTER_POLICIES,
@@ -92,11 +85,8 @@ __all__ = [
     "build_router",
     "build_schedule",
     "bursty_arrivals",
-    "diurnal_arrivals",
     "flash_crowd_arrivals",
-    "plan_dispatch_order",
     "poisson_arrivals",
-    "replay_arrivals",
     "select_next_batch",
     "simulate",
     "simulate_fleet",

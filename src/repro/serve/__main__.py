@@ -117,7 +117,6 @@ def run_fleet(args, parser) -> int:
         fleet = FleetSpec(
             num_replicas=args.replicas,
             router=policy,
-            match_threshold=args.match_threshold,
             autoscaler=AutoscalerConfig(enabled=args.autoscale),
             cache=CacheTierConfig(enabled=args.cache_tier),
         )
@@ -191,9 +190,6 @@ def main(argv=None) -> int:
     parser.add_argument("--users", type=int, default=32,
                         help="simulated user-population clusters for the "
                              "fleet workload (default: %(default)s)")
-    parser.add_argument("--match-threshold", type=float, default=0.125,
-                        help="match-affinity score floor before JSQ "
-                             "fallback (default: %(default)s)")
     parser.add_argument("--autoscale", action="store_true",
                         help="enable the fleet autoscaler")
     parser.add_argument("--cache-tier", action="store_true",

@@ -1,10 +1,10 @@
 """Queue-driven replica autoscaling for the serving fleet.
 
-The :class:`Autoscaler` watches two signals the fleet already measures —
-an EWMA of mean queue occupancy across live replicas, and a running p99
-latency estimate over the most recent completions — and decides between
-three actions: add a replica, drain one, or hold. Two guard rails keep
-it honest:
+The :class:`Autoscaler` watches one signal the fleet already measures —
+an EWMA (factor :data:`EWMA_ALPHA`) of mean queue occupancy across live
+replicas — and decides between three actions: add a replica, drain one
+(never below :data:`MIN_REPLICAS`), or hold. Two guard rails keep it
+honest:
 
 * **cooldown** — after any scale action the controller holds for
   ``cooldown_s`` of simulated time, so one burst cannot trigger a
@@ -26,6 +26,11 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
+#: EWMA smoothing factor per occupancy sample (1.0 = no smoothing).
+EWMA_ALPHA = 0.3
+#: The controller never drains below this many live replicas.
+MIN_REPLICAS = 1
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -36,28 +41,19 @@ class AutoscalerConfig:
     add_occupancy: float = 0.75
     #: Scale down when EWMA occupancy falls below this fraction.
     drain_occupancy: float = 0.15
-    #: Also scale up when the p99 estimate exceeds this (seconds);
-    #: <= 0 disables the latency trigger.
-    add_p99_s: float = 0.0
     #: Seconds between signal samples.
     interval_s: float = 0.01
     #: Minimum simulated seconds between scale actions.
     cooldown_s: float = 0.05
-    #: EWMA smoothing factor per sample (1.0 = no smoothing).
-    alpha: float = 0.3
-    min_replicas: int = 1
     max_replicas: int = 8
-    #: Completions the p99 estimate is computed over.
-    latency_window: int = 256
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("alpha must be in (0, 1]")
         if self.drain_occupancy >= self.add_occupancy:
             raise ConfigError(
                 "hysteresis requires drain_occupancy < add_occupancy")
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ConfigError("need 1 <= min_replicas <= max_replicas")
+        if self.max_replicas < MIN_REPLICAS:
+            raise ConfigError(f"max_replicas must be >= {MIN_REPLICAS}, "
+                              f"got {self.max_replicas}")
         # A zero interval would sample forever at one instant: the
         # monitor's clock never advances, so the fleet never finishes.
         if not self.interval_s > 0.0:
@@ -76,8 +72,6 @@ class ScaleEvent:
     replicas: int
     #: The EWMA occupancy that drove the decision.
     occupancy: float
-    #: The p99 estimate at decision time (0.0 when unavailable).
-    p99: float
 
 
 class Autoscaler:
@@ -86,7 +80,6 @@ class Autoscaler:
     def __init__(self, config: AutoscalerConfig) -> None:
         self.config = config
         self._ewma: float | None = None
-        self._latencies: list = []
         self._last_action_at = -float("inf")
         self.events: list = []
 
@@ -94,21 +87,11 @@ class Autoscaler:
     def occupancy_ewma(self) -> float:
         return 0.0 if self._ewma is None else self._ewma
 
+    # benchmarks/e2e/trace.py wraps this method by name: keep it until
+    # that table drops it. Nothing calls it.
     def observe_latency(self, latency: float) -> None:
-        """Feed one completed request's end-to-end latency."""
-        self._latencies.append(latency)
-        window = self.config.latency_window
-        if len(self._latencies) > 2 * window:
-            del self._latencies[:-window]
-
-    def p99_estimate(self) -> float:
-        """p99 over the recent-latency window (0.0 until data exists)."""
-        window = self._latencies[-self.config.latency_window:]
-        if not window:
-            return 0.0
-        ordered = sorted(window)
-        index = min(len(ordered) - 1, int(0.99 * (len(ordered) - 1) + 0.5))
-        return ordered[index]
+        """Ignore one completion's latency: only occupancy drives the
+        controller."""
 
     def observe_occupancy(self, occupancy: float) -> float:
         """Fold one occupancy sample (mean fraction of queue capacity
@@ -116,8 +99,8 @@ class Autoscaler:
         if self._ewma is None:
             self._ewma = occupancy
         else:
-            alpha = self.config.alpha
-            self._ewma = alpha * occupancy + (1 - alpha) * self._ewma
+            self._ewma = (EWMA_ALPHA * occupancy
+                          + (1 - EWMA_ALPHA) * self._ewma)
         return self._ewma
 
     def decide(self, now: float, live_replicas: int) -> str:
@@ -131,20 +114,18 @@ class Autoscaler:
         if now - self._last_action_at < cfg.cooldown_s:
             return "hold"
         occupancy = self.occupancy_ewma
-        p99 = self.p99_estimate()
-        wants_add = occupancy > cfg.add_occupancy or (
-            cfg.add_p99_s > 0 and p99 > cfg.add_p99_s)
+        wants_add = occupancy > cfg.add_occupancy
         if wants_add and live_replicas < cfg.max_replicas:
-            self._record(now, "add", live_replicas + 1, occupancy, p99)
+            self._record(now, "add", live_replicas + 1, occupancy)
             return "add"
         if (occupancy < cfg.drain_occupancy and not wants_add
-                and live_replicas > cfg.min_replicas):
-            self._record(now, "drain", live_replicas - 1, occupancy, p99)
+                and live_replicas > MIN_REPLICAS):
+            self._record(now, "drain", live_replicas - 1, occupancy)
             return "drain"
         return "hold"
 
-    def _record(self, now, action, replicas, occupancy, p99) -> None:
+    def _record(self, now, action, replicas, occupancy) -> None:
         self._last_action_at = now
         self.events.append(ScaleEvent(time=now, action=action,
                                       replicas=replicas,
-                                      occupancy=occupancy, p99=p99))
+                                      occupancy=occupancy))

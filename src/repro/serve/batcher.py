@@ -23,7 +23,6 @@ import numpy as np
 
 # benchmarks/e2e/trace.py wraps ``match_degree`` here by name: keep it.
 from repro.core.match import match_degree, match_degrees  # noqa: F401
-from repro.core.reorder import greedy_reorder, match_degree_matrix
 from repro.sampling.idmap.base import sorted_unique
 from repro.serve.request import InferenceRequest
 
@@ -177,21 +176,3 @@ def select_next_batch(pending: list, resident_nodes: np.ndarray) -> int:
         if score > best_score + 1e-12:
             best, best_score = i, score
     return best
-
-
-def plan_dispatch_order(batches: list) -> list:
-    """Offline oracle: greedy match-degree chain over whole batches.
-
-    Used by tests and the serving experiment to quantify how much of the
-    optimal-chain reuse the online :func:`select_next_batch` policy
-    recovers.
-    """
-    if len(batches) < 3:
-        return list(range(len(batches)))
-    # MicroBatch.seeds is already sorted unique, so the dedup
-    # pass of the pair-counting matrix kernel can be skipped; the chain
-    # itself runs the blocked top-k walk (bit-identical to the legacy
-    # sweep, lowest index winning ties).
-    matrix = match_degree_matrix([b.seeds for b in batches],
-                                 assume_unique=True)
-    return greedy_reorder(matrix)

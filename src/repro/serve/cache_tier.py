@@ -4,10 +4,10 @@ Between each replica's device-resident Match cache and host DRAM sits
 one fleet-wide tier holding recently fetched embedding rows — the
 simulated analogue of a memcached/Redis side-cache in front of the
 feature store. A row found **fresh** (inserted within ``ttl_s``) skips
-part of the modeled host fetch (``io_savings`` of the per-row memory-IO
-cost); a row found **stale** counts separately — it must be re-fetched,
-which is exactly the consistency price a TTL cache pays for embeddings
-that retrain underneath it.
+part of the modeled host fetch (:data:`IO_SAVINGS` of the per-row
+memory-IO cost); a row found **stale** counts separately — it must be
+re-fetched, which is exactly the consistency price a TTL cache pays for
+embeddings that retrain underneath it.
 
 The tier tracks row identity, not row payload: no reported number
 depends on the cached bytes. Its index is a dense insertion-stamp array
@@ -27,6 +27,9 @@ import numpy as np
 
 from repro.errors import ConfigError
 
+#: Fraction of the per-row host-fetch cost a fresh hit saves.
+IO_SAVINGS = 0.8
+
 
 @dataclass(frozen=True)
 class CacheTierConfig:
@@ -37,14 +40,10 @@ class CacheTierConfig:
     capacity_rows: int = 4096
     #: Seconds a row stays fresh; <= 0 means rows never go stale.
     ttl_s: float = 1.0
-    #: Fraction of the per-row host-fetch cost a fresh hit saves.
-    io_savings: float = 0.8
 
     def __post_init__(self) -> None:
         if self.capacity_rows < 1:
             raise ConfigError("capacity_rows must be >= 1")
-        if not 0.0 <= self.io_savings <= 1.0:
-            raise ConfigError("io_savings must be in [0, 1]")
 
 
 @dataclass

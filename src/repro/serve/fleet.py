@@ -9,8 +9,8 @@ fleet conformance suite). On top of the replica set sit the fleet-only
 mechanisms:
 
 * an :class:`~repro.serve.autoscale.Autoscaler` sampling queue
-  occupancy (EWMA) and a running p99 estimate, adding or draining
-  replicas mid-trace under cooldown + hysteresis;
+  occupancy (EWMA), adding or draining replicas mid-trace under
+  cooldown + hysteresis;
 * a fleet-shared :class:`~repro.serve.cache_tier.CacheTier` of
   embedding rows with TTL staleness, indexed in process memory;
 * **replica loss** via the ``replica_crash`` fault site: a killed
@@ -69,8 +69,6 @@ class FleetSpec:
     num_replicas: int = 1
     #: Routing policy: "round-robin", "jsq" or "match-affinity".
     router: str = "round-robin"
-    #: Match-affinity score floor; below it the router falls back to JSQ.
-    match_threshold: float = 0.125
     autoscaler: AutoscalerConfig = AutoscalerConfig()
     cache: CacheTierConfig = CacheTierConfig()
 
@@ -82,9 +80,12 @@ class FleetSpec:
             raise ConfigError(
                 f"unknown router {self.router!r}; registered: "
                 f"{sorted(ROUTER_POLICIES)}")
-        if not 0.0 <= self.match_threshold <= 1.0:
-            raise ConfigError(f"match_threshold must be in [0, 1], "
-                              f"got {self.match_threshold}")
+        for name, kind in (("autoscaler", AutoscalerConfig),
+                           ("cache", CacheTierConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be an instance of "
+                                  f"{kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -208,7 +209,7 @@ class FleetSim:
         spec = self.spec
         loop = EventLoop()
         plan = get_fault_plan()
-        router = build_router(spec.router, spec.match_threshold)
+        router = build_router(spec.router)
         autoscaler = (Autoscaler(spec.autoscaler)
                       if spec.autoscaler.enabled else None)
         cache = CacheTier(spec.cache) if spec.cache.enabled else None
@@ -236,8 +237,6 @@ class FleetSim:
         def on_exit(request, now):
             state["terminal"] += 1
             state["last_exit"] = max(state["last_exit"], now)
-            if autoscaler is not None and request.outcome == "completed":
-                autoscaler.observe_latency(request.latency)
 
         def new_engine() -> ReplicaEngine:
             engine = ReplicaEngine(

@@ -7,7 +7,7 @@ same three-phase loop the paper profiles for training (Fig. 1), which is
 why the paper's GPU-efficiency techniques transfer to serving unchanged.
 
 Arrival processes generate deterministic request schedules (Poisson,
-bursty, or a replayed trace); :class:`RequestQueue` applies admission
+bursty, or a flash crowd); :class:`RequestQueue` applies admission
 control in front of the micro-batcher: a queue cap (load shedding) and
 deadline-based dropping.
 """
@@ -89,47 +89,6 @@ def bursty_arrivals(
     return np.cumsum(gaps)
 
 
-def replay_arrivals(times) -> np.ndarray:
-    """A recorded trace of arrival times (must be non-decreasing)."""
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) and np.any(np.diff(times) < 0):
-        raise ValueError("replayed arrival times must be non-decreasing")
-    return times
-
-
-def diurnal_arrivals(
-    rate: float,
-    num_requests: int,
-    rng=None,
-    period_s: float = 1.0,
-    amplitude: float = 0.6,
-) -> np.ndarray:
-    """An inhomogeneous Poisson process with a sinusoidal daily cycle.
-
-    The instantaneous rate is ``rate * (1 + amplitude * sin(2*pi*t /
-    period_s))`` — the compressed shape of a planet-scale service's
-    day/night traffic swing (``period_s`` is one simulated "day"). Each
-    gap is drawn at the rate in effect when it opens, so the mean rate
-    stays ``rate`` over whole periods and peaks reach ``(1 + amplitude)``
-    times the trough's load.
-    """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
-    rng = ensure_rng(rng)
-    draws = rng.exponential(1.0, size=num_requests)
-    times = np.empty(num_requests, dtype=np.float64)
-    t = 0.0
-    for i in range(num_requests):
-        local = rate * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period_s))
-        t += draws[i] / local
-        times[i] = t
-    return times
-
-
 def flash_crowd_arrivals(
     rate: float,
     num_requests: int,
@@ -166,7 +125,6 @@ def flash_crowd_arrivals(
 ARRIVAL_PROCESSES = {
     "poisson": poisson_arrivals,
     "bursty": bursty_arrivals,
-    "diurnal": diurnal_arrivals,
     "flash": flash_crowd_arrivals,
 }
 
@@ -190,14 +148,12 @@ def build_schedule(
     seeds_per_request: int,
     slo_s: float,
     seed: int = 0,
-    replay_times=None,
     num_users: int = 0,
 ) -> list:
     """Materialize the full deterministic request schedule.
 
     ``seed_pool`` is the node-ID population queries draw from (typically
-    the dataset's held-out split). ``replay_times`` short-circuits the
-    generator when ``process == "replay"``.
+    the dataset's held-out split).
 
     ``num_users > 0`` switches on the population model: each request is
     issued by one of ``num_users`` simulated users (drawn from a skewed
@@ -210,19 +166,14 @@ def build_schedule(
     uniform draw, bit-identical to earlier schedules.
     """
     rngs = RngFactory(seed)
-    if process == "replay":
-        if replay_times is None:
-            raise ValueError('process "replay" needs replay_times')
-        times = replay_arrivals(replay_times)
-    else:
-        try:
-            generator = ARRIVAL_PROCESSES[process]
-        except KeyError:
-            raise ValueError(
-                f"unknown arrival process {process!r}; available: "
-                f"{sorted(ARRIVAL_PROCESSES) + ['replay']}"
-            ) from None
-        times = generator(rate, num_requests, rng=rngs.child("arrivals"))
+    try:
+        generator = ARRIVAL_PROCESSES[process]
+    except KeyError:
+        raise ValueError(
+            f"unknown arrival process {process!r}; available: "
+            f"{sorted(ARRIVAL_PROCESSES)}"
+        ) from None
+    times = generator(rate, num_requests, rng=rngs.child("arrivals"))
     seed_rng = rngs.child("request-seeds")
     size = min(seeds_per_request, len(seed_pool))
     window = min(len(seed_pool), max(size, USER_WINDOW_FACTOR * size))

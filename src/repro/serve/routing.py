@@ -12,8 +12,9 @@ policies ship:
   routing: send the request to the replica whose **resident feature
   rows** (the Match-aware cache state the profile already tracks)
   overlap its seeds the most, measured by
-  :func:`repro.core.match.match_degree`. Below ``threshold`` the signal
-  is noise — fall back to JSQ so cold replicas still share load.
+  :func:`repro.core.match.match_degree`. Below :data:`MATCH_THRESHOLD`
+  the signal is noise — fall back to JSQ so cold replicas still share
+  load.
 
 Every policy breaks ties on the lowest replica index (the same pinned
 tie rule as Greedy Reorder), so routing decisions are deterministic and
@@ -29,6 +30,12 @@ from repro.core.match import match_degree  # noqa: F401
 from repro.errors import ConfigError
 from repro.sampling.idmap.base import sorted_unique
 from repro.serve.request import InferenceRequest
+
+#: Match-affinity score floor; below it the router falls back to JSQ.
+MATCH_THRESHOLD = 0.125
+#: Admitted requests a match-affinity pick may sit past the shortest
+#: queue (the bounded-load guard).
+LOAD_SLACK = 4
 
 
 class Router:
@@ -99,29 +106,20 @@ class MatchAffinityRouter(Router):
     score is ``match_degree(request.seeds, replica.resident_nodes)``,
     computed from the request's unique seeds (found once per request) and
     one ``np.searchsorted`` into each replica's sorted-unique residency;
-    when no replica clears ``threshold`` (cold start, disjoint users)
-    the policy degrades to JSQ so affinity never starves load
+    when no replica clears :data:`MATCH_THRESHOLD` (cold start, disjoint
+    users) the policy degrades to JSQ so affinity never starves load
     balancing. Ties break to the lowest replica index.
 
     **Bounded load.** Pure affinity hotspots: one popular user cluster
     pins its replica while the rest idle, and the hot queue's delay
     swamps everything residency saved. Affinity therefore only
-    considers replicas within ``load_slack`` admitted requests of the
+    considers replicas within :data:`LOAD_SLACK` admitted requests of the
     shortest queue — the bounded-load variant of consistent-hashing
-    routers — so the policy trades at most ``load_slack`` positions of
-    queueing for locality.
+    routers — so the policy trades at most :data:`LOAD_SLACK` positions
+    of queueing for locality.
     """
 
     name = "match-affinity"
-
-    def __init__(self, threshold: float = 0.125,
-                 load_slack: int = 4) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError("threshold must be in [0, 1]")
-        if load_slack < 0:
-            raise ConfigError("load_slack must be >= 0")
-        self.threshold = float(threshold)
-        self.load_slack = int(load_slack)
 
     def choose(self, replicas: list, request: InferenceRequest):
         seeds = sorted_unique(np.asarray(request.seeds, dtype=np.int64))
@@ -129,7 +127,7 @@ class MatchAffinityRouter(Router):
         best = None
         best_score = -1.0
         for replica in replicas:
-            if replica.load > min_load + self.load_slack:
+            if replica.load > min_load + LOAD_SLACK:
                 continue
             resident = replica.resident_nodes
             if len(resident) == 0:
@@ -145,7 +143,7 @@ class MatchAffinityRouter(Router):
                 score = overlap / min(len(seeds), len(resident))
             if score > best_score + 1e-12:
                 best, best_score = replica, score
-        if best is None or best_score < self.threshold:
+        if best is None or best_score < MATCH_THRESHOLD:
             return join_shortest_queue(replicas)
         return best
 
@@ -158,12 +156,10 @@ ROUTER_POLICIES = {
 }
 
 
-def build_router(policy: str, match_threshold: float = 0.125) -> Router:
+def build_router(policy: str) -> Router:
     """Instantiate a registered policy by name."""
     if policy not in ROUTER_POLICIES:
         raise ConfigError(
             f"unknown routing policy {policy!r}; registered: "
             f"{sorted(ROUTER_POLICIES)}")
-    if policy == "match-affinity":
-        return MatchAffinityRouter(threshold=match_threshold)
     return ROUTER_POLICIES[policy]()

@@ -30,6 +30,7 @@ from repro.obs import get_registry
 from repro.obs.trace import Tracer
 from repro.sampling.idmap.base import sorted_unique
 from repro.serve.batcher import MicroBatcher, select_next_batch
+from repro.serve.cache_tier import IO_SAVINGS
 from repro.serve.profiles import ServiceTimes, ServingProfile
 from repro.serve.request import (ARRIVAL_PROCESSES, RequestQueue,
                                  build_schedule)
@@ -47,8 +48,7 @@ class ServeConfig:
     #: Mean arrival rate, requests/second.
     rate: float = 500.0
     num_requests: int = 200
-    #: A key of ``ARRIVAL_PROCESSES`` ("poisson", "bursty", "diurnal",
-    #: "flash") or "replay" (with ``replay_times``).
+    #: A key of ``ARRIVAL_PROCESSES``: "poisson", "bursty" or "flash".
     arrival: str = "poisson"
     #: Seed nodes per request (a recommendation query's candidate set).
     seeds_per_request: int = 4
@@ -62,7 +62,6 @@ class ServeConfig:
     #: are dropped. <= 0 disables deadlines.
     slo_s: float = 0.25
     seed: int = 0
-    replay_times: tuple | None = None
     #: Graceful degradation: this many deadline drops inside
     #: ``degrade_window_s`` shrink the admission capacity by
     #: ``degrade_capacity_factor`` (shed at the door instead of stalling
@@ -81,14 +80,11 @@ class ServeConfig:
             value = getattr(self, name)
             if not value >= least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if self.arrival == "replay":
-            if self.replay_times is None:
-                raise ConfigError('arrival "replay" needs replay_times')
-        elif self.arrival not in ARRIVAL_PROCESSES:
+        if self.arrival not in ARRIVAL_PROCESSES:
             raise ConfigError(
                 f"unknown arrival {self.arrival!r}; available: "
-                f"{sorted(ARRIVAL_PROCESSES) + ['replay']}")
-        elif not self.rate > 0:
+                f"{sorted(ARRIVAL_PROCESSES)}")
+        if not self.rate > 0:
             raise ConfigError(f"rate must be > 0, got {self.rate}")
         if not 0.0 < self.degrade_capacity_factor <= 1.0:
             raise ConfigError("degrade_capacity_factor must be in (0, 1], "
@@ -271,8 +267,7 @@ def schedule_requests(profile: ServingProfile, cfg: ServeConfig) -> list:
     return build_schedule(
         cfg.arrival, cfg.rate, cfg.num_requests, pool,
         seeds_per_request=cfg.seeds_per_request,
-        slo_s=cfg.slo_s, seed=cfg.seed, replay_times=cfg.replay_times,
-        num_users=cfg.num_users,
+        slo_s=cfg.slo_s, seed=cfg.seed, num_users=cfg.num_users,
     )
 
 
@@ -527,8 +522,7 @@ class ReplicaEngine:
                                self.loop.now)
         if len(nodes) == 0 or len(hits) == 0:
             return times
-        saved = (times.memory_io * (len(hits) / len(nodes))
-                 * self.cache_tier.config.io_savings)
+        saved = times.memory_io * (len(hits) / len(nodes)) * IO_SAVINGS
         return ServiceTimes(sample=times.sample,
                             memory_io=times.memory_io - saved,
                             compute=times.compute)

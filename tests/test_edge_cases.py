@@ -10,7 +10,7 @@ from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
 from repro.pipeline.spec import ExecutionSpec
 from repro.sampling import NeighborSampler
-from repro.serve import MatchAffinityRouter, ServeConfig, build_router
+from repro.serve import FleetSpec, ServeConfig, build_router
 
 
 class TestPaperFig6Example:
@@ -196,6 +196,48 @@ class TestExecutionSpecValidation:
             api.run("dgl", "products", exec=value)
 
 
+#: Wrong-type stand-ins a caller might pass for a config object.
+_NOT_A_CONFIG = ["round-robin", {"num_gpus": 1}, 3]
+
+
+class TestApiArgumentTypes:
+    """A config object of the wrong type used to fail partway through
+    the run with ``AttributeError`` (a serving one only after the
+    profile build): ``serve(..., fleet="round-robin")`` raised
+    ``'str' object has no attribute 'router'``. Each raises the API's
+    typed error up front; ``None`` still selects the default."""
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG)
+    def test_run_config_must_be_a_run_config(self, value):
+        with pytest.raises(ConfigError, match="config must be a RunConfig"):
+            api.run("dgl", "products", config=value)
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG)
+    def test_serve_run_config_must_be_a_run_config(self, value):
+        with pytest.raises(ConfigError, match="run_config"):
+            api.serve("dgl", "products", run_config=value)
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG)
+    def test_serve_config_must_be_a_serve_config(self, value):
+        with pytest.raises(ConfigError, match="serve_config"):
+            api.serve("dgl", "products", serve_config=value)
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG)
+    def test_serve_fleet_must_be_a_fleet_spec(self, value):
+        with pytest.raises(ConfigError, match="fleet"):
+            api.serve("dgl", "products", fleet=value)
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG + [None])
+    def test_fleet_autoscaler_must_be_an_autoscaler_config(self, value):
+        with pytest.raises(ConfigError, match="autoscaler"):
+            FleetSpec(autoscaler=value)
+
+    @pytest.mark.parametrize("value", _NOT_A_CONFIG + [None])
+    def test_fleet_cache_must_be_a_cache_tier_config(self, value):
+        with pytest.raises(ConfigError, match="cache"):
+            FleetSpec(cache=value)
+
+
 class TestServeConfigValidation:
     """Serving inputs that used to run silently as another config, or
     fail mid-run, are rejected when the config is built."""
@@ -218,12 +260,10 @@ class TestServeConfigValidation:
             ServeConfig(rate=rate)
 
     def test_unknown_arrival(self):
-        with pytest.raises(ConfigError, match="unknown arrival"):
-            ServeConfig(arrival="fractal")
-
-    def test_replay_without_times(self):
-        with pytest.raises(ConfigError, match="replay_times"):
-            ServeConfig(arrival="replay")
+        # "replay" and "diurnal" were arrival processes once.
+        for arrival in ("fractal", "replay", "diurnal"):
+            with pytest.raises(ConfigError, match="unknown arrival"):
+                ServeConfig(arrival=arrival)
 
     def test_max_batch_below_one(self):
         with pytest.raises(ConfigError, match="max_batch"):
@@ -246,23 +286,11 @@ class TestServeConfigValidation:
         assert ServeConfig(num_requests=0, seeds_per_request=1, num_users=0)
         assert ServeConfig(max_batch=1, batch_window_s=0.0,
                            queue_capacity=1, degrade_capacity_factor=1.0)
-        # A replay ignores the rate.
-        assert ServeConfig(arrival="replay", replay_times=(0.0, 0.1),
-                           rate=0.0)
-        for arrival in ("poisson", "bursty", "diurnal", "flash"):
+        for arrival in ("poisson", "bursty", "flash"):
             assert ServeConfig(arrival=arrival)
 
 
 class TestRouterValidation:
-    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
-    def test_threshold_outside_unit_interval(self, threshold):
-        with pytest.raises(ConfigError, match="threshold"):
-            MatchAffinityRouter(threshold=threshold)
-
-    def test_negative_load_slack(self):
-        with pytest.raises(ConfigError, match="load_slack"):
-            MatchAffinityRouter(load_slack=-1)
-
     def test_unknown_policy(self):
         with pytest.raises(ConfigError, match="unknown routing policy"):
             build_router("consistent-hash")

@@ -88,7 +88,7 @@ def test_jsq_picks_shortest_then_lowest_index():
 
 
 def test_match_affinity_routes_to_best_overlap():
-    router = MatchAffinityRouter(threshold=0.25)
+    router = MatchAffinityRouter()
     replicas = [FakeReplica(0, resident=[100, 101]),
                 FakeReplica(1, resident=[1, 2, 3, 4]),
                 FakeReplica(2, resident=[1, 2])]
@@ -98,19 +98,20 @@ def test_match_affinity_routes_to_best_overlap():
 
 
 def test_match_affinity_falls_back_to_jsq_below_threshold():
-    router = MatchAffinityRouter(threshold=0.5)
+    router = MatchAffinityRouter()
     replicas = [FakeReplica(0, load=4, resident=[100]),
                 FakeReplica(1, load=1, resident=[200])]
-    # No replica clears the threshold for these seeds -> JSQ.
+    # Overlap 0 for these seeds clears no replica past MATCH_THRESHOLD
+    # (0.125) -> JSQ.
     assert router.choose(replicas, _request([1, 2, 3, 4])).replica_id == 1
 
 
 def test_match_affinity_bounded_load_guard():
-    router = MatchAffinityRouter(threshold=0.1, load_slack=2)
+    router = MatchAffinityRouter()
     hot = FakeReplica(0, load=10, resident=[1, 2, 3, 4])
     cold = FakeReplica(1, load=0, resident=[99])
-    # Perfect overlap with the hot replica, but it is load_slack past
-    # the shortest queue -> affinity may not pick it.
+    # Perfect overlap with the hot replica, but it is more than
+    # LOAD_SLACK (4) past the shortest queue -> affinity may not pick it.
     assert router.choose([hot, cold], _request([1, 2])).replica_id == 1
 
 
@@ -213,8 +214,7 @@ def test_autoscaler_never_flaps(samples, cooldown):
     a scale action within one cooldown window of the previous one."""
     scaler = Autoscaler(AutoscalerConfig(
         enabled=True, add_occupancy=0.6, drain_occupancy=0.2,
-        interval_s=0.01, cooldown_s=cooldown, min_replicas=1,
-        max_replicas=8))
+        interval_s=0.01, cooldown_s=cooldown, max_replicas=8))
     live = 2
     for i, sample in enumerate(samples):
         now = i * 0.01
@@ -240,10 +240,7 @@ def test_autoscaler_hysteresis_requires_dead_band():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"alpha": 0.0}, "alpha"),
-    ({"alpha": 1.5}, "alpha"),
-    ({"min_replicas": 0}, "min_replicas"),
-    ({"min_replicas": 3, "max_replicas": 2}, "max_replicas"),
+    ({"max_replicas": 0}, "max_replicas"),
     ({"interval_s": -0.01}, "interval_s"),
     ({"interval_s": float("nan")}, "interval_s"),
 ])
@@ -296,8 +293,6 @@ def test_fleet_refuses_interval_that_never_reaches_backstop(interval):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"capacity_rows": 0}, "capacity_rows"),
-    ({"io_savings": -0.1}, "io_savings"),
-    ({"io_savings": 1.5}, "io_savings"),
 ])
 def test_cache_tier_config_rejects_bad_fields(kwargs, message):
     with pytest.raises(ConfigError, match=message):
@@ -329,12 +324,3 @@ def test_fleet_spec_validation():
         FleetSpec(num_replicas=0)
     with pytest.raises(ConfigError, match="unknown router"):
         FleetSpec(router="random")
-    # The threshold is checked for every router, not only when a
-    # match-affinity router is built mid-run.
-    for router in ("round-robin", "jsq", "match-affinity"):
-        for threshold in (-0.01, 1.5, float("nan")):
-            with pytest.raises(ConfigError, match="match_threshold"):
-                FleetSpec(router=router, match_threshold=threshold)
-    for threshold in (0.0, 1.0):
-        assert FleetSpec(match_threshold=threshold).match_threshold == \
-            threshold

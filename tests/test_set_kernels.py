@@ -43,7 +43,11 @@ from repro.serve import (
     MatchAffinityRouter,
 )
 from repro.serve.batcher import MicroBatch, select_next_batch
-from repro.serve.routing import join_shortest_queue
+from repro.serve.routing import (
+    LOAD_SLACK,
+    MATCH_THRESHOLD,
+    join_shortest_queue,
+)
 from repro.storage import IOScheduler, LRUPageCache, PageStore
 from repro.transfer.cache import StaticFeatureCache
 
@@ -414,17 +418,12 @@ class TestDecisionsMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(residents=st.lists(st.tuples(st.integers(0, 6), _resident),
                               min_size=1, max_size=5),
-           seeds=_seeds,
-           threshold=st.sampled_from([0.0, 0.125, 0.5, 1.0]),
-           load_slack=st.sampled_from([0, 2, 4]))
-    def test_router_picks_same_replica(self, residents, seeds, threshold,
-                                       load_slack):
+           seeds=_seeds)
+    def test_router_picks_same_replica(self, residents, seeds):
         replicas = [_Replica(i, load, resident)
                     for i, (load, resident) in enumerate(residents)]
-        router = MatchAffinityRouter(threshold=threshold,
-                                     load_slack=load_slack)
-        got = router.choose(replicas, _request(seeds))
-        want = choose_reference(router, replicas, _request(seeds))
+        got = MatchAffinityRouter().choose(replicas, _request(seeds))
+        want = choose_reference(replicas, _request(seeds))
         assert got is want
 
     @settings(max_examples=300, deadline=None)
@@ -438,7 +437,7 @@ class TestDecisionsMatchReference:
                                                   match_degree_reference)
 
 
-def choose_reference(router, replicas, request):
+def choose_reference(replicas, request):
     """The per-replica scan ``MatchAffinityRouter.choose`` replaced: one
     match degree per eligible replica with residency, the first score
     beating the best by more than 1e-12 winning, JSQ below the
@@ -446,13 +445,13 @@ def choose_reference(router, replicas, request):
     min_load = min(r.load for r in replicas)
     best, best_score = None, -1.0
     for replica in replicas:
-        if (replica.load > min_load + router.load_slack
+        if (replica.load > min_load + LOAD_SLACK
                 or len(replica.resident_nodes) == 0):
             continue
         score = match_degree_reference(request.seeds, replica.resident_nodes)
         if score > best_score + 1e-12:
             best, best_score = replica, score
-    if best is None or best_score < router.threshold:
+    if best is None or best_score < MATCH_THRESHOLD:
         return join_shortest_queue(replicas)
     return best
 
