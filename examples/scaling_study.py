@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from repro import RunConfig, create, get_dataset
-from repro.gpu.cluster import effective_pcie_bandwidth
+from repro.gpu import PCIeLink
 from repro.utils import format_seconds, format_si
 
 
@@ -24,8 +24,9 @@ def main() -> None:
     base = RunConfig()
     print(f"scaling study on {dataset.name}")
     print("per-GPU host-link bandwidth under contention:")
+    link = PCIeLink()
     for gpus in (1, 2, 4, 8):
-        bw = effective_pcie_bandwidth(32e9, gpus)
+        bw = link.effective_bandwidth(gpus)
         print(f"  {gpus} GPUs: {format_si(bw, 'B/s')}")
 
     print(f"\n{'gpus':>4} {'dgl':>10} {'gnnlab':>10} {'fastgl':>10} "

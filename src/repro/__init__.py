@@ -19,10 +19,9 @@ Quickstart (the :mod:`repro.api` facade)::
     print(serving.p99, serving.throughput)
 """
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL, RunConfig
+from repro.config import COST_MODEL, CostModelConfig, RunConfig
 from repro.errors import (
     ConfigError,
-    DeviceMemoryError,
     GraphError,
     ReproError,
     SamplingError,
@@ -58,12 +57,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostModelConfig",
-    "DEFAULT_COST_MODEL",
+    "COST_MODEL",
     "RunConfig",
     "ReproError",
     "GraphError",
     "SamplingError",
-    "DeviceMemoryError",
     "ConfigError",
     "Framework",
     "FRAMEWORKS",

@@ -21,7 +21,7 @@ instance, and a dataset as a registry name or a
 
 The *what to run* knobs stay individual (``config``, ``model``,
 ``sampler``); everything describing *where and how* an epoch executes —
-cluster shape, fault plan, epoch pipelining — travels in one frozen
+cluster shape and epoch pipelining — travels in one frozen
 :class:`~repro.pipeline.ExecutionSpec` passed as ``exec``::
 
     report = run(
@@ -32,7 +32,8 @@ cluster shape, fault plan, epoch pipelining — travels in one frozen
     )
 
 A different simulated device is a framework instance built with it:
-``run(FastGLFramework(spec=A100), "products")``.
+``run(FastGLFramework(spec=A100), "products")``. Faults are injected by
+running the call inside :func:`repro.faults.fault_scope`.
 """
 
 from __future__ import annotations
@@ -112,10 +113,9 @@ def run(
         :class:`~repro.pipeline.ExecutionSpec` bundling the execution
         environment: ``cluster``
         (:class:`~repro.cluster.spec.ClusterSpec` — ``config`` then
-        describes one node), ``faults`` (a fault plan installed for the
-        run), and ``pipeline`` (``"off"`` | ``"pipelined"`` or a
-        :class:`~repro.pipeline.PipelineSpec`). Anything else raises
-        :class:`~repro.errors.ConfigError`.
+        describes one node) and ``pipeline`` (``"off"`` |
+        ``"pipelined"`` or a :class:`~repro.pipeline.PipelineSpec`).
+        Anything else raises :class:`~repro.errors.ConfigError`.
     model:
         Model profile name (``"gcn"``, ``"gat"``, ``"graphsage"``).
     sampler:
@@ -148,7 +148,7 @@ def serve(
     Accepts the same ``framework``/``dataset`` forms as :func:`run`;
     ``serve_config`` (a :class:`~repro.serve.server.ServeConfig`)
     describes the request workload and micro-batching policy, and
-    ``run_config`` carries the sampling fanouts, seed, and cost model.
+    ``run_config`` carries the sampling fanouts and seed.
 
     With ``fleet=FleetSpec(...)`` the simulation runs N replicas behind
     the spec's router/autoscaler/cache-tier policies and returns a

@@ -9,8 +9,9 @@ bandwidth and latency with two contention effects —
   than ``nic_bandwidth`` in total;
 * **topology** — ``alltoall`` gives every pair the full link bandwidth
   (a non-blocking switch); ``fat-tree`` divides bandwidth between nodes
-  in *different pods* by the oversubscription factor (the classic 2:1
-  leaf/spine ratio), so partition placement starts to matter.
+  in *different pods* of :data:`POD_SIZE` nodes by
+  :data:`OVERSUBSCRIPTION` (the classic 2:1 leaf/spine ratio), so
+  partition placement starts to matter.
 
 Gradient allreduce is NCCL's bandwidth-optimal **ring**: ``2*(N-1)/N``
 of the payload over the slowest link on the ring (capped by the NIC),
@@ -23,6 +24,13 @@ from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
 
+#: One-way latency per fabric message.
+LINK_LATENCY_S = 5e-6
+#: Inter-pod bandwidth divisor of the fat-tree topology.
+OVERSUBSCRIPTION = 2.0
+#: Nodes per pod (leaf switch) of the fat-tree topology.
+POD_SIZE = 4
+
 
 @dataclass(frozen=True)
 class NetworkFabric:
@@ -31,10 +39,7 @@ class NetworkFabric:
     num_nodes: int
     topology: str = "alltoall"
     link_bandwidth: float = 12.5e9
-    link_latency_s: float = 5e-6
     nic_bandwidth: float = 12.5e9
-    oversubscription: float = 2.0
-    pod_size: int = 4
 
     @classmethod
     def from_spec(cls, spec: ClusterSpec) -> "NetworkFabric":
@@ -42,22 +47,19 @@ class NetworkFabric:
             num_nodes=spec.num_nodes,
             topology=spec.topology,
             link_bandwidth=spec.link_bandwidth,
-            link_latency_s=spec.link_latency_s,
             nic_bandwidth=spec.nic_bandwidth,
-            oversubscription=spec.oversubscription,
-            pod_size=spec.pod_size,
         )
 
     # -- link structure ------------------------------------------------------
     def pod_of(self, node: int) -> int:
         """The pod (leaf switch) a node hangs off."""
-        return node // self.pod_size
+        return node // POD_SIZE
 
     def pair_bandwidth(self, a: int, b: int) -> float:
         """Uncontended bandwidth of the ``a``<->``b`` path."""
         bandwidth = self.link_bandwidth
         if self.topology == "fat-tree" and self.pod_of(a) != self.pod_of(b):
-            bandwidth = bandwidth / self.oversubscription
+            bandwidth = bandwidth / OVERSUBSCRIPTION
         return bandwidth
 
     def effective_bandwidth(self, a: int, b: int,
@@ -75,7 +77,7 @@ class NetworkFabric:
         if num_bytes <= 0:
             return 0.0
         bandwidth = self.effective_bandwidth(src, dst, concurrent_flows)
-        return self.link_latency_s + num_bytes / bandwidth
+        return LINK_LATENCY_S + num_bytes / bandwidth
 
     # -- collective costs ----------------------------------------------------
     def gather_time(self, bytes_by_peer: dict, node: int) -> float:
@@ -96,10 +98,10 @@ class NetworkFabric:
         if not flows:
             return 0.0
         slowest = max(
-            self.link_latency_s + num_bytes / self.pair_bandwidth(peer, node)
+            LINK_LATENCY_S + num_bytes / self.pair_bandwidth(peer, node)
             for peer, num_bytes in flows.items()
         )
-        nic_floor = (self.link_latency_s
+        nic_floor = (LINK_LATENCY_S
                      + sum(flows.values()) / self.nic_bandwidth)
         return max(slowest, nic_floor)
 
@@ -119,4 +121,4 @@ class NetworkFabric:
             return 0.0
         bandwidth = min(self._slowest_ring_bandwidth(), self.nic_bandwidth)
         moved = 2.0 * (n - 1) / n * num_bytes
-        return 2.0 * (n - 1) * self.link_latency_s + moved / bandwidth
+        return 2.0 * (n - 1) * LINK_LATENCY_S + moved / bandwidth

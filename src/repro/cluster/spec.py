@@ -3,8 +3,9 @@
 A :class:`ClusterSpec` is to :meth:`Framework.run_epoch` what
 :class:`~repro.config.RunConfig` is to a single node: a frozen, hashable
 value object describing *how many* machines participate and *how* they
-are wired — topology, per-link bandwidth/latency, NIC aggregate,
-partitioner and remote-feature cache policy.
+are wired — topology, per-link bandwidth, NIC aggregate, partitioner and
+remote-feature cache policy (the fabric's latency and fat-tree shape are
+the constants of :mod:`repro.cluster.fabric`).
 ``num_nodes=1`` is the degenerate cluster: the epoch driver produces
 bit-identical results to a run without a cluster (the conformance tests
 pin this), so the spec can be threaded through call sites
@@ -14,6 +15,7 @@ unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.errors import ConfigError
 
@@ -32,21 +34,18 @@ class ClusterSpec:
     Bandwidths are bytes/second. The defaults model a 100 Gb/s RoCE
     fabric: each node owns one NIC whose aggregate caps all concurrent
     flows in or out of the node, and ``fat-tree`` divides inter-pod
-    bandwidth by ``oversubscription`` (the classic 2:1 spine).
+    bandwidth by :data:`~repro.cluster.fabric.OVERSUBSCRIPTION` (the
+    classic 2:1 spine). ``num_nodes`` must be an integer of at least 1
+    and both bandwidths positive numbers; construction raises
+    :class:`~repro.errors.ConfigError` otherwise.
     """
 
     num_nodes: int = 4
     topology: str = "alltoall"
     #: Point-to-point bandwidth of one fabric link.
     link_bandwidth: float = 12.5e9
-    #: One-way latency per fabric message.
-    link_latency_s: float = 5e-6
     #: Per-node NIC aggregate shared by all of that node's flows.
     nic_bandwidth: float = 12.5e9
-    #: Inter-pod bandwidth divisor of the fat-tree topology.
-    oversubscription: float = 2.0
-    #: Nodes per pod (leaf switch) of the fat-tree topology.
-    pod_size: int = 4
     #: Graph partitioner: "greedy" (LDG-style edge-cut minimization,
     #: balanced to :data:`~repro.cluster.partitioner.BALANCE_SLACK`),
     #: "random" (balanced random) or "hash" (modulo).
@@ -58,21 +57,17 @@ class ClusterSpec:
     remote_cache_ratio: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ConfigError("num_nodes must be >= 1")
+        if not isinstance(self.num_nodes, Integral) or self.num_nodes < 1:
+            raise ConfigError("num_nodes must be an integer >= 1, got "
+                              f"{self.num_nodes!r}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; "
                 f"expected one of {TOPOLOGIES}"
             )
-        if self.link_bandwidth <= 0 or self.nic_bandwidth <= 0:
+        # ``not x > 0`` also refuses NaN, which ``x <= 0`` lets through.
+        if not self.link_bandwidth > 0 or not self.nic_bandwidth > 0:
             raise ConfigError("fabric bandwidths must be positive")
-        if self.link_latency_s < 0:
-            raise ConfigError("link_latency_s must be >= 0")
-        if self.oversubscription < 1.0:
-            raise ConfigError("oversubscription must be >= 1")
-        if self.pod_size < 1:
-            raise ConfigError("pod_size must be >= 1")
         if self.partitioner not in PARTITIONERS:
             raise ConfigError(
                 f"unknown partitioner {self.partitioner!r}; "

@@ -11,19 +11,26 @@ Calibration philosophy: constants are set once, to magnitudes consistent
 with published microbenchmarks of Ampere-class GPUs, and are never tuned
 per-experiment. The paper-vs-measured comparisons in EXPERIMENTS.md are
 about *shape* (who wins, by roughly what factor), which is governed by the
-counted work, not by these constants.
+counted work, not by these constants. There is one calibration,
+:data:`COST_MODEL`: every pricing function reads it, and no run, report
+or link model takes another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from numbers import Integral
 
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostModelConfig:
-    """Throughputs/latencies converting counted work into modeled seconds."""
+    """Throughputs/latencies converting counted work into modeled seconds.
+
+    The class takes no arguments: every instance is the one calibration
+    below, read through :data:`COST_MODEL`.
+    """
 
     # --- Sampling ---------------------------------------------------------
     #: Neighbor draws per second for a GPU sampler (DGL-style, massive
@@ -107,13 +114,9 @@ class CostModelConfig:
     #: Multiplier for allocator slack / fragmentation on workspace buffers.
     allocator_slack: float = 1.35
 
-    def scaled(self, **overrides: float) -> "CostModelConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
-
-#: Package-wide default calibration.
-DEFAULT_COST_MODEL = CostModelConfig()
+#: The calibration every pricing function reads.
+COST_MODEL = CostModelConfig()
 
 
 #: Fraction of each training batch drawn from a contiguous run of sorted
@@ -136,11 +139,12 @@ class RunConfig:
     batch size, sampling fanouts (hop order: ``fanouts[0]`` is the first hop
     from the seed nodes), number of simulated GPUs, and the Match-Reorder
     window ``reorder_window`` (the paper's ``n`` mini-batches sampled ahead).
-    The counts (GPUs, hidden width, epochs, window, prefetch depth) must
-    be at least 1, ``cache_ratio_override`` must lie in [0, 1], and the
-    storage tier's access path and page-cache policy must be ones it
-    implements; construction raises :class:`~repro.errors.ConfigError`
-    otherwise.
+    The counts (batch size, GPUs, hidden width, epochs, window, page
+    size, prefetch depth) must be integers of at least 1,
+    ``host_memory_bytes`` must be None or at least 0,
+    ``cache_ratio_override`` must lie in [0, 1], and the storage tier's
+    access path and page-cache policy must be ones it implements;
+    construction raises :class:`~repro.errors.ConfigError` otherwise.
     """
 
     batch_size: int = 256
@@ -171,14 +175,19 @@ class RunConfig:
     #: at least 1 (``ConfigError`` otherwise).
     storage_prefetch_depth: int = 4
     seed: int = 0
-    cost: CostModelConfig = field(default_factory=CostModelConfig)
 
     def __post_init__(self) -> None:
-        for name in ("num_gpus", "hidden_dim", "num_epochs",
-                     "reorder_window", "storage_prefetch_depth"):
+        for name in ("batch_size", "num_gpus", "hidden_dim", "num_epochs",
+                     "reorder_window", "page_bytes",
+                     "storage_prefetch_depth"):
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if not isinstance(value, Integral) or value < 1:
+                raise ConfigError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        budget = self.host_memory_bytes
+        if budget is not None and not budget >= 0:
+            raise ConfigError(
+                f"host_memory_bytes must be None or >= 0, got {budget!r}")
         ratio = self.cache_ratio_override
         if ratio is not None and not 0.0 <= ratio <= 1.0:
             raise ConfigError("cache_ratio_override must lie in [0, 1], "

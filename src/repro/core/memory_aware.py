@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.errors import ConfigError
 from repro.gpu.kernels import ThreadBlockConfig, aggregation_kernel_plan, gemm_time
 from repro.gpu.memory import MemoryHierarchy
@@ -148,19 +148,17 @@ class ComputeCostModel:
     def __init__(
         self,
         spec: GPUSpec = RTX3090,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
         mode: str = "memory_aware",
         tb_config: ThreadBlockConfig = ThreadBlockConfig(),
     ) -> None:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         self.spec = spec
-        self.cost = cost
         self.mode = mode
         self.tb_config = tb_config
         self._hier = MemoryHierarchy(spec)
         self._naive_bw = self._hier.effective_bandwidth(
-            cost.naive_l1_hit, cost.naive_l2_hit
+            COST_MODEL.naive_l1_hit, COST_MODEL.naive_l2_hit
         )
 
     # -- single aggregation ---------------------------------------------------
@@ -189,12 +187,12 @@ class ComputeCostModel:
             bytes_shared = 0.0
             bytes_global = 4.0 * d * max(0.0, 3.0 * e - dst)
             bandwidth = self._naive_bw
-            miss_to_dram = ((1.0 - self.cost.naive_l1_hit)
-                            * (1.0 - self.cost.naive_l2_hit))
+            miss_to_dram = ((1.0 - COST_MODEL.naive_l1_hit)
+                            * (1.0 - COST_MODEL.naive_l2_hit))
             dram_bytes = bytes_global * miss_to_dram
             if self.mode == "advisor":
-                bandwidth *= self.cost.advisor_bandwidth_gain
-                dram_bytes /= self.cost.advisor_bandwidth_gain
+                bandwidth *= COST_MODEL.advisor_bandwidth_gain
+                dram_bytes /= COST_MODEL.advisor_bandwidth_gain
             mem_time = bytes_global / bandwidth
         return AggregationCost(
             mem_time=mem_time,
@@ -227,7 +225,7 @@ class ComputeCostModel:
 
         gemm_rows = block.num_src if profile.gemm_on_src else block.num_dst
         one_gemm = gemm_time(gemm_rows, d_out, d_in, self.spec,
-                             self.cost.gemm_efficiency)
+                             COST_MODEL.gemm_efficiency)
         # Backward needs dX and dW — two extra GEMMs of the same shape.
         gemm_count = profile.gemms_per_layer * (3 if include_backward else 1)
         report.gemm_time += one_gemm * gemm_count
@@ -241,7 +239,7 @@ class ComputeCostModel:
             report.agg_time += extra_bytes / self.spec.global_bw
             report.agg_mem_time += extra_bytes / self.spec.global_bw
             report.flops += extra_flops
-        report.overhead_time += self.cost.layer_overhead_s * directions
+        report.overhead_time += COST_MODEL.layer_overhead_s * directions
         return report
 
     # -- full subgraph -----------------------------------------------------------
@@ -269,7 +267,7 @@ class ComputeCostModel:
         if self.mode == "advisor":
             elems = subgraph.num_nodes + subgraph.num_edges
             report.preprocess_time += (
-                elems * self.cost.advisor_preprocess_s_per_elem
+                elems * COST_MODEL.advisor_preprocess_s_per_elem
             )
         return report
 

@@ -15,20 +15,6 @@ class SamplingError(ReproError):
     """A sampler was configured or invoked incorrectly."""
 
 
-class DeviceMemoryError(ReproError):
-    """A simulated device allocation exceeded the device capacity."""
-
-    def __init__(self, requested: int, available: int, what: str = "") -> None:
-        self.requested = int(requested)
-        self.available = int(available)
-        self.what = what
-        suffix = f" for {what}" if what else ""
-        super().__init__(
-            f"device allocation of {requested} bytes{suffix} exceeds "
-            f"available {available} bytes"
-        )
-
-
 class ConfigError(ReproError):
     """An invalid experiment or model configuration."""
 

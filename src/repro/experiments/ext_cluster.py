@@ -45,7 +45,7 @@ VARIANTS = (
 #: enough that halo traffic is a visible share of the modeled epoch, as
 #: on real ethernet clusters (the 100 Gb/s default models InfiniBand).
 FABRIC = dict(topology="fat-tree", link_bandwidth=2.5e9,
-              nic_bandwidth=2.5e9, oversubscription=2.0, pod_size=4)
+              nic_bandwidth=2.5e9)
 
 
 def _cluster_config(config: RunConfig | None) -> RunConfig:

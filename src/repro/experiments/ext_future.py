@@ -15,7 +15,7 @@ prose, reproduced quantitatively:
 
 from __future__ import annotations
 
-from repro.config import RunConfig
+from repro.config import COST_MODEL, RunConfig
 from repro.experiments.runner import ExperimentResult, epoch_report
 from repro.gpu.multimachine import MachineSpec, multimachine_epoch_time
 from repro.graph.datasets import get_dataset
@@ -42,16 +42,15 @@ def run_grace_hopper(dataset_name: str = "papers100m",
         headers=["link_GBps", "io_s", "gather_share", "transfer_share"],
     )
     report = epoch_report("dgl", dataset_name, config, model="gcn")
-    cost = config.cost
     for bandwidth in LINK_BANDWIDTHS:
         feature_bytes = report.transfer.feature_bytes
         total_bytes = report.transfer.total_bytes
         # Grace-Hopper's unified memory also removes today's host-DRAM
         # aggregate cap, so the sweep applies the link bandwidth directly.
-        gather = feature_bytes / cost.host_gather_bytes_per_s
+        gather = feature_bytes / COST_MODEL.host_gather_bytes_per_s
         transfer = (total_bytes / bandwidth
                     + report.transfer.num_transfers
-                    * cost.pcie_transfer_latency_s)
+                    * COST_MODEL.pcie_transfer_latency_s)
         io = gather + transfer
         result.rows.append([
             bandwidth / 1e9, io,
@@ -90,7 +89,7 @@ def run_multimachine(dataset_name: str = "products",
             report = epoch_report(name, dataset_name, config, model="gcn")
             times[name] = multimachine_epoch_time(
                 report.epoch_time, report.num_batches, grad_bytes,
-                count, spec, config.cost,
+                count, spec,
             )
         result.rows.append([
             count, times["dgl"], times["fastgl"],
@@ -215,7 +214,7 @@ def run_sampler_generality(dataset_name: str = "products",
                              ("fused", FusedIdMap())):
             sampler = build(kind, idmap)
             subgraph = sampler.sample(seeds)
-            times[label] = subgraph.idmap_report.modeled_time(config.cost)
+            times[label] = subgraph.idmap_report.modeled_time()
         result.rows.append([
             kind, times["baseline"], times["fused"],
             round(times["baseline"] / times["fused"], 2),

@@ -43,7 +43,7 @@ def run(dataset_name: str = "products",
     )
     points = {}
     for label, mode in MODES:
-        cost_model = ComputeCostModel(RTX3090, config.cost, mode)
+        cost_model = ComputeCostModel(RTX3090, mode)
         report = cost_model.subgraph_report(subgraph, profile)
         point = RooflinePoint(
             name=label,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import RunConfig
+from repro.faults import get_fault_plan
 from repro.frameworks import EpochReport, create
 from repro.graph.datasets import SHORT_NAMES, get_dataset
 from repro.obs import get_registry
@@ -99,16 +100,17 @@ def epoch_report(
     :func:`repro.frameworks.available_frameworks`), a framework class,
     or an instance. Memoization only applies to the name/class forms
     with default datasets and samplers (``execution``, a frozen
-    :class:`~repro.pipeline.ExecutionSpec`, is part of the key);
-    hit/miss counts are visible through :func:`cache_info` and, when
-    observability is on, the ``repro_experiment_report_cache_total``
-    counter.
+    :class:`~repro.pipeline.ExecutionSpec`, is part of the key) and
+    only while no fault plan is active; hit/miss counts are visible
+    through :func:`cache_info` and, when observability is on, the
+    ``repro_experiment_report_cache_total`` counter.
     """
     if execution is None:
         execution = DEFAULT_EXECUTION
-    # A fault plan is stateful (fired counts) and unhashable; never memoize.
+    # A fault plan is stateful (fired counts) and unhashable: a run under
+    # one is neither served from the memo nor stored in it.
     cacheable = (dataset is None and sampler is None
-                 and execution.faults is None)
+                 and not get_fault_plan().enabled)
     if isinstance(framework, str):
         key_id = framework
         instance = create(framework)

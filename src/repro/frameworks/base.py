@@ -22,13 +22,12 @@ are built from.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from repro.config import BATCH_LOCALITY, CostModelConfig, RunConfig
+from repro.config import BATCH_LOCALITY, COST_MODEL, RunConfig
 from repro.core.memory_aware import (
     ComputeCostModel,
     ComputeReport,
@@ -265,7 +264,6 @@ class CostContext:
     model price the same bytes whether or not a real model trains.
     """
 
-    cost: CostModelConfig
     link: PCIeLink
     cost_model: ComputeCostModel
     profile: ModelProfile
@@ -502,9 +500,6 @@ class Framework:
           (intra-node NCCL + an inter-node fabric allreduce in the
           ``network`` phase). A one-node cluster is bit-identical to
           ``cluster=None``.
-        * ``faults`` (a :class:`~repro.faults.FaultPlan`) is installed
-          for the span of the run, replacing a hand-written
-          ``fault_scope`` around the call.
         * ``pipeline`` selects the epoch scheduler: ``"off"`` keeps
           this framework's classic layout bit-for-bit; ``"pipelined"``
           drives the epoch through the bounded stage graph
@@ -512,25 +507,12 @@ class Framework:
           overlap across rounds. Model state (losses, parameters) is
           identical in both modes — the pipeline only reschedules
           modeled time.
+
+        Faults come from the active plan: wrap the call in
+        :func:`~repro.faults.fault_scope` to inject them.
         """
         if execution is None:
             execution = ExecutionSpec()
-        with ExitStack() as stack:
-            if execution.faults is not None:
-                from repro.faults import fault_scope
-
-                stack.enter_context(fault_scope(execution.faults))
-            return self._run_epoch(dataset, config, model_name, sampler,
-                                   execution)
-
-    def _run_epoch(
-        self,
-        dataset: Dataset,
-        config: RunConfig,
-        model_name: str,
-        sampler: Sampler | None,
-        execution: ExecutionSpec,
-    ) -> EpochReport:
         run = self._start_run(dataset, config, model_name, sampler,
                               execution)
         for epoch in range(config.num_epochs):
@@ -612,8 +594,7 @@ class Framework:
             pipeline=execution.pipeline,
             # One sync round: the NCCL allreduce across a node's trainers
             # (0.0 at one GPU), then on cluster runs the inter-node hop.
-            sync=allreduce_time(costs.param_bytes, per_node_trainers,
-                                config.cost),
+            sync=allreduce_time(costs.param_bytes, per_node_trainers),
             net_sync=(cluster.net_sync_time(costs.param_bytes)
                       if cluster is not None else 0.0),
             obs_phase={
@@ -761,10 +742,8 @@ class Framework:
             hidden_dim=config.hidden_dim, num_layers=config.num_layers,
         )
         return CostContext(
-            cost=config.cost,
-            link=link_from_cost(self.spec, config.cost),
-            cost_model=ComputeCostModel(self.spec, config.cost,
-                                        self.compute_mode),
+            link=link_from_cost(self.spec),
+            cost_model=ComputeCostModel(self.spec, self.compute_mode),
             profile=profile,
             param_bytes=_profile_param_bytes(profile),
         )
@@ -782,12 +761,11 @@ class Framework:
         ``trainers`` GPUs share the host link. ``fault_key`` is the
         transfer's ``pcie_stall`` key (default: the next in sequence).
         """
-        cost = costs.cost
-        idmap_t = subgraph.idmap_report.modeled_time(cost)
-        sample_t = sampler.modeled_sample_time(subgraph, cost) + idmap_t
+        idmap_t = subgraph.idmap_report.modeled_time()
+        sample_t = sampler.modeled_sample_time(subgraph) + idmap_t
         transfer = loader.plan(subgraph, key=fault_key)
         comp = costs.cost_model.subgraph_report(subgraph, costs.profile)
-        io_t = self._io_time(transfer, comp, costs.link, cost, trainers)
+        io_t = self._io_time(transfer, comp, costs.link, trainers)
         return BatchCost(sample=sample_t, idmap=idmap_t, memory_io=io_t,
                          transfer=transfer, compute=comp)
 
@@ -862,8 +840,8 @@ class Framework:
         return order
 
     def _io_time(self, report: TransferReport, comp: ComputeReport,
-                 link, cost, trainers: int) -> float:
-        io_t = report.modeled_time(link, cost, concurrent_links=trainers)
+                 link, trainers: int) -> float:
+        io_t = report.modeled_time(link, concurrent_links=trainers)
         if self.prefetch_topology and report.total_bytes > 0:
             # Topology of the next batch moves under this batch's compute;
             # only the un-overlapped remainder counts.
@@ -946,7 +924,6 @@ class Framework:
     def _workspace_bytes(self, subgraph: SampledSubgraph, dataset: Dataset,
                          config: RunConfig, costs: CostContext) -> dict:
         """Device-memory accounting for one iteration (Table 1/9 model)."""
-        cost = config.cost
         profile = costs.profile
         param_bytes = costs.param_bytes
         store = dataset.features
@@ -963,9 +940,9 @@ class Framework:
                 edge_messages += block.num_edges * agg_dim * 4
         workspace = feature_buf + structure + activations + edge_messages
         total = int(
-            cost.runtime_overhead_bytes
+            COST_MODEL.runtime_overhead_bytes
             + param_bytes * 3  # params + Adam moments
-            + workspace * cost.allocator_slack
+            + workspace * COST_MODEL.allocator_slack
             + self._extra_device_bytes(dataset, config)
         )
         return {
@@ -975,7 +952,7 @@ class Framework:
             "activations": activations,
             "edge_messages": edge_messages,
             "params_opt": param_bytes * 3,
-            "runtime": cost.runtime_overhead_bytes,
+            "runtime": COST_MODEL.runtime_overhead_bytes,
             "cache": self._extra_device_bytes(dataset, config),
         }
 

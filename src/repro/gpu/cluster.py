@@ -15,29 +15,14 @@ observation that FastGL's scaling (5.93x at 8 GPUs) beats DGL's (3.36x).
 
 from __future__ import annotations
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 
 
-def allreduce_time(
-    grad_bytes: float,
-    num_gpus: int,
-    cost: CostModelConfig = DEFAULT_COST_MODEL,
-) -> float:
+def allreduce_time(grad_bytes: float, num_gpus: int) -> float:
     """Seconds for one ring all-reduce of ``grad_bytes`` across ``num_gpus``."""
     if num_gpus < 1:
         raise ValueError("num_gpus must be >= 1")
     if num_gpus == 1 or grad_bytes <= 0:
         return 0.0
     moved = 2.0 * (num_gpus - 1) / num_gpus * grad_bytes
-    return cost.nccl_latency_s + moved / cost.nccl_bus_bytes_per_s
-
-
-def effective_pcie_bandwidth(
-    per_link_bw: float,
-    num_gpus: int,
-    cost: CostModelConfig = DEFAULT_COST_MODEL,
-) -> float:
-    """Per-GPU host->device bandwidth when ``num_gpus`` transfer at once."""
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    return min(per_link_bw, cost.host_aggregate_bytes_per_s / num_gpus)
+    return COST_MODEL.nccl_latency_s + moved / COST_MODEL.nccl_bus_bytes_per_s

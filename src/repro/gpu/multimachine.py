@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
 from repro.gpu.cluster import allreduce_time
 
 
@@ -30,7 +29,6 @@ def hierarchical_allreduce_time(
     grad_bytes: float,
     num_machines: int,
     machine: MachineSpec = MachineSpec(),
-    cost: CostModelConfig = DEFAULT_COST_MODEL,
 ) -> float:
     """Seconds for a hierarchical all-reduce across machines.
 
@@ -42,7 +40,7 @@ def hierarchical_allreduce_time(
         raise ValueError("num_machines must be >= 1")
     if grad_bytes <= 0:
         return 0.0
-    intra = allreduce_time(grad_bytes, machine.gpus_per_machine, cost)
+    intra = allreduce_time(grad_bytes, machine.gpus_per_machine)
     if num_machines == 1:
         return intra
     moved = 2.0 * (num_machines - 1) / num_machines * grad_bytes
@@ -56,7 +54,6 @@ def multimachine_epoch_time(
     grad_bytes: float,
     num_machines: int,
     machine: MachineSpec = MachineSpec(),
-    cost: CostModelConfig = DEFAULT_COST_MODEL,
 ) -> float:
     """Epoch time when the batch stream is split across ``num_machines``.
 
@@ -69,12 +66,11 @@ def multimachine_epoch_time(
         raise ValueError("num_machines must be >= 1")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    intra_only = allreduce_time(grad_bytes, machine.gpus_per_machine, cost)
+    intra_only = allreduce_time(grad_bytes, machine.gpus_per_machine)
     per_machine_iters = -(-iterations // num_machines)  # ceil division
     compute_share = (single_machine_epoch_time
                      - iterations * intra_only) / max(1, iterations)
-    sync = hierarchical_allreduce_time(grad_bytes, num_machines, machine,
-                                       cost)
+    sync = hierarchical_allreduce_time(grad_bytes, num_machines, machine)
     return per_machine_iters * max(0.0, compute_share) + (
         per_machine_iters * sync
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,9 @@ class PCIeLink:
     """One host->device link with optional multi-GPU contention."""
 
     bandwidth: float = 32e9
-    latency_s: float = 15e-6
+    latency_s: float = COST_MODEL.pcie_transfer_latency_s
     #: Aggregate host-side bandwidth shared by all concurrent links.
-    host_aggregate: float = 80e9
+    host_aggregate: float = COST_MODEL.host_aggregate_bytes_per_s
 
     def effective_bandwidth(self, concurrent_links: int = 1) -> float:
         """Per-link bandwidth when ``concurrent_links`` GPUs transfer at once."""
@@ -35,24 +35,7 @@ class PCIeLink:
             return 0.0
         return self.latency_s + num_bytes / self.effective_bandwidth(concurrent_links)
 
-    def gather_and_transfer_time(
-        self,
-        num_bytes: float,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
-        concurrent_links: int = 1,
-    ) -> float:
-        """Transfer time including the host-side row gather into a staging
-        buffer (stage (1) of the paper's Section 7 discussion)."""
-        if num_bytes <= 0:
-            return 0.0
-        gather = num_bytes / cost.host_gather_bytes_per_s
-        return gather + self.transfer_time(num_bytes, concurrent_links)
 
-
-def link_from_cost(spec, cost: CostModelConfig) -> PCIeLink:
-    """Build the link model for ``spec`` using calibration ``cost``."""
-    return PCIeLink(
-        bandwidth=spec.pcie_bw,
-        latency_s=cost.pcie_transfer_latency_s,
-        host_aggregate=cost.host_aggregate_bytes_per_s,
-    )
+def link_from_cost(spec) -> PCIeLink:
+    """The calibrated host link of GPU ``spec``."""
+    return PCIeLink(bandwidth=spec.pcie_bw)

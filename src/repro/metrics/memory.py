@@ -17,7 +17,7 @@ Absolute numbers depend on framework internals the paper does not specify
 
 from __future__ import annotations
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.graph.datasets import DatasetSpec
 from repro.graph.stats import estimate_subgraph_size
 
@@ -32,7 +32,6 @@ def paper_scale_workspace_bytes(
     hidden_dim: int = 256,
     materialize_edge_messages: bool = True,
     structure_formats: int = _STRUCTURE_FORMATS,
-    cost: CostModelConfig = DEFAULT_COST_MODEL,
 ) -> dict:
     """Estimated device bytes while training a 3-layer GCN at paper scale.
 
@@ -78,8 +77,8 @@ def paper_scale_workspace_bytes(
 
     workspace = (features + activations + retained_inputs + edge_messages
                  + structure)
-    total = (cost.runtime_overhead_bytes + params + full_graph
-             + workspace * cost.allocator_slack)
+    total = (COST_MODEL.runtime_overhead_bytes + params + full_graph
+             + workspace * COST_MODEL.allocator_slack)
     return {
         "total": int(total),
         "full_graph_topology": int(full_graph),
@@ -89,7 +88,7 @@ def paper_scale_workspace_bytes(
         "edge_messages": int(edge_messages),
         "structure": int(structure),
         "params_opt": int(params),
-        "runtime": cost.runtime_overhead_bytes,
+        "runtime": COST_MODEL.runtime_overhead_bytes,
         "input_nodes": int(input_nodes),
         "sampled_edges": int(est.num_edges),
     }

@@ -4,7 +4,7 @@
 phase-sequential per mini-batch (the classic driver) or overlapped
 through the bounded stage-graph pipeline of :mod:`repro.pipeline.graph`
 — and :class:`ExecutionSpec` bundles the execution-environment knobs of a
-training epoch (cluster shape, fault plan, epoch scheduling) into one
+training epoch (cluster shape, epoch scheduling) into one
 frozen, hashable value that :func:`repro.api.run` and
 :meth:`repro.frameworks.base.Framework.run_epoch` accept uniformly.
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigError
-from repro.faults.plan import FaultPlan
 
 #: Allowed pipeline modes.
 PIPELINE_MODES = ("off", "pipelined")
@@ -74,21 +73,18 @@ PIPELINE_OFF = PipelineSpec()
 class ExecutionSpec:
     """Everything about *where and how* an epoch executes, in one value.
 
-    The model/dataset/cost knobs stay in :class:`~repro.config.RunConfig`;
+    The model/dataset knobs stay in :class:`~repro.config.RunConfig`;
     this spec is orthogonal to them — the same config can run
     sequentially on one node or pipelined across a simulated cluster by
     swapping only the ``ExecutionSpec``. Every trainer lane is priced in
     the calling process. A field of the wrong type raises
-    :class:`~repro.errors.ConfigError` at construction.
+    :class:`~repro.errors.ConfigError` at construction. Fault plans are
+    not part of it: :func:`~repro.faults.fault_scope` installs one.
     """
 
     #: Optional :class:`~repro.cluster.spec.ClusterSpec` scaling the run
     #: across simulated machines (``RunConfig`` then describes one node).
     cluster: ClusterSpec | None = None
-    #: Optional :class:`~repro.faults.FaultPlan` installed for the span
-    #: of the run (replaces wrapping the call in ``fault_scope`` by
-    #: hand; an ambient scope still works when this is ``None``).
-    faults: FaultPlan | None = None
     #: Epoch scheduling (see :class:`PipelineSpec`). A bare mode string
     #: (``"off"`` / ``"pipelined"``) is promoted to a spec.
     pipeline: PipelineSpec = field(default=PIPELINE_OFF)
@@ -107,12 +103,7 @@ class ExecutionSpec:
                 "cluster must be a ClusterSpec or None, got "
                 f"{type(self.cluster).__name__}"
             )
-        if not isinstance(self.faults, (FaultPlan, type(None))):
-            raise ConfigError(
-                "faults must be a FaultPlan or None, got "
-                f"{type(self.faults).__name__}"
-            )
 
 
-#: The default execution: single node, no fault plan, pipeline off.
+#: The default execution: single node, pipeline off.
 DEFAULT_EXECUTION = ExecutionSpec()

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.sampling.subgraph import SampledSubgraph
 
 
@@ -23,16 +23,12 @@ class Sampler(ABC):
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
         """Sample a subgraph rooted at ``seeds``."""
 
-    def modeled_sample_time(
-        self,
-        subgraph: SampledSubgraph,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
-    ) -> float:
+    def modeled_sample_time(self, subgraph: SampledSubgraph) -> float:
         """Seconds for the *draw* part of the sample phase (excl. ID map)."""
         if self.device == "cpu":
-            throughput = cost.cpu_sample_edges_per_s
+            throughput = COST_MODEL.cpu_sample_edges_per_s
         else:
-            throughput = cost.gpu_sample_edges_per_s
+            throughput = COST_MODEL.gpu_sample_edges_per_s
         hops = max(1, subgraph.num_layers)
         return (subgraph.num_sampled_edges / throughput
-                + hops * cost.sample_hop_overhead_s)
+                + hops * COST_MODEL.sample_hop_overhead_s)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.obs import get_registry
 
 
@@ -46,16 +46,16 @@ class IdMapReport:
             device=self.device,
         )
 
-    def modeled_time(self, cost: CostModelConfig = DEFAULT_COST_MODEL) -> float:
+    def modeled_time(self) -> float:
         """Seconds of ID-map work under the calibrated cost model."""
         if self.device == "cpu":
-            return self.num_input_ids / cost.cpu_idmap_ids_per_s
+            return self.num_input_ids / COST_MODEL.cpu_idmap_ids_per_s
         atomic_ops = self.cas_ops + self.probe_retries + self.add_ops
         return (
-            self.kernel_launches * cost.kernel_launch_s
-            + atomic_ops / cost.atomic_ops_per_s
-            + self.sync_events * cost.sync_cost_per_unique_s
-            + self.lookups / cost.table_lookups_per_s
+            self.kernel_launches * COST_MODEL.kernel_launch_s
+            + atomic_ops / COST_MODEL.atomic_ops_per_s
+            + self.sync_events * COST_MODEL.sync_cost_per_unique_s
+            + self.lookups / COST_MODEL.table_lookups_per_s
         )
 
 

@@ -10,6 +10,8 @@ Each selected framework serves the *same* deterministic request
 schedule; the report compares p50/p95/p99 latency, throughput, shed and
 deadline-drop counts, and GPU occupancy. Every run verifies that the
 exported serving timeline reconciles with the event-loop makespan.
+Both modes write ``--json`` and ``--trace`` with one entry per framework
+(``serve_<name>.json`` traces) or per router (``fleet_<policy>.json``).
 ``python -m repro.gate serve fleet`` gates the deterministic serving and
 fleet workloads against their committed baselines.
 """
@@ -31,6 +33,7 @@ from repro.serve.fleet import (
     fleet_demo_dataset,
     simulate_fleet,
 )
+from repro.serve.request import ARRIVAL_PROCESSES
 from repro.serve.routing import ROUTER_POLICIES
 from repro.serve.server import ServeConfig, ServeReport, simulate
 from repro.utils.format import ascii_table
@@ -88,6 +91,43 @@ def _reconciles(label: str, report) -> bool:
     return False
 
 
+def _write_outputs(args, reports: dict, prefix: str, extra) -> None:
+    """Write ``--trace`` and ``--json`` for either mode: one trace file
+    and one JSON entry per framework or router. Each entry holds the
+    ledger's numbers plus ``extra(report)``, the mode's own fields."""
+    if args.trace:
+        args.trace.mkdir(parents=True, exist_ok=True)
+        for name, report in reports.items():
+            path = args.trace / f"{prefix}_{name}.json"
+            count = report.write_chrome_trace(path)
+            print(f"wrote {path} ({count} events)")
+
+    if args.json:
+        payload = {
+            name: {
+                "p50_s": report.p50, "p95_s": report.p95,
+                "p99_s": report.p99, "throughput_rps": report.throughput,
+                "completed": report.num_completed,
+                "shed": report.num_shed, "dropped": report.num_dropped,
+                "makespan_s": report.makespan,
+                **extra(report),
+            }
+            for name, report in reports.items()
+        }
+        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                             + "\n")
+        print(f"wrote {args.json}")
+
+
+def _fleet_extra(report: FleetReport) -> dict:
+    return {"replicas": len(report.replicas),
+            "availability": report.availability,
+            "device_hit_rate": report.device_hit_rate,
+            "tier_hit_rate": report.tier_hit_rate,
+            "rerouted": report.rerouted,
+            "outage_shed": report.outage_shed}
+
+
 def run_fleet(args, parser) -> int:
     """The ``--fleet`` mode: one framework, every requested router."""
     framework = (args.framework or ["fastgl"])[0]
@@ -140,6 +180,8 @@ def run_fleet(args, parser) -> int:
             print(f"match-affinity over round-robin: "
                   f"p99 {rr.p99 / ma.p99:.2f}x, device hit "
                   f"{rr.device_hit_rate:.1%} -> {ma.device_hit_rate:.1%}")
+
+    _write_outputs(args, reports, "fleet", _fleet_extra)
     return 1 if failures else 0
 
 
@@ -160,7 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=400,
                         help="number of requests (default: %(default)s)")
     parser.add_argument("--arrival", default="poisson",
-                        choices=("poisson", "bursty"),
+                        choices=sorted(ARRIVAL_PROCESSES),
                         help="arrival process (default: %(default)s)")
     parser.add_argument("--seeds-per-request", type=int, default=8)
     parser.add_argument("--max-batch", type=int, default=16)
@@ -245,29 +287,8 @@ def main(argv=None) -> int:
                   f"p99 {dgl.p99 / fast.p99:.2f}x, "
                   f"throughput {fast.throughput / dgl.throughput:.2f}x")
 
-    if args.trace:
-        args.trace.mkdir(parents=True, exist_ok=True)
-        for name, report in reports.items():
-            path = args.trace / f"serve_{name}.json"
-            count = report.write_chrome_trace(path)
-            print(f"wrote {path} ({count} events)")
-
-    if args.json:
-        payload = {
-            name: {
-                "p50_s": report.p50, "p95_s": report.p95,
-                "p99_s": report.p99, "throughput_rps": report.throughput,
-                "completed": report.num_completed,
-                "shed": report.num_shed, "dropped": report.num_dropped,
-                "makespan_s": report.makespan,
-                "occupancy": report.occupancy,
-            }
-            for name, report in reports.items()
-        }
-        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                             + "\n")
-        print(f"wrote {args.json}")
-
+    _write_outputs(args, reports, "serve",
+                   lambda report: {"occupancy": report.occupancy})
     return 1 if failures else 0
 
 

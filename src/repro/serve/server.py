@@ -97,9 +97,12 @@ class RequestLedger:
 
     Shared by :class:`ServeReport` and
     :class:`~repro.serve.fleet.FleetReport`; a subclass provides those
-    two attributes and :meth:`spans`, its modeled timeline.
+    two attributes plus ``framework`` and ``dataset``, and
+    :meth:`spans`, its modeled timeline.
     """
 
+    framework: str
+    dataset: str
     requests: list
     makespan: float
 
@@ -171,6 +174,25 @@ class RequestLedger:
     def reconciles(self, tol: float = 1e-6) -> bool:
         return abs(self.timeline_extent - self.makespan) <= tol
 
+    def to_tracer(self) -> Tracer:
+        tracer = Tracer(enabled=True)
+        for span in self.spans():
+            tracer.add_span(
+                span["name"], start=span["start"], duration=span["dur"],
+                lane=span["lane"], category=span["cat"],
+                **{k: v for k, v in span.items()
+                   if k not in ("name", "start", "dur", "lane", "cat")},
+            )
+        return tracer
+
+    def write_chrome_trace(self, path) -> int:
+        return self.to_tracer().write_chrome_trace(
+            path, pid=f"serve:{self.framework}",
+            other_data={"framework": self.framework,
+                        "dataset": self.dataset,
+                        "makespan_s": self.makespan},
+        )
+
 
 @dataclass
 class ServeReport(RequestLedger):
@@ -228,25 +250,6 @@ class ServeReport(RequestLedger):
     # -- timeline ------------------------------------------------------------
     def spans(self) -> list:
         return self.timeline
-
-    def to_tracer(self) -> Tracer:
-        tracer = Tracer(enabled=True)
-        for span in self.timeline:
-            tracer.add_span(
-                span["name"], start=span["start"], duration=span["dur"],
-                lane=span["lane"], category=span["cat"],
-                **{k: v for k, v in span.items()
-                   if k not in ("name", "start", "dur", "lane", "cat")},
-            )
-        return tracer
-
-    def write_chrome_trace(self, path) -> int:
-        return self.to_tracer().write_chrome_trace(
-            path, pid=f"serve:{self.framework}",
-            other_data={"framework": self.framework,
-                        "dataset": self.dataset,
-                        "makespan_s": self.makespan},
-        )
 
     def summary(self) -> str:
         return (

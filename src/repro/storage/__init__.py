@@ -18,7 +18,7 @@ from repro.storage.cache import (
     partition_page_hotness,
 )
 from repro.storage.feature_store import StorageBackedFeatureStore
-from repro.storage.nvme import NVMeLink, nvme_from_cost
+from repro.storage.nvme import NVMeLink
 from repro.storage.page_store import PageStore
 from repro.storage.scheduler import IOPlan, IOScheduler
 
@@ -30,7 +30,6 @@ __all__ = [
     "partition_page_hotness",
     "StorageBackedFeatureStore",
     "NVMeLink",
-    "nvme_from_cost",
     "PageStore",
     "IOPlan",
     "IOScheduler",

@@ -14,19 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 
 
 @dataclass(frozen=True)
 class NVMeLink:
-    """One NVMe drive seen over PCIe 4.0 x4."""
+    """One NVMe drive seen over PCIe 4.0 x4; ``NVMeLink()`` is the
+    calibrated drive (:data:`~repro.config.COST_MODEL`)."""
 
     #: Sequential read bandwidth (datasheet ~7 GB/s for a Gen4 drive).
-    bandwidth: float = 6.8e9
+    bandwidth: float = COST_MODEL.nvme_read_bytes_per_s
     #: Per-command completion latency (read, device + controller).
-    latency_s: float = 80e-6
+    latency_s: float = COST_MODEL.nvme_read_latency_s
     #: Device-side IOPS ceiling for small random reads.
-    iops_limit: float = 1.0e6
+    iops_limit: float = COST_MODEL.nvme_iops_limit
 
     def read_time(
         self,
@@ -53,12 +54,3 @@ class NVMeLink:
         waves = math.ceil(num_requests / queue_depth)
         stream = max(num_bytes / bandwidth, num_requests / self.iops_limit)
         return waves * self.latency_s + stream
-
-
-def nvme_from_cost(cost: CostModelConfig = DEFAULT_COST_MODEL) -> NVMeLink:
-    """Build the drive model from calibration ``cost``."""
-    return NVMeLink(
-        bandwidth=cost.nvme_read_bytes_per_s,
-        latency_s=cost.nvme_read_latency_s,
-        iops_limit=cost.nvme_iops_limit,
-    )

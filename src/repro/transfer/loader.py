@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.core.match import MatchState
 from repro.errors import FaultError, TransferStallError
 from repro.faults import call_with_faults, get_fault_plan
@@ -66,16 +66,12 @@ class TransferReport:
         self.retry_delay_s += getattr(other, "retry_delay_s", 0.0)
         return self
 
-    def modeled_time(
-        self,
-        link: PCIeLink,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
-        concurrent_links: int = 1,
-    ) -> float:
+    def modeled_time(self, link: PCIeLink,
+                     concurrent_links: int = 1) -> float:
         """Seconds on the host link (gather + DMA) for this report."""
         if self.total_bytes == 0:
             return self.retry_delay_s
-        gather = self.feature_bytes / cost.host_gather_bytes_per_s
+        gather = self.feature_bytes / COST_MODEL.host_gather_bytes_per_s
         bw = link.effective_bandwidth(concurrent_links)
         return (gather + self.num_transfers * link.latency_s
                 + self.total_bytes / bw + self.retry_delay_s)

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import (
-    DEFAULT_COST_MODEL,
-    STORAGE_ACCESS_PATHS,
-    CostModelConfig,
-)
+from repro.config import COST_MODEL, STORAGE_ACCESS_PATHS
 from repro.core.match import MatchState
 from repro.gpu.pcie import PCIeLink
 from repro.sampling.subgraph import SampledSubgraph
 from repro.storage.feature_store import StorageBackedFeatureStore
 from repro.storage.nvme import NVMeLink
 from repro.transfer.loader import FeatureLoader, TransferReport
+
+#: The calibrated drive every storage read is priced on.
+DRIVE = NVMeLink()
 
 
 @dataclass
@@ -49,9 +48,6 @@ class StorageTransferReport(TransferReport):
     host_bounce_bytes: int = 0
     #: "direct" or "bounce".
     access: str = "direct"
-    nvme: NVMeLink | None = None
-    host_queue_depth: int = 32
-    gpu_queue_depth: int = 4096
 
     @property
     def page_hit_rate(self) -> float:
@@ -66,44 +62,33 @@ class StorageTransferReport(TransferReport):
                       "ssd_requests", "ssd_bytes", "host_bounce_bytes"):
             setattr(self, field,
                     getattr(self, field) + getattr(other, field, 0))
-        if self.nvme is None:
-            self.nvme = getattr(other, "nvme", None)
-            self.access = getattr(other, "access", self.access)
-            self.host_queue_depth = getattr(other, "host_queue_depth",
-                                            self.host_queue_depth)
-            self.gpu_queue_depth = getattr(other, "gpu_queue_depth",
-                                           self.gpu_queue_depth)
+        self.access = getattr(other, "access", self.access)
         return self
 
-    def modeled_time(
-        self,
-        link: PCIeLink,
-        cost: CostModelConfig = DEFAULT_COST_MODEL,
-        concurrent_links: int = 1,
-    ) -> float:
+    def modeled_time(self, link: PCIeLink,
+                     concurrent_links: int = 1) -> float:
         """Seconds of memory IO including the NVMe stage."""
-        if self.nvme is None:
-            return super().modeled_time(link, cost, concurrent_links)
         bw = link.effective_bandwidth(concurrent_links)
         if self.access == "direct":
             # Pages stream SSD -> PCIe switch -> GPU in one DMA, bounded
             # by the slower of the two links; GPU-initiated submission
             # keeps the device queues deep. Topology still comes from the
             # host over the ordinary link.
-            read = self.nvme.read_time(
+            read = DRIVE.read_time(
                 self.ssd_requests, self.ssd_bytes,
-                queue_depth=self.gpu_queue_depth, bandwidth_cap=bw,
+                queue_depth=COST_MODEL.nvme_gpu_queue_depth,
+                bandwidth_cap=bw,
             )
             structure = 0.0
             if self.structure_bytes:
                 structure = (self.num_transfers * link.latency_s
                              + self.structure_bytes / bw)
             return read + structure + self.retry_delay_s
-        read = self.nvme.read_time(
+        read = DRIVE.read_time(
             self.ssd_requests, self.ssd_bytes,
-            queue_depth=self.host_queue_depth,
+            queue_depth=COST_MODEL.nvme_host_queue_depth,
         )
-        gather = self.feature_bytes / cost.host_gather_bytes_per_s
+        gather = self.feature_bytes / COST_MODEL.host_gather_bytes_per_s
         out = (self.num_transfers * link.latency_s
                + (self.feature_bytes + self.structure_bytes) / bw)
         return read + gather + out + self.retry_delay_s
@@ -120,19 +105,13 @@ class StorageBackedLoader(FeatureLoader):
     def __init__(
         self,
         store: StorageBackedFeatureStore,
-        nvme: NVMeLink,
         access: str = "direct",
         use_match: bool = False,
-        host_queue_depth: int = 32,
-        gpu_queue_depth: int = 4096,
     ) -> None:
         if access not in STORAGE_ACCESS_PATHS:
             raise ValueError(f"unknown storage access path {access!r}")
         super().__init__(store)
-        self.nvme = nvme
         self.access = access
-        self.host_queue_depth = int(host_queue_depth)
-        self.gpu_queue_depth = int(gpu_queue_depth)
         self._state = MatchState() if use_match else None
 
     @property
@@ -158,9 +137,6 @@ class StorageBackedLoader(FeatureLoader):
             structure_bytes=subgraph.structure_bytes(),
             num_transfers=1,
             access=self.access,
-            nvme=self.nvme,
-            host_queue_depth=self.host_queue_depth,
-            gpu_queue_depth=self.gpu_queue_depth,
         )
         wanted = subgraph.input_nodes
         if self._state is not None:
@@ -195,7 +171,7 @@ def page_cache_budget_bytes(dataset, config) -> int:
     """Memory the page cache may occupy: the configured host budget, or
     10% of the feature table (the large-graph regime the tier targets)."""
     if config.host_memory_bytes is not None:
-        return max(0, int(config.host_memory_bytes))
+        return int(config.host_memory_bytes)
     return int(0.1 * dataset.features.total_bytes)
 
 
@@ -205,9 +181,7 @@ def build_storage_loader(dataset, config, use_match: bool = False,
     page store -> page cache (policy + budget from config) -> scheduler ->
     storage-backed store -> loader."""
     from repro.storage.cache import build_page_cache
-    from repro.storage.nvme import nvme_from_cost
 
-    cost = config.cost
     store = StorageBackedFeatureStore(dataset.features,
                                       page_bytes=config.page_bytes)
     budget = page_cache_budget_bytes(dataset, config)
@@ -221,11 +195,5 @@ def build_storage_loader(dataset, config, use_match: bool = False,
         degrees=dataset.graph.degrees,
     )
     store.attach_cache(cache)
-    return StorageBackedLoader(
-        store,
-        nvme_from_cost(cost),
-        access=config.storage_access,
-        use_match=use_match,
-        host_queue_depth=cost.nvme_host_queue_depth,
-        gpu_queue_depth=cost.nvme_gpu_queue_depth,
-    )
+    return StorageBackedLoader(store, access=config.storage_access,
+                               use_match=use_match)

@@ -11,7 +11,7 @@ from repro import api
 from repro.bench.oracles import FrequencyPageCacheLegacy
 from repro.cluster import ClusterSpec, HaloExchange, NetworkFabric
 from repro.cluster.halo import HaloReport, group_by_owner
-from repro.cluster.fabric import NetworkFabric as Fabric
+from repro.cluster.fabric import LINK_LATENCY_S, NetworkFabric as Fabric
 from repro.cluster.partitioner import random_partition
 from repro.config import RunConfig
 from repro.errors import ConfigError, NetworkStallError
@@ -37,13 +37,17 @@ class TestClusterSpec:
         dict(num_nodes=0),
         dict(topology="torus"),
         dict(link_bandwidth=0.0),
-        dict(link_latency_s=-1.0),
         dict(nic_bandwidth=-5.0),
-        dict(oversubscription=0.5),
-        dict(pod_size=0),
         dict(partitioner="metis-real"),
         dict(remote_cache="arc"),
         dict(remote_cache_ratio=1.5),
+        # ``NaN <= 0`` is false: a NaN link bandwidth used to run with a
+        # NaN network phase inside a finite epoch, and a NaN NIC
+        # bandwidth was ignored by the fabric's ``min``; ``num_nodes=2.0``
+        # used to fail mid-run with ``TypeError``.
+        dict(link_bandwidth=float("nan")),
+        dict(nic_bandwidth=float("nan")),
+        dict(num_nodes=2.0),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -58,9 +62,9 @@ class TestClusterSpec:
 
 class TestNetworkFabric:
     def test_fat_tree_penalizes_inter_pod(self):
+        # Pods of POD_SIZE = 4 nodes, 2:1 oversubscribed spine.
         fabric = Fabric(num_nodes=8, topology="fat-tree",
-                        link_bandwidth=10e9, oversubscription=2.0,
-                        pod_size=4)
+                        link_bandwidth=10e9)
         assert fabric.pair_bandwidth(0, 3) == 10e9       # same pod
         assert fabric.pair_bandwidth(0, 4) == 5e9        # across pods
         alltoall = Fabric(num_nodes=8, topology="alltoall",
@@ -69,17 +73,15 @@ class TestNetworkFabric:
 
     def test_gather_time_fluid_model(self):
         fabric = Fabric(num_nodes=4, link_bandwidth=10e9,
-                        link_latency_s=1e-6, nic_bandwidth=10e9)
+                        nic_bandwidth=10e9)
         # One dominant flow: bounded by total bytes over the NIC.
         skewed = fabric.gather_time({1: 10_000_000, 2: 1_000}, node=0)
-        assert skewed == pytest.approx(1e-6 + 10_001_000 / 10e9)
+        assert skewed == pytest.approx(LINK_LATENCY_S + 10_001_000 / 10e9)
         # The makespan never beats the largest single flow's own link.
         slow_link = Fabric(num_nodes=8, topology="fat-tree",
-                           link_bandwidth=10e9, link_latency_s=1e-6,
-                           nic_bandwidth=100e9, oversubscription=2.0,
-                           pod_size=4)
+                           link_bandwidth=10e9, nic_bandwidth=100e9)
         t = slow_link.gather_time({4: 10_000_000}, node=0)
-        assert t == pytest.approx(1e-6 + 10_000_000 / 5e9)
+        assert t == pytest.approx(LINK_LATENCY_S + 10_000_000 / 5e9)
 
     def test_gather_ignores_self_and_empty(self):
         fabric = Fabric(num_nodes=4)
@@ -89,17 +91,16 @@ class TestNetworkFabric:
 
     def test_ring_allreduce_cost(self):
         fabric = Fabric(num_nodes=8, link_bandwidth=10e9,
-                        link_latency_s=10e-6, nic_bandwidth=10e9)
+                        nic_bandwidth=10e9)
         # 2(n-1) latency hops plus 2(n-1)/n of the payload on the ring.
         assert fabric.allreduce_time(1e9) == pytest.approx(
-            14 * 10e-6 + 1.75e9 / 10e9)
+            14 * LINK_LATENCY_S + 1.75e9 / 10e9)
         # The slowest ring hop sets the pace: on a 2:1 fat-tree with
         # pods of 4, two hops of the 0..7 ring cross pods.
-        fat_tree = Fabric(num_nodes=8, topology="fat-tree", pod_size=4,
-                          link_bandwidth=10e9, link_latency_s=10e-6,
-                          nic_bandwidth=10e9)
+        fat_tree = Fabric(num_nodes=8, topology="fat-tree",
+                          link_bandwidth=10e9, nic_bandwidth=10e9)
         assert fat_tree.allreduce_time(1e9) == pytest.approx(
-            14 * 10e-6 + 1.75e9 / 5e9)
+            14 * LINK_LATENCY_S + 1.75e9 / 5e9)
 
     def test_allreduce_degenerate_cases(self):
         fabric = Fabric(num_nodes=1)
@@ -109,11 +110,13 @@ class TestNetworkFabric:
 
     def test_from_spec_roundtrip(self):
         spec = ClusterSpec(num_nodes=8, topology="fat-tree",
-                           link_bandwidth=1e9, pod_size=2)
+                           link_bandwidth=1e9, nic_bandwidth=2e9)
         fabric = NetworkFabric.from_spec(spec)
         assert fabric.num_nodes == 8
         assert fabric.topology == "fat-tree"
-        assert fabric.pod_of(3) == 1
+        assert fabric.link_bandwidth == 1e9
+        assert fabric.nic_bandwidth == 2e9
+        assert (fabric.pod_of(3), fabric.pod_of(4)) == (0, 1)
 
 
 class TestFrequencyCache:

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DEFAULT_COST_MODEL
 from repro.core.memory_aware import ComputeCostModel
 from repro.gpu.pcie import PCIeLink
 from repro.sampling import BaselineIdMap, FusedIdMap
@@ -79,16 +78,16 @@ class TestTransferTimeProperties:
         link = PCIeLink()
         a = TransferReport(feature_bytes=bytes_a, num_transfers=1)
         b = TransferReport(feature_bytes=bytes_a + extra, num_transfers=1)
-        assert (b.modeled_time(link, DEFAULT_COST_MODEL, links)
-                >= a.modeled_time(link, DEFAULT_COST_MODEL, links))
+        assert (b.modeled_time(link, links)
+                >= a.modeled_time(link, links))
 
     @settings(max_examples=50, deadline=None)
     @given(num_bytes=st.integers(1, 10**9), links=st.integers(1, 7))
     def test_contention_never_helps(self, num_bytes, links):
         link = PCIeLink()
         report = TransferReport(feature_bytes=num_bytes, num_transfers=1)
-        assert (report.modeled_time(link, DEFAULT_COST_MODEL, links + 1)
-                >= report.modeled_time(link, DEFAULT_COST_MODEL, links))
+        assert (report.modeled_time(link, links + 1)
+                >= report.modeled_time(link, links))
 
 
 class TestIdMapProperties:

@@ -6,7 +6,7 @@ the tiny test dataset, so a breaking rename fails loudly here.
 
 import numpy as np
 
-from repro.config import DEFAULT_COST_MODEL, RunConfig
+from repro.config import RunConfig
 
 
 def test_dataset_surface(tiny_dataset):
@@ -81,28 +81,15 @@ def test_core_techniques_surface():
 
 
 def test_gpu_surface():
-    from repro.gpu import CacheSim, DeviceMemory, PCIeLink, RTX3090
+    from repro.gpu import CacheSim, PCIeLink, RTX3090
     from repro.gpu.kernels import autotune_thread_block
     from repro.gpu.spec import A100
 
     CacheSim(128 * 1024).access(np.arange(10) * 128)
     assert PCIeLink().transfer_time(1e6, concurrent_links=4) > 0
-    DeviceMemory(1000).alloc("x", 10)
     config = autotune_thread_block(256, 12, A100)
     config.validate(A100)
     assert RTX3090.global_bw == 938e9
-
-
-def test_cost_override_surface(tiny_dataset):
-    from repro import create
-
-    slow_atomics = DEFAULT_COST_MODEL.scaled(atomic_ops_per_s=1e7)
-    config = RunConfig(batch_size=64, fanouts=(3,), num_gpus=1,
-                       hidden_dim=8, cost=slow_atomics)
-    base = RunConfig(batch_size=64, fanouts=(3,), num_gpus=1, hidden_dim=8)
-    slow = create("dgl").run_epoch(tiny_dataset, config)
-    fast = create("dgl").run_epoch(tiny_dataset, base)
-    assert slow.phases.idmap > fast.phases.idmap
 
 
 def test_experiment_surface():

@@ -124,11 +124,28 @@ class TestRunConfigValidation:
     """Inputs that used to be clamped or silently accepted are rejected
     when the config is built."""
 
+    # ``batch_size=0`` used to fail only mid-run (``ConfigError`` under
+    # dgl, ``SamplingError`` under fastgl), ``page_bytes=0`` with a bare
+    # ``ValueError`` from the page store of an out-of-core run.
     @pytest.mark.parametrize("name", ["num_gpus", "hidden_dim",
-                                      "num_epochs", "reorder_window"])
+                                      "num_epochs", "reorder_window",
+                                      "batch_size", "page_bytes"])
     def test_count_below_one(self, name):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: 0})
+
+    @pytest.mark.parametrize("name", ["num_gpus", "batch_size"])
+    def test_count_must_be_an_integer(self, name):
+        """``num_gpus=2.5`` used to fail mid-run with ``TypeError``."""
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: 2.5})
+
+    def test_negative_host_memory(self):
+        """A negative page-cache budget used to be clamped to 0 and ran
+        exactly as 0 does."""
+        with pytest.raises(ConfigError, match="host_memory_bytes"):
+            RunConfig(host_memory_bytes=-1)
+        assert RunConfig(host_memory_bytes=0).host_memory_bytes == 0
 
     @pytest.mark.parametrize("ratio", [-0.5, 2.0, float("nan")])
     def test_cache_ratio_outside_unit_interval(self, ratio):
@@ -170,27 +187,22 @@ class TestPipelineSpecValidation:
 
 
 class TestExecutionSpecValidation:
-    """A ``cluster`` or ``faults`` of the wrong type used to construct
-    fine and fail mid-run with ``AttributeError``, and a bad
-    ``pipeline`` or ``api.run(exec=...)`` raised ``TypeError``; all four
-    raise the API's typed error up front."""
+    """A ``cluster`` of the wrong type used to construct fine and fail
+    mid-run with ``AttributeError``, and a bad ``pipeline`` or
+    ``api.run(exec=...)`` raised ``TypeError``; all three raise the
+    API's typed error up front."""
 
     @pytest.mark.parametrize("value", [5, "two", {"num_nodes": 2}])
     def test_cluster_must_be_a_cluster_spec(self, value):
         with pytest.raises(ConfigError, match="cluster"):
             ExecutionSpec(cluster=value)
 
-    @pytest.mark.parametrize("value", ["chaos", 0.3, {"pcie_stall": 1}])
-    def test_faults_must_be_a_fault_plan(self, value):
-        with pytest.raises(ConfigError, match="faults"):
-            ExecutionSpec(faults=value)
-
     @pytest.mark.parametrize("value", [2, None, ("pipelined",)])
     def test_pipeline_must_be_a_spec_or_mode(self, value):
         with pytest.raises(ConfigError, match="pipeline"):
             ExecutionSpec(pipeline=value)
 
-    @pytest.mark.parametrize("value", ["pipelined", {"faults": None}, 1])
+    @pytest.mark.parametrize("value", ["pipelined", {"cluster": None}, 1])
     def test_api_run_exec_must_be_an_execution_spec(self, value):
         with pytest.raises(ConfigError, match="ExecutionSpec"):
             api.run("dgl", "products", exec=value)

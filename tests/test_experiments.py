@@ -79,6 +79,30 @@ class TestRunnerHelpers:
         assert a is b
         assert len(calls) == 1
 
+    def test_epoch_report_not_memoized_under_a_fault_plan(
+            self, tiny_dataset, monkeypatch):
+        """A report priced under an active fault plan is neither stored
+        nor served: a later fault-free call gets the fault-free epoch, and
+        a call under a plan never gets the memoized fault-free one."""
+        from repro.faults import FaultPlan, fault_scope
+
+        monkeypatch.setattr(exp_runner, "get_dataset",
+                            lambda name, seed=0: tiny_dataset)
+        cfg = RunConfig(batch_size=64, fanouts=(3, 4), num_gpus=1,
+                        hidden_dim=8)
+        with fault_scope(FaultPlan.chaos(seed=7, probability=0.5)):
+            faulty = epoch_report("fastgl", "tiny", cfg)
+        assert faulty.transfer.num_retries > 0
+        clean = epoch_report("fastgl", "tiny", cfg)
+        assert clean is not faulty
+        assert clean.transfer.num_retries == 0
+        assert clean.epoch_time < faulty.epoch_time
+        with fault_scope(FaultPlan.chaos(seed=7, probability=0.5)):
+            again = epoch_report("fastgl", "tiny", cfg)
+        assert again is not clean
+        assert again.epoch_time == faulty.epoch_time
+        assert exp_runner.cache_info()["currsize"] == 1
+
     def test_epoch_report_custom_dataset_not_cached(self, tiny_dataset):
         cfg = RunConfig(batch_size=64, fanouts=(3,), num_gpus=2,
                         hidden_dim=8)

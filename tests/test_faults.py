@@ -33,7 +33,6 @@ from repro.faults import (
 from repro.obs import get_registry, set_registry
 from repro.obs.exporters import flatten_snapshot, to_snapshot
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline import ExecutionSpec
 from repro.sampling import NeighborSampler
 from repro.graph.features import HashFeatureStore
 from repro.storage import IOScheduler, LRUPageCache, PageStore
@@ -393,8 +392,8 @@ class TestTypedErrorsFromApi:
         plan = FaultPlan(seed=0, sites={
             site: FaultSpec(probability=1.0, max_failures=9)})
         config = RunConfig(num_gpus=2, batch_size=64, fanouts=(3, 4))
-        return api.run(framework, dataset, config=config,
-                       exec=ExecutionSpec(faults=plan))
+        with fault_scope(plan):
+            return api.run(framework, dataset, config=config)
 
     @pytest.mark.parametrize("framework", ["dgl", "dgl-ooc"])
     def test_pcie_stall_raises_transfer_stall(self, framework,

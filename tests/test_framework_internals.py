@@ -100,7 +100,7 @@ class TestLockstepEpochTime:
         fw = DGLFramework()
         lanes = _lanes([[(1.0, 0.5, 0.5)], [(2.0, 1.0, 2.0)]])
         config = RunConfig(num_gpus=2)
-        sync = allreduce_time(0, 2, config.cost)
+        sync = allreduce_time(0, 2)
         time = fw._epoch_timeline(lanes, sync, 0.0, config)[0]
         assert time == pytest.approx(5.0 + sync)
 
@@ -111,11 +111,11 @@ class TestLockstepEpochTime:
         config = RunConfig(num_gpus=2)
         grad = 10_000_000
         with_sync = fw._epoch_timeline(
-            lanes, allreduce_time(grad, 2, config.cost), 0.0, config)[0]
+            lanes, allreduce_time(grad, 2), 0.0, config)[0]
         without = fw._epoch_timeline(
-            lanes, allreduce_time(0, 2, config.cost), 0.0, config)[0]
-        expected = 2 * (allreduce_time(grad, 2, config.cost)
-                        - allreduce_time(0, 2, config.cost))
+            lanes, allreduce_time(0, 2), 0.0, config)[0]
+        expected = 2 * (allreduce_time(grad, 2)
+                        - allreduce_time(0, 2))
         assert with_sync - without == pytest.approx(expected)
 
 
@@ -165,11 +165,10 @@ class TestIoTimeOverlap:
             prefetch_topology = False
 
         link = PCIeLink(bandwidth=32e9, latency_s=0.0, host_aggregate=80e9)
-        config = RunConfig()
         report = self._report(feature_bytes=0, structure_bytes=32_000_000)
         comp = ComputeReport(agg_time=1.0)  # plenty of compute to hide under
-        hidden = Prefetching()._io_time(report, comp, link, config.cost, 1)
-        plain = Plain()._io_time(report, comp, link, config.cost, 1)
+        hidden = Prefetching()._io_time(report, comp, link, 1)
+        plain = Plain()._io_time(report, comp, link, 1)
         assert plain > 0
         assert hidden < 0.1 * plain
 
@@ -178,10 +177,9 @@ class TestIoTimeOverlap:
             prefetch_topology = True
 
         link = PCIeLink(bandwidth=32e9, latency_s=0.0)
-        config = RunConfig()
         report = self._report(feature_bytes=0, structure_bytes=320_000_000)
         comp = ComputeReport(agg_time=1e-6)  # compute too short to hide it
-        partial = Prefetching()._io_time(report, comp, link, config.cost, 1)
+        partial = Prefetching()._io_time(report, comp, link, 1)
         assert partial > 0
 
     def test_never_negative(self):
@@ -191,8 +189,7 @@ class TestIoTimeOverlap:
         link = PCIeLink(latency_s=0.0)
         report = self._report(feature_bytes=0, structure_bytes=100)
         comp = ComputeReport(agg_time=10.0)
-        assert Prefetching()._io_time(report, comp, link,
-                                      RunConfig().cost, 1) >= 0.0
+        assert Prefetching()._io_time(report, comp, link, 1) >= 0.0
 
 
 class TestProfileParamBytes:

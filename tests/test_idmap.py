@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.oracles import dense_first_occurrence_legacy
-from repro.config import DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.sampling.idmap import (
     BaselineIdMap,
     CpuIdMap,
@@ -181,7 +181,7 @@ class TestDeviceWorkAccounting:
         report = IdMapReport(num_input_ids=10, num_unique=5, cas_ops=10,
                              probe_retries=2, add_ops=5, sync_events=0,
                              lookups=10, kernel_launches=2, device="gpu")
-        cost = DEFAULT_COST_MODEL
+        cost = COST_MODEL
         expected = (2 * cost.kernel_launch_s
                     + 17 / cost.atomic_ops_per_s
                     + 10 / cost.table_lookups_per_s)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.core.memory_aware import (
     A3,
     ComputeCostModel,
@@ -124,7 +124,7 @@ class TestSubgraphReport:
         profile = model_profile("gcn", 16, 5, hidden_dim=8, num_layers=2)
         report = advisor.subgraph_report(subgraph, profile)
         expected = ((subgraph.num_nodes + subgraph.num_edges)
-                    * DEFAULT_COST_MODEL.advisor_preprocess_s_per_elem)
+                    * COST_MODEL.advisor_preprocess_s_per_elem)
         assert report.preprocess_time == pytest.approx(expected)
 
     def test_gat_attention_overhead(self, subgraph):

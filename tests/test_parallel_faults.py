@@ -22,7 +22,6 @@ from repro.graph.datasets import DATASETS, Dataset
 from repro.obs import instrumented
 from repro.obs.exporters import flatten_snapshot, to_snapshot
 from repro.parallel import MAX_CRASHES, fork_available, parallel_map
-from repro.pipeline import ExecutionSpec
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="requires fork start method")
@@ -107,8 +106,8 @@ class TestEpochChaosDeterminism:
         config = RunConfig(num_gpus=5, num_epochs=3, batch_size=32, seed=0)
         plan = FaultPlan(seed=99, sites={
             "pcie_stall": FaultSpec(probability=0.3, max_failures=2)})
-        report = api.run("pyg", dataset, config=config,
-                         exec=ExecutionSpec(faults=plan))
+        with fault_scope(plan):
+            report = api.run("pyg", dataset, config=config)
         assert report.epoch_time.hex() == "0x1.1bdbd97a67f9bp-7"
         assert report.transfer.num_retries == 11
 
@@ -121,8 +120,8 @@ class TestEpochChaosDeterminism:
         config = RunConfig(num_gpus=5, num_epochs=1, batch_size=32, seed=0)
         plan = FaultPlan(seed=99, sites={
             "storage_slow": FaultSpec(probability=0.5, delay_s=1e-4)})
-        report = api.run("dgl-ooc", dataset, config=config,
-                         exec=ExecutionSpec(faults=plan))
+        with fault_scope(plan):
+            report = api.run("dgl-ooc", dataset, config=config)
         assert report.epoch_time.hex() == "0x1.8c632bbb87752p-10"
         assert sum(event.site == "storage_slow"
                    for event in plan.events) == 5

@@ -110,7 +110,7 @@ class TestNeighborSampler:
         assert cpu.modeled_sample_time(sg) > gpu.modeled_sample_time(sg)
         # Per-draw cost gap matches the throughput calibration exactly
         # (fixed hop overheads cancel).
-        from repro.config import DEFAULT_COST_MODEL as c
+        from repro.config import COST_MODEL as c
 
         gap = cpu.modeled_sample_time(sg) - gpu.modeled_sample_time(sg)
         expected = sg.num_sampled_edges * (

@@ -38,6 +38,37 @@ def test_fleet_mode_one_row_per_router(capsys):
         "round-robin", "jsq", "match-affinity"]
 
 
+def test_fleet_mode_writes_json_and_traces(tmp_path, capsys):
+    """The fleet mode used to return before the output code ran: exit
+    0 and neither file written."""
+    summary = tmp_path / "summary.json"
+    traces = tmp_path / "traces"
+    code = main(REQUESTS + ["--fleet", "--dataset", "fleet-smoke",
+                            "--replicas", "2", "--router", "jsq",
+                            "--router", "round-robin",
+                            "--json", str(summary), "--trace", str(traces)])
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    assert sorted(payload) == ["jsq", "round-robin"]
+    assert all(row["completed"] == 40 and row["replicas"] == 2
+               for row in payload.values())
+    assert sorted(p.name for p in traces.iterdir()) == [
+        "fleet_jsq.json", "fleet_round-robin.json"]
+    events = json.loads((traces / "fleet_jsq.json").read_text())
+    lanes = {event["tid"] for event in events["traceEvents"]}
+    assert {"gpu0", "gpu1", "requests"} <= lanes
+
+
+def test_every_arrival_process_is_a_choice(capsys):
+    """``--arrival`` used to refuse ``flash``, which the fleet
+    experiments use."""
+    code = main(REQUESTS + ["--fleet", "--dataset", "fleet-smoke",
+                            "--replicas", "2", "--router", "jsq",
+                            "--arrival", "flash"])
+    assert code == 0
+    assert _table_names(capsys.readouterr().out) == ["jsq"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--fleet", "--router", "consistent-hash"],
     ["--framework", "tensorflow-gnn"],

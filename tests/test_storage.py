@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_COST_MODEL, RunConfig
+from repro.config import COST_MODEL, RunConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, FaultSpec, fault_scope
 from repro.gpu.pcie import PCIeLink
@@ -23,7 +23,6 @@ from repro.storage import (
     PartitionAwarePageCache,
     StorageBackedFeatureStore,
     build_page_cache,
-    nvme_from_cost,
     partition_page_hotness,
 )
 from repro.transfer.storage_loader import (
@@ -79,10 +78,10 @@ class TestNVMeLink:
             NVMeLink().read_time(1, 1, queue_depth=0)
 
     def test_from_cost_model(self):
-        link = nvme_from_cost(DEFAULT_COST_MODEL)
-        assert link.bandwidth == DEFAULT_COST_MODEL.nvme_read_bytes_per_s
-        assert link.latency_s == DEFAULT_COST_MODEL.nvme_read_latency_s
-        assert link.iops_limit == DEFAULT_COST_MODEL.nvme_iops_limit
+        link = NVMeLink()
+        assert link.bandwidth == COST_MODEL.nvme_read_bytes_per_s
+        assert link.latency_s == COST_MODEL.nvme_read_latency_s
+        assert link.iops_limit == COST_MODEL.nvme_iops_limit
 
 
 class TestPageStore:
@@ -443,7 +442,7 @@ class TestStorageTransferReport:
             page_hits=5, page_misses=10, ssd_pages=10,
             ssd_requests=4, ssd_bytes=4096 * 10,
             host_bounce_bytes=0 if access == "direct" else 4096 * 10 + 1600,
-            access=access, nvme=NVMeLink(),
+            access=access,
         )
 
     def test_direct_faster_than_bounce(self):
@@ -454,20 +453,21 @@ class TestStorageTransferReport:
 
     def test_merge_accumulates_storage_counters(self):
         total = StorageTransferReport()
-        total.merge(self._report("direct"))
-        total.merge(self._report("direct"))
+        total.merge(self._report("bounce"))
+        total.merge(self._report("bounce"))
         assert total.ssd_pages == 20
         assert total.ssd_bytes == 2 * 4096 * 10
         assert total.page_hit_rate == pytest.approx(10 / 30)
-        # The first merge adopted the link model and access path.
-        assert total.nvme is not None and total.access == "direct"
+        # The accumulator adopted the merged reports' access path.
+        assert total.access == "bounce"
 
     def test_plain_merge_partner_is_safe(self):
         from repro.transfer.loader import TransferReport
 
-        total = StorageTransferReport(nvme=NVMeLink())
+        total = StorageTransferReport(access="bounce")
         total.merge(TransferReport(num_wanted=5, feature_bytes=80))
         assert total.num_wanted == 5 and total.ssd_bytes == 0
+        assert total.access == "bounce"
 
 
 class TestStorageBackedLoader:
@@ -533,9 +533,8 @@ class TestStorageBackedLoader:
         )
 
     def test_rejects_unknown_access(self, tiny_dataset):
-        from repro.storage.nvme import nvme_from_cost
         from repro.transfer.storage_loader import StorageBackedLoader
 
         store = StorageBackedFeatureStore(tiny_dataset.features)
         with pytest.raises(ValueError):
-            StorageBackedLoader(store, nvme_from_cost(), access="mmap")
+            StorageBackedLoader(store, access="mmap")

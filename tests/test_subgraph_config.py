@@ -1,9 +1,11 @@
 """Tests for the SampledSubgraph structure and run configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import CostModelConfig, DEFAULT_COST_MODEL, RunConfig
+from repro.config import COST_MODEL, CostModelConfig, RunConfig
 from repro.sampling.idmap.base import IdMapReport
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 
@@ -101,23 +103,25 @@ class TestRunConfig:
 
 
 class TestCostModelConfig:
-    def test_scaled_override(self):
-        cost = DEFAULT_COST_MODEL.scaled(atomic_ops_per_s=1e6)
-        assert cost.atomic_ops_per_s == 1e6
-        assert cost.gpu_sample_edges_per_s == (
-            DEFAULT_COST_MODEL.gpu_sample_edges_per_s
-        )
+    def test_one_calibration(self):
+        """Neither the table nor a run takes another calibration."""
+        with pytest.raises(TypeError):
+            CostModelConfig(atomic_ops_per_s=1e6)
+        with pytest.raises(TypeError):
+            dataclasses.replace(COST_MODEL, atomic_ops_per_s=1e6)
+        with pytest.raises(TypeError):
+            RunConfig(cost=COST_MODEL)
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            DEFAULT_COST_MODEL.atomic_ops_per_s = 1.0
+            COST_MODEL.atomic_ops_per_s = 1.0
 
     def test_gather_faster_than_pcie(self):
         """The Section 7.3 premise: transfer, not gather, dominates today."""
         from repro.gpu.spec import RTX3090
 
-        assert (DEFAULT_COST_MODEL.host_gather_bytes_per_s
+        assert (COST_MODEL.host_gather_bytes_per_s
                 > RTX3090.pcie_bw)
 
     def test_cost_model_is_default_instance(self):
-        assert CostModelConfig() == DEFAULT_COST_MODEL
+        assert CostModelConfig() == COST_MODEL

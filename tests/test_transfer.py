@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DEFAULT_COST_MODEL
+from repro.config import COST_MODEL
 from repro.gpu.pcie import PCIeLink
 from repro.sampling import NeighborSampler
 from repro.transfer.cache import (
@@ -185,10 +185,10 @@ class TestTransferReport:
         report = TransferReport(feature_bytes=32_000_000,
                                 structure_bytes=0, num_transfers=1)
         link = PCIeLink(bandwidth=32e9, latency_s=1e-5)
-        cost = DEFAULT_COST_MODEL
+        cost = COST_MODEL
         expected = (32e6 / cost.host_gather_bytes_per_s + 1e-5
                     + 32e6 / 32e9)
-        assert report.modeled_time(link, cost) == pytest.approx(expected)
+        assert report.modeled_time(link) == pytest.approx(expected)
 
     def test_zero_bytes_zero_time(self):
         assert TransferReport().modeled_time(PCIeLink()) == 0.0
