@@ -131,6 +131,12 @@ STORAGE_ACCESS_PATHS = ("direct", "bounce")
 PAGE_CACHE_POLICIES = ("lru", "partition")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer other than a bool (``True`` is an
+    ``Integral`` too, but never a meant count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one training run (shared by all frameworks).
@@ -140,8 +146,10 @@ class RunConfig:
     from the seed nodes), number of simulated GPUs, and the Match-Reorder
     window ``reorder_window`` (the paper's ``n`` mini-batches sampled ahead).
     The counts (batch size, GPUs, hidden width, epochs, window, page
-    size, prefetch depth) must be integers of at least 1,
-    ``host_memory_bytes`` must be None or at least 0,
+    size, prefetch depth) must be integers of at least 1 (a bool is not
+    one), ``fanouts`` a non-empty tuple or list of such integers (a list
+    is stored as a tuple, so the config stays hashable), ``seed`` an
+    integer of at least 0, ``host_memory_bytes`` None or at least 0,
     ``cache_ratio_override`` must lie in [0, 1], and the storage tier's
     access path and page-cache policy must be ones it implements;
     construction raises :class:`~repro.errors.ConfigError` otherwise.
@@ -181,9 +189,18 @@ class RunConfig:
                      "reorder_window", "page_bytes",
                      "storage_prefetch_depth"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ConfigError(
                     f"{name} must be an integer >= 1, got {value!r}")
+        fanouts = self.fanouts
+        if (not isinstance(fanouts, (tuple, list)) or not fanouts
+                or not all(is_integer(f) and f >= 1 for f in fanouts)):
+            raise ConfigError("fanouts must be a non-empty tuple of "
+                              f"integers >= 1, got {fanouts!r}")
+        object.__setattr__(self, "fanouts", tuple(fanouts))
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         budget = self.host_memory_bytes
         if budget is not None and not budget >= 0:
             raise ConfigError(

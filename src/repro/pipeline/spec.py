@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.spec import ClusterSpec
+from repro.config import is_integer
 from repro.errors import ConfigError
 
 #: Allowed pipeline modes.
@@ -35,7 +36,9 @@ class PipelineSpec:
     stage graph instead: batch ``i+2`` samples while ``i+1`` transfers
     (a double-buffered lane at the default ``queue_depth=2``) and ``i``
     trains, with cluster halo exchange overlapping compute as its own
-    stage.
+    stage. An unknown ``mode``, or a ``queue_depth`` or ``staleness`` that
+    is not an integer in range (a bool is not one), raises
+    :class:`~repro.errors.ConfigError`.
     """
 
     #: ``"off"`` (phase-sequential, the default) or ``"pipelined"``.
@@ -54,10 +57,11 @@ class PipelineSpec:
                 f"pipeline mode must be one of {PIPELINE_MODES}, "
                 f"got {self.mode!r}"
             )
-        if self.queue_depth < 1:
-            raise ConfigError("queue_depth must be >= 1")
-        if self.staleness < 0:
-            raise ConfigError("staleness must be >= 0")
+        for name, low in (("queue_depth", 1), ("staleness", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise ConfigError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
     def enabled(self) -> bool:

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.config import COST_MODEL
 from repro.obs import get_registry
+from repro.sampling.idmap.hash_table import estimate_probe_stats, table_capacity
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,50 @@ def _sorted_first_occurrence(ids: np.ndarray) -> tuple:
 
 
 class IdMap(ABC):
-    """An ID-map strategy; stateless apart from configuration."""
+    """An ID-map strategy; stateless apart from configuration.
+
+    The class attributes describe the counted work of one map:
+    :meth:`account` turns them into an :class:`IdMapReport`.
+    """
 
     device = "gpu"
+    #: The ``idmap`` label of this map's ``repro_idmap_*`` metrics.
+    kind = ""
+    #: Device kernels per map.
+    kernel_launches = 0
+    #: Whether each unique ID costs a thread synchronization (the DGL-style
+    #: assign kernel) instead of one atomicAdd (Fused-Map).
+    sync_per_unique = False
+    #: Hash-table load factor, which sizes the table the probe model sees.
+    load_factor = 0.5
 
     @abstractmethod
     def map(self, ids: np.ndarray) -> MapResult:
         """Map ``ids`` (with duplicates) to consecutive local IDs."""
+
+    def account(self, num_ids: int, unique: np.ndarray) -> IdMapReport:
+        """The counted work of mapping ``num_ids`` IDs whose distinct
+        values are ``unique`` (in any order), reported to the metrics
+        registry."""
+        num_unique = len(unique)
+        if self.device == "cpu":
+            report = IdMapReport(num_input_ids=num_ids, num_unique=num_unique,
+                                 device="cpu")
+        else:
+            probes = estimate_probe_stats(
+                unique, num_duplicates=num_ids - num_unique,
+                capacity=table_capacity(num_unique, self.load_factor),
+            )
+            report = IdMapReport(
+                num_input_ids=num_ids,
+                num_unique=num_unique,
+                cas_ops=num_ids,
+                probe_retries=probes.probe_retries,
+                add_ops=0 if self.sync_per_unique else num_unique,
+                sync_events=num_unique if self.sync_per_unique else 0,
+                lookups=num_ids,
+                kernel_launches=self.kernel_launches,
+                device="gpu",
+            )
+        record_idmap_metrics(self.kind, report)
+        return report

@@ -18,20 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.idmap.base import (
-    IdMap,
-    IdMapReport,
-    MapResult,
-    first_occurrence_unique,
-    record_idmap_metrics,
-)
-from repro.sampling.idmap.hash_table import estimate_probe_stats, table_capacity
+from repro.sampling.idmap.base import IdMap, MapResult, first_occurrence_unique
 
 
 class BaselineIdMap(IdMap):
     """DGL-style three-kernel GPU ID map with per-unique-ID syncs."""
 
     device = "gpu"
+    kind = "baseline"
+    kernel_launches = 3  # construct, assign, translate
+    sync_per_unique = True
 
     def __init__(self, load_factor: float = 0.5) -> None:
         if not 0.0 < load_factor <= 0.9:
@@ -41,40 +37,18 @@ class BaselineIdMap(IdMap):
     def map(self, ids: np.ndarray) -> MapResult:
         ids = np.asarray(ids, dtype=np.int64)
         unique, inverse = first_occurrence_unique(ids)
-        capacity = table_capacity(len(unique), self.load_factor)
-        probes = estimate_probe_stats(
-            unique, num_duplicates=len(ids) - len(unique), capacity=capacity
-        )
-        report = IdMapReport(
-            num_input_ids=len(ids),
-            num_unique=len(unique),
-            cas_ops=len(ids),
-            probe_retries=probes.probe_retries,
-            add_ops=0,
-            sync_events=len(unique),
-            lookups=len(ids),
-            kernel_launches=3,
-            device="gpu",
-        )
-        record_idmap_metrics("baseline", report)
         return MapResult(unique_globals=unique, locals_of_input=inverse,
-                         report=report)
+                         report=self.account(len(ids), unique))
 
 
 class CpuIdMap(IdMap):
     """Host-side ID map (PyG performs the whole sample phase on CPU)."""
 
     device = "cpu"
+    kind = "cpu"
 
     def map(self, ids: np.ndarray) -> MapResult:
         ids = np.asarray(ids, dtype=np.int64)
         unique, inverse = first_occurrence_unique(ids)
-        report = IdMapReport(
-            num_input_ids=len(ids),
-            num_unique=len(unique),
-            kernel_launches=0,
-            device="cpu",
-        )
-        record_idmap_metrics("cpu", report)
         return MapResult(unique_globals=unique, locals_of_input=inverse,
-                         report=report)
+                         report=self.account(len(ids), unique))

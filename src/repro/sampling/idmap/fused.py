@@ -19,25 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.idmap.base import (
-    IdMap,
-    IdMapReport,
-    MapResult,
-    first_occurrence_unique,
-    record_idmap_metrics,
-)
-from repro.sampling.idmap.hash_table import (
-    ExactOpenAddressTable,
-    estimate_probe_stats,
-    table_capacity,
-)
+from repro.sampling.idmap.base import IdMap, MapResult, first_occurrence_unique
+from repro.sampling.idmap.hash_table import ExactOpenAddressTable, table_capacity
 from repro.utils.rng import ensure_rng
 
 
 class FusedIdMap(IdMap):
-    """FastGL's fused, synchronization-free GPU ID map."""
+    """FastGL's fused, synchronization-free GPU ID map: one atomicAdd per
+    fresh local ID, no synchronization events."""
 
     device = "gpu"
+    kind = "fused"
+    kernel_launches = 2  # fused construct+assign, then translate
 
     def __init__(self, load_factor: float = 0.5) -> None:
         if not 0.0 < load_factor <= 0.9:
@@ -47,24 +40,8 @@ class FusedIdMap(IdMap):
     def map(self, ids: np.ndarray) -> MapResult:
         ids = np.asarray(ids, dtype=np.int64)
         unique, inverse = first_occurrence_unique(ids)
-        capacity = table_capacity(len(unique), self.load_factor)
-        probes = estimate_probe_stats(
-            unique, num_duplicates=len(ids) - len(unique), capacity=capacity
-        )
-        report = IdMapReport(
-            num_input_ids=len(ids),
-            num_unique=len(unique),
-            cas_ops=len(ids),
-            probe_retries=probes.probe_retries,
-            add_ops=len(unique),  # one atomicAdd per fresh local ID
-            sync_events=0,
-            lookups=len(ids),
-            kernel_launches=2,  # fused construct+assign, then translate
-            device="gpu",
-        )
-        record_idmap_metrics("fused", report)
         return MapResult(unique_globals=unique, locals_of_input=inverse,
-                         report=report)
+                         report=self.account(len(ids), unique))
 
 
 def _fused_map_thread(table: ExactOpenAddressTable, ids) -> "generator":

@@ -71,11 +71,7 @@ class LayerWiseSampler(Sampler):
         return edge_dst, neighbors[kept]
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if len(seeds) == 0:
-            raise SamplingError("seeds must be non-empty")
-        if len(sorted_unique(seeds)) != len(seeds):
-            raise SamplingError("seeds must be unique")
+        seeds = self._checked_seeds(seeds)
 
         frontier = seeds
         layers = []

@@ -12,9 +12,10 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
+from repro.obs import get_registry
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
-from repro.sampling.idmap.base import sorted_unique
+from repro.sampling.idmap.base import first_occurrence_unique
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 from repro.utils.rng import ensure_rng
 
@@ -26,10 +27,21 @@ _NETWORK_WIDTHS = np.array([16, 32, 64, 128, 256])
 #: Below this many rows, splitting a chunk costs more than the narrower
 #: networks save.
 _MIN_NETWORK_ROWS = 128
-#: ``_PAST_DEGREE[d, c]`` is ``c >= d``: the padded columns of a row of
-#: degree ``d``, one shared table for every network width.
-_PAST_DEGREE = (np.arange(_NETWORK_WIDTHS[-1])
-                >= np.arange(_NETWORK_WIDTHS[-1] + 1)[:, None])
+#: A packed key is a key's bits with the low 8 replaced by its column.
+_COLUMN_BITS = 8
+_KEY_MASK = np.int64(-1 << _COLUMN_BITS)
+_COLUMN_MASK = np.int64((1 << _COLUMN_BITS) - 1)
+_COLUMNS = np.arange(_NETWORK_WIDTHS[-1], dtype=np.int64)
+#: Set on pad cells: every valid key is below 1.0, whose bits are
+#: ``0x3FF0 << 48``, so a pad outranks every valid cell.
+_PAD_BIT = np.int64(1 << 62)
+#: ``_PAD_CELLS[d, c]`` is :data:`_PAD_BIT` where ``c >= d`` and 0
+#: elsewhere: the pad of a row of degree ``d``, for every network width.
+#: Each row is the previous one shifted right by a cell, so the 257 x 256
+#: table is a read-only window view of one 512-cell staircase.
+_PAD_CELLS = np.lib.stride_tricks.sliding_window_view(
+    np.repeat(np.array([0, _PAD_BIT]), _NETWORK_WIDTHS[-1]),
+    _NETWORK_WIDTHS[-1])[::-1]
 
 
 def _argpartition_sorts_short_rows() -> bool:
@@ -50,55 +62,94 @@ def _argpartition_sorts_short_rows() -> bool:
     return True
 
 
+def _partition_sorted_width() -> int:
+    """The widest of :data:`_NETWORK_WIDTHS` up to which
+    ``ndarray.partition`` returned random int64 rows fully sorted at
+    every network width, whatever ``kth`` was; 0 if none.
+
+    256 where numpy dispatches it to x86-simd-sort's AVX-512 code, 64 on
+    its AVX2 code, 0 for introselect. It decides only which ranges
+    :func:`_select_by_network` re-sorts: a prefix left unsorted fails that
+    function's ascent check, so a wrong answer costs time, not exactness.
+    """
+    rng = np.random.default_rng(0)
+    sorted_width = 0
+    for width in _NETWORK_WIDTHS.tolist():
+        keys = rng.integers(0, 1 << 62, size=(4, width))
+        ranked = np.sort(keys, axis=1)
+        for kth in (1, width - 1):
+            got = keys.copy()
+            got.partition(kth, axis=1)
+            if not np.array_equal(got, ranked):
+                return sorted_width
+        sorted_width = width
+    return sorted_width
+
+
 _SORTED_ARGPARTITION = _argpartition_sorts_short_rows()
+_SORTED_PARTITION_WIDTH = _partition_sorted_width()
 
 
-def _select(keys, fanout):
-    """Each padded row's ``fanout`` picks, in ``np.argpartition``'s order."""
+def _select(keys, chunk_deg, fanout):
+    """Each row's ``fanout`` picks, in ``np.argpartition``'s order, from
+    the chunk with every column past the row's degree padded."""
+    # Push out-of-degree columns past any valid key so argpartition never
+    # selects them (valid keys are < 1.0).
+    cols = np.arange(keys.shape[1])
+    np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
     return np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
 
 
+def _sort_prefix(top):
+    """Sort the ranked prefix rows ``top`` in place, where the partition
+    left them unsorted."""
+    top.sort(axis=1)
+
+
 def _select_by_network(keys, chunk_deg, fanout):
-    """:func:`_select` of the padded chunk, with each degree range sorted
-    at its own network width.
+    """:func:`_select`'s picks, with each degree range ranked as packed
+    integers at its own network width.
 
     Where :data:`_SORTED_ARGPARTITION` holds and the chunk is at most 256
     wide, :func:`_select` sorts every padded row, so its picks are the
     row's ``fanout`` smallest valid keys in ascending order. The rows are
     degree-sorted: split at the network widths, each range is sliced to
-    its own largest degree, padded, and ranked with ``kth=fanout``, which
-    sorts it too. When every row's ``fanout + 1`` smallest keys are
-    distinct, those picks are unique and both ways find them; a tie is
-    the one case in which a network's width can reorder them, so then the
-    chunk is padded in full and selected as :func:`_select` does.
+    its own largest degree. Its cells become int64 ``(key bits & ~255) |
+    column``, which sort like the keys (non-negative doubles order as
+    their bit patterns) down to the low 8 bits; pad cells get
+    :data:`_PAD_BIT`. One in-place value partition at ``kth=fanout``
+    leaves each row's ``fanout + 1`` smallest packed keys in front,
+    sorted where the dispatch sorts such rows
+    (:data:`_SORTED_PARTITION_WIDTH`) and re-sorted elsewhere. When those
+    keys are strictly ascending above their column bits, the first
+    ``fanout`` are the row's smallest keys, distinct and in order, and
+    their columns are :func:`_select`'s picks. Any tie, in the keys or
+    only in their packed high bits, sends the chunk back to
+    :func:`_select` itself.
     """
     rows = len(chunk_deg)
     ends = np.searchsorted(chunk_deg, _NETWORK_WIDTHS, side="right")
     top = np.empty((rows, fanout + 1), dtype=np.int64)
-    spans = []
+    bits = keys.view(np.int64)
     lo = 0
     for hi in ends.tolist():
         if hi == lo:
             continue
         span_deg = chunk_deg[lo:hi]
         low, high = int(span_deg[0]), int(span_deg[-1])
+        packed = bits[lo:hi, :high] & _KEY_MASK
+        packed |= _COLUMNS[:high]
         # Columns below the range's smallest degree are valid in every row.
         if low < high:
-            pad = keys[lo:hi, low:high]
-            np.add(pad, 2.0, out=pad, where=_PAST_DEGREE[span_deg, low:high])
-        top[lo:hi] = np.argpartition(keys[lo:hi, :high], fanout,
-                                     axis=1)[:, :fanout + 1]
-        spans.append((lo, hi, high))
+            packed[:, low:] |= _PAD_CELLS[span_deg, low:high]
+        packed.partition(fanout, axis=1)
+        top[lo:hi] = packed[:, :fanout + 1]
+        if high > _SORTED_PARTITION_WIDTH:
+            _sort_prefix(top[lo:hi])
         lo = hi
-    # The picked keys, gathered by flat index (take_along_axis is slower).
-    ranked = keys.take(top + np.arange(0, keys.size, keys.shape[1])[:, None])
-    if (ranked[:, 1:] > ranked[:, :-1]).all():
-        return top[:, :fanout]
-    # Every column past a range's width is past its rows' degrees: adding
-    # 2.0 there completes exactly the padding of the single-call path.
-    for lo, hi, high in spans:
-        keys[lo:hi, high:] += 2.0
-    return _select(keys, fanout)
+    if np.diff(top >> _COLUMN_BITS, axis=1).min() > 0:
+        return top[:, :fanout] & _COLUMN_MASK
+    return _select(keys, chunk_deg, fanout)
 
 
 def _draw_without_replacement(deg, fanout, rng):
@@ -128,11 +179,7 @@ def _draw_without_replacement(deg, fanout, rng):
                 and len(rows) >= _MIN_NETWORK_ROWS):
             out[rows] = _select_by_network(keys, chunk_deg, fanout)
         else:
-            # Push out-of-degree columns past any valid key so argpartition
-            # never selects them (valid keys are < 1.0).
-            cols = np.arange(width)
-            np.add(keys, 2.0, out=keys, where=cols >= chunk_deg[:, None])
-            out[rows] = _select(keys, fanout)
+            out[rows] = _select(keys, chunk_deg, fanout)
     return out
 
 
@@ -173,49 +220,40 @@ class NeighborSampler(Sampler):
         self.device = device
         self.rng = ensure_rng(rng)
 
-    def _sample_hop(self, frontier: np.ndarray, fanout: int):
-        """One hop: returns (edge_dst_pos, drawn_src_global)."""
+    def _draw_hop(self, frontier: np.ndarray, fanout: int):
+        """One hop's draw: ``(drawn_src_global, small, deg)``.
+
+        ``deg`` holds the frontier's degrees and ``small`` marks the rows
+        of at most ``fanout`` neighbors, which are kept whole; the drawn
+        sources are those rows' neighbors in frontier order, then
+        ``fanout`` draws per remaining row.
+        """
         graph = self.graph
         deg = graph.degrees[frontier]
         small = deg <= fanout
-        parts_dst = []
-        parts_src = []
+        small_deg = deg[small]
+        # Gather each small node's full row: the row start minus the row's
+        # offset in the output, repeated, plus 0..total-1.
+        starts = np.cumsum(small_deg) - small_deg
+        addr = np.repeat(graph.indptr[frontier[small]] - starts, small_deg)
+        addr += np.arange(addr.size)
+        large = ~small
+        picks = _draw_without_replacement(deg[large], fanout, self.rng)
+        picks += graph.indptr[frontier[large]][:, None]
+        drawn = graph.indices[np.concatenate([addr, picks.ravel()])]
+        return drawn, small, deg
 
-        small_nodes = frontier[small]
-        if len(small_nodes):
-            small_deg = deg[small]
-            total = int(small_deg.sum())
-            if total:
-                # Gather each small node's full row: the row start minus
-                # the row's offset in the output, repeated, plus 0..total-1.
-                starts = np.cumsum(small_deg) - small_deg
-                addr = np.repeat(graph.indptr[small_nodes] - starts,
-                                 small_deg)
-                addr += np.arange(total)
-                parts_src.append(graph.indices[addr])
-                parts_dst.append(
-                    np.repeat(np.flatnonzero(small), small_deg)
-                )
-
-        large_pos = np.flatnonzero(~small)
-        if len(large_pos):
-            large_nodes = frontier[large_pos]
-            large_deg = deg[large_pos]
-            picks = _draw_without_replacement(large_deg, fanout, self.rng)
-            picks += graph.indptr[large_nodes][:, None]
-            parts_src.append(graph.indices[picks.ravel()])
-            parts_dst.append(np.repeat(large_pos, fanout))
-
-        if parts_src:
-            return np.concatenate(parts_dst), np.concatenate(parts_src)
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    def _sample_hop(self, frontier: np.ndarray, fanout: int):
+        """One hop: returns (edge_dst_pos, drawn_src_global)."""
+        drawn, small, deg = self._draw_hop(frontier, fanout)
+        edge_dst = np.concatenate([
+            np.repeat(np.flatnonzero(small), deg[small]),
+            np.repeat(np.flatnonzero(~small), fanout),
+        ])
+        return edge_dst, drawn
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if len(seeds) == 0:
-            raise SamplingError("seeds must be non-empty")
-        if len(sorted_unique(seeds)) != len(seeds):
-            raise SamplingError("seeds must be unique")
+        seeds = self._checked_seeds(seeds)
 
         layers = []
         report = None
@@ -244,3 +282,31 @@ class NeighborSampler(Sampler):
             idmap_report=report,
             num_sampled_edges=total_draws,
         )
+
+    def reach(self, seeds: np.ndarray) -> np.ndarray:
+        """:meth:`Sampler.reach` from :meth:`sample`'s draws, without its
+        blocks or local IDs.
+
+        A hop's frontier orders the next hop's draws, so each hop but the
+        last keeps the ID map's frontier (every ID map here orders it by
+        first occurrence); the last hop only marks the nodes it visits.
+        While the metrics registry is enabled, each hop is accounted as
+        :meth:`sample`'s ID map accounts it, so the ``repro_idmap_*``
+        counters do not depend on which of the two ran.
+        """
+        frontier = self._checked_seeds(seeds)
+        account = get_registry().enabled
+        for fanout in self.fanouts[:-1]:
+            drawn = self._draw_hop(frontier, fanout)[0]
+            ids = np.concatenate([frontier, drawn])
+            frontier = first_occurrence_unique(ids)[0]
+            if account:
+                self.idmap.account(len(ids), frontier)
+        drawn = self._draw_hop(frontier, self.fanouts[-1])[0]
+        visited = np.zeros(self.graph.num_nodes, dtype=bool)
+        visited[frontier] = True
+        visited[drawn] = True
+        reached = np.flatnonzero(visited)
+        if account:
+            self.idmap.account(len(frontier) + len(drawn), reached)
+        return reached

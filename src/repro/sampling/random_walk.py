@@ -14,7 +14,6 @@ from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.sampling.base import Sampler
 from repro.sampling.idmap import FusedIdMap, IdMap
-from repro.sampling.idmap.base import sorted_unique
 from repro.sampling.subgraph import LayerBlock, SampledSubgraph
 from repro.utils.rng import ensure_rng
 
@@ -56,11 +55,7 @@ class RandomWalkSampler(Sampler):
         return nxt
 
     def sample(self, seeds: np.ndarray) -> SampledSubgraph:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if len(seeds) == 0:
-            raise SamplingError("seeds must be non-empty")
-        if len(sorted_unique(seeds)) != len(seeds):
-            raise SamplingError("seeds must be unique")
+        seeds = self._checked_seeds(seeds)
 
         walkers = np.repeat(seeds, self.num_walks)
         owners = np.repeat(np.arange(len(seeds)), self.num_walks)

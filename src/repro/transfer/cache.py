@@ -87,6 +87,9 @@ class PresampleCachePolicy:
     ) -> StaticFeatureCache:
         """Run ``num_batches`` sample draws and rank nodes by visit count.
 
+        Only which nodes each draw reaches counts, so the draws run
+        through ``sampler.reach``, which need not build the subgraphs.
+
         Ties (nodes visited equally often — common for the long tail) are
         broken by degree, which tracks future visit probability; GNNLab's
         hotness metric behaves the same way in expectation.
@@ -101,8 +104,7 @@ class PresampleCachePolicy:
         for _ in range(num_batches):
             size = min(batch_size, len(train_ids))
             seeds = rng.choice(train_ids, size=size, replace=False)
-            subgraph = sampler.sample(seeds)
-            counts[subgraph.input_nodes] += 1
+            counts[sampler.reach(seeds)] += 1
         graph = getattr(sampler, "graph", None)
         if graph is not None:
             deg = graph.degrees.astype(np.float64)

@@ -8,7 +8,7 @@ from repro.config import RunConfig
 from repro.core.match import MatchState
 from repro.errors import ConfigError
 from repro.nn import Tensor, a3_aggregate, cross_entropy
-from repro.pipeline.spec import ExecutionSpec
+from repro.pipeline.spec import ExecutionSpec, PipelineSpec
 from repro.sampling import NeighborSampler
 from repro.serve import FleetSpec, ServeConfig, build_router
 
@@ -140,6 +140,37 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: 2.5})
 
+    @pytest.mark.parametrize("name", ["num_gpus", "batch_size",
+                                      "num_epochs"])
+    def test_count_must_not_be_a_bool(self, name):
+        """``num_gpus=True`` used to run as one GPU."""
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: True})
+
+    @pytest.mark.parametrize("fanouts", [(), [], (0, 4), (3, -1), (2.5, 4),
+                                         (True, 4), (3, "4"), 5, "34", None])
+    def test_fanouts_rejected(self, fanouts):
+        """``(2.5, 4)`` used to run silently as ``(2, 4)``, and ``()`` and
+        ``(0, 4)`` failed mid-run with ``SamplingError``."""
+        with pytest.raises(ConfigError, match="fanouts"):
+            RunConfig(fanouts=fanouts)
+
+    def test_fanouts_list_is_stored_as_a_tuple(self):
+        """A list used to build a config that ``epoch_report``, which
+        memoizes on the config, could not hash."""
+        config = RunConfig(fanouts=[3, 4])
+        assert config.fanouts == (3, 4)
+        assert isinstance(config.fanouts, tuple)
+        assert config == RunConfig(fanouts=(3, 4))
+        assert hash(config) == hash(RunConfig(fanouts=(3, 4)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_rejected(self, seed):
+        """``seed=-1`` used to fail mid-run with numpy's ``ValueError``,
+        and ``seed=1.5`` ran as seed 1."""
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=seed)
+
     def test_negative_host_memory(self):
         """A negative page-cache budget used to be clamped to 0 and ran
         exactly as 0 does."""
@@ -184,6 +215,16 @@ class TestPipelineSpecValidation:
     def test_mode_string_promotion_validates(self):
         with pytest.raises(ConfigError, match="mode"):
             ExecutionSpec(pipeline="warp")
+
+    @pytest.mark.parametrize("name,value", [
+        ("queue_depth", 2.5), ("queue_depth", True), ("queue_depth", "2"),
+        ("staleness", 1.5), ("staleness", True),
+    ])
+    def test_non_integer_rejected(self, name, value):
+        """``queue_depth=2.5`` used to fail mid-run with ``TypeError``, and
+        ``staleness=1.5`` ran without complaint."""
+        with pytest.raises(ConfigError, match=name):
+            PipelineSpec(**{name: value})
 
 
 class TestExecutionSpecValidation:

@@ -1,5 +1,6 @@
-"""The uniform neighbor draw against the code it replaced, and a pin of its
-picks on a fixed input."""
+"""The uniform neighbor draw against the code it replaced, a pin of its
+picks on a fixed input, and the presample's visit count against the
+subgraphs it replaced."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,17 @@ from hypothesis import strategies as st
 
 from repro.bench.oracles import (draw_without_replacement_legacy,
                                  sample_hop_legacy)
+from repro.errors import SamplingError
 from repro.graph.csr import CSRGraph
-from repro.sampling import NeighborSampler
+from repro.obs import flatten_snapshot, instrumented, to_snapshot
+from repro.sampling import (BaselineIdMap, CpuIdMap, FusedIdMap,
+                            NeighborSampler, RandomWalkSampler)
 from repro.sampling import neighbor
+from repro.sampling.idmap.base import sorted_unique
+from repro.sampling.layerwise import LayerWiseSampler
 from repro.sampling.neighbor import _draw_without_replacement
+from repro.transfer.cache import PresampleCachePolicy
+from repro.utils.rng import ensure_rng
 
 
 def _graph() -> CSRGraph:
@@ -90,6 +98,20 @@ def draw_inputs(draw):
     return deg, fanout, seed
 
 
+def _network_chunks(deg) -> int:
+    """How many of the draw's chunks of ``deg`` the packed ranking takes."""
+    if not neighbor._SORTED_ARGPARTITION:
+        return 0
+    sorted_deg = np.sort(deg)
+    starts = range(0, len(deg), neighbor._CHUNK_ROWS)
+    return sum(
+        1 for start in starts
+        if sorted_deg[start:start + neighbor._CHUNK_ROWS][-1]
+        <= neighbor._NETWORK_WIDTHS[-1]
+        and min(len(deg) - start, neighbor._CHUNK_ROWS)
+        >= neighbor._MIN_NETWORK_ROWS)
+
+
 class TestDrawIdentity:
     @settings(max_examples=80, deadline=None)
     @given(case=draw_inputs())
@@ -97,18 +119,28 @@ class TestDrawIdentity:
         deg, fanout, seed = case
         rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
-        got = _draw_without_replacement(deg, fanout, rng)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            paths = _count_paths(monkeypatch)
+            got = _draw_without_replacement(deg, fanout, rng)
         want = draw_without_replacement_legacy(deg, fanout, reference_rng)
         assert got.dtype == want.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         assert (rng.bit_generator.state
                 == reference_rng.bit_generator.state)
+        # Every chunk the guard admits went through the packed ranking, and
+        # none fell back (random keys do not tie).
+        chunks = -(-len(deg) // neighbor._CHUNK_ROWS)
+        assert paths == {"network": _network_chunks(deg),
+                         "padded": chunks - _network_chunks(deg)}
 
     @pytest.mark.parametrize("keys", [
         dict(grid=32),  # ties in most rows
         dict(tie=0),  # one row's two smallest keys tie
         dict(tie=9),  # one row's 10th and 11th smallest keys tie
-    ], ids=["grid", "smallest-two", "last-pick"])
+        dict(tie=0, near=True),  # ... differ only in their low 8 bits
+        dict(tie=9, near=True),
+    ], ids=["grid", "smallest-two", "last-pick", "smallest-two-near",
+            "last-pick-near"])
     def test_ties_fall_back_to_the_padded_chunk(self, monkeypatch, keys):
         paths = _count_paths(monkeypatch)
         deg = np.random.default_rng(3).integers(11, 200, size=1000)
@@ -116,8 +148,42 @@ class TestDrawIdentity:
         want = draw_without_replacement_legacy(deg, 10, TiedKeys(5, **keys))
         np.testing.assert_array_equal(got, want)
         if neighbor._SORTED_ARGPARTITION:
-            # The network ranked the chunk, found a tie and re-selected it.
+            # The packed ranking found a tie and re-selected the chunk.
             assert paths == {"network": 1, "padded": 1}
+
+    def test_prefix_resort_follows_the_probe(self, monkeypatch):
+        """A range wider than the widest row ``ndarray.partition`` sorts
+        (64 on AVX2, 256 on AVX-512) has its prefix re-sorted; no other
+        range does."""
+        resorted = []
+        sort_prefix = neighbor._sort_prefix
+
+        def count_resort(top):
+            resorted.append(len(top))
+            sort_prefix(top)
+
+        monkeypatch.setattr(neighbor, "_sort_prefix", count_resort)
+        deg = np.random.default_rng(4).integers(11, 200, size=1000)
+        rng, reference_rng = (np.random.default_rng(0) for _ in range(2))
+        got = _draw_without_replacement(deg, 10, rng)
+        want = draw_without_replacement_legacy(deg, 10, reference_rng)
+        np.testing.assert_array_equal(got, want)
+        if not neighbor._SORTED_ARGPARTITION:
+            assert resorted == []
+            return
+        # The ranges end at 16, 32, 64, 128 and 199 columns; each one wider
+        # than the probe's width is re-sorted, in range order.
+        sorted_deg = np.sort(deg)
+        ends = np.searchsorted(sorted_deg, neighbor._NETWORK_WIDTHS,
+                               side="right").tolist()
+        wide = [hi - lo for lo, hi in zip([0] + ends, ends)
+                if hi > lo
+                and sorted_deg[hi - 1] > neighbor._SORTED_PARTITION_WIDTH]
+        assert resorted == wide
+        if neighbor._SORTED_PARTITION_WIDTH == 64:  # AVX2
+            assert len(resorted) == 2
+        elif neighbor._SORTED_PARTITION_WIDTH == 256:  # AVX-512
+            assert resorted == []
 
     def test_draw_path_follows_the_probe(self, monkeypatch):
         paths = _count_paths(monkeypatch)
@@ -132,21 +198,26 @@ class TestDrawIdentity:
 class TiedKeys:
     """A stand-in generator for a fanout-10 draw. With ``grid``, every key
     is rounded down to a multiple of ``1 / grid``. With ``tie``, the first
-    row's columns 0–10 get the 11 smallest keys of the chunk, distinct
-    except ranks ``tie`` and ``tie + 1``, which are equal."""
+    row's columns 0–10 get its 11 smallest keys (non-negative, as the
+    real generator's are), distinct except ranks ``tie`` and ``tie + 1``,
+    which are equal, or with ``near`` differ only in their last bit: a
+    tie of the packed keys that is not one of the floats."""
 
-    def __init__(self, seed, grid=None, tie=None):
+    def __init__(self, seed, grid=None, tie=None, near=False):
         self._rng = np.random.default_rng(seed)
         self.grid = grid
         self.tie = tie
+        self.near = near
 
     def random(self, size):
         keys = self._rng.random(size)
         if self.grid:
             keys = np.floor(keys * self.grid) / self.grid
         if self.tie is not None:
-            smallest = -1.0 + np.arange(11) / 64
+            smallest = (1.0 + np.arange(11)) * 2.0 ** -40
             smallest[self.tie + 1] = smallest[self.tie]
+            if self.near:
+                smallest[self.tie + 1] = np.nextafter(smallest[self.tie], 1.0)
             keys[0, :11] = smallest
         return keys
 
@@ -210,3 +281,106 @@ def test_draw_picks_are_pinned(fanout, want):
     picks = _draw_without_replacement(degrees, fanout,
                                       np.random.default_rng(0))
     assert picks.tolist() == want, SIMD_NOTE
+
+
+def _idmap_counters(registry) -> dict:
+    return {name: value
+            for name, value in flatten_snapshot(to_snapshot(registry)).items()
+            if name.startswith("repro_idmap_")}
+
+
+class TestReach:
+    """``NeighborSampler.reach`` against a twin sampler's subgraphs."""
+
+    @pytest.mark.parametrize("idmap", [FusedIdMap, BaselineIdMap, CpuIdMap])
+    @pytest.mark.parametrize("fanouts", [(4,), (5, 10), (5, 10, 15),
+                                         (25, 2, 3)])
+    def test_matches_sample(self, idmap, fanouts):
+        seeds = np.random.default_rng(1).choice(GRAPH.num_nodes, 120,
+                                                replace=False)
+        sampler, twin = (NeighborSampler(GRAPH, fanouts, idmap=idmap(),
+                                         rng=np.random.default_rng(9))
+                         for _ in range(2))
+        with instrumented() as registry:
+            reached = sampler.reach(seeds)
+        with instrumented() as twin_registry:
+            subgraph = twin.sample(seeds)
+        assert reached.dtype == np.int64
+        np.testing.assert_array_equal(reached,
+                                      sorted_unique(subgraph.input_nodes))
+        assert (sampler.rng.bit_generator.state
+                == twin.rng.bit_generator.state)
+        counters = _idmap_counters(registry)
+        assert counters and counters == _idmap_counters(twin_registry)
+        # With the registry disabled (no accounting), the next draws agree
+        # too.
+        np.testing.assert_array_equal(sampler.reach(seeds),
+                                      twin.sample(seeds).unique_input_nodes())
+        assert (sampler.rng.bit_generator.state
+                == twin.rng.bit_generator.state)
+
+    def test_seed_checks(self):
+        sampler = NeighborSampler(GRAPH, (3,))
+        with pytest.raises(SamplingError, match="non-empty"):
+            sampler.reach(np.empty(0, dtype=np.int64))
+        with pytest.raises(SamplingError, match="unique"):
+            sampler.reach(np.array([1, 1]))
+
+    @pytest.mark.parametrize("seed", [-1, GRAPH.num_nodes])
+    def test_seeds_outside_the_graph(self, seed):
+        """A one-hop ``reach`` marked seed -1 as the graph's last node,
+        while ``sample`` drew from that node's row and then failed in the
+        ID map with a bare ``ValueError`` (``IndexError`` above the
+        graph)."""
+        sampler = NeighborSampler(GRAPH, (3,))
+        for draw in (sampler.reach, sampler.sample):
+            with pytest.raises(SamplingError, match="node IDs"):
+                draw(np.array([0, seed]))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: LayerWiseSampler(GRAPH, (40, 60), rng=rng),
+        lambda rng: RandomWalkSampler(GRAPH, rng=rng),
+    ], ids=["layerwise", "random-walk"])
+    def test_other_samplers_reach_through_sample(self, make):
+        seeds = np.arange(0, GRAPH.num_nodes, 7)
+        sampler, twin = make(np.random.default_rng(2)), make(
+            np.random.default_rng(2))
+        np.testing.assert_array_equal(
+            sampler.reach(seeds), sorted_unique(twin.sample(seeds).input_nodes))
+
+
+def presample_reference(sampler, train_ids, store, capacity_bytes,
+                        batch_size, num_batches=6, rng=None):
+    """The presample's cached IDs as it computed them before ``reach``:
+    each draw's subgraph built, its input nodes counted, the counts
+    tie-broken by degree and the ``slots`` largest kept (stable order,
+    reversed), returned sorted."""
+    slots = min(capacity_bytes // store.bytes_per_node, store.num_nodes)
+    rng = ensure_rng(rng)
+    counts = np.zeros(store.num_nodes, dtype=np.float64)
+    for _ in range(num_batches):
+        seeds = rng.choice(train_ids, size=min(batch_size, len(train_ids)),
+                           replace=False)
+        counts[sampler.sample(seeds).input_nodes] += 1
+    deg = sampler.graph.degrees.astype(np.float64)
+    counts += deg / (deg.max() + 1.0)
+    return np.sort(np.argsort(counts, kind="stable")[::-1][:slots])
+
+
+@pytest.mark.parametrize("idmap", [FusedIdMap, BaselineIdMap])
+@pytest.mark.parametrize("slots", [1, 37, 500, 2000])
+def test_presample_caches_what_the_subgraphs_visit(tiny_dataset, idmap,
+                                                   slots):
+    store = tiny_dataset.features
+    capacity = slots * store.bytes_per_node
+    sampler, twin = (NeighborSampler(tiny_dataset.graph, (5, 10, 15),
+                                     idmap=idmap(),
+                                     rng=np.random.default_rng(3))
+                     for _ in range(2))
+    cache = PresampleCachePolicy.build(sampler, tiny_dataset.train_ids, store,
+                                       capacity, batch_size=64,
+                                       rng=np.random.default_rng(4))
+    want = presample_reference(twin, tiny_dataset.train_ids, store, capacity,
+                               batch_size=64, rng=np.random.default_rng(4))
+    np.testing.assert_array_equal(cache.cached_ids, want)
+    assert sampler.rng.bit_generator.state == twin.rng.bit_generator.state
